@@ -7,16 +7,20 @@ the L-infinity budget intersected with the unit box.  The reverse
 ("inner") perturbations ascend the same objective, probing how bad the
 loss can get near the current iterate before the outer step commits.
 
+Every method is one instance of a single step loop (``run_attack``); the
+per-method plan picks the models of each step, the objective, whether a
+reverse ascent runs from the late start on, and the update rule.
+
 Query accounting: one unit is one input-gradient computation on one model.
-Every runner predicts its own total from the cost model up front and
-verifies the realized count against it.
+Every run predicts its own total from the cost model up front and verifies
+the realized count against it.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +61,6 @@ class AttackConfig:
     seed: int = 0
     schedule_mode: str = "trajectory"
     micro_step: float = 50.0
-    transform_hook: Optional[Callable[[np.ndarray], np.ndarray]] = None
     record_trace: bool = True
     keep_iterates: bool = False
 
@@ -137,20 +140,15 @@ def attack_loss_kind(targeted: bool, label: int) -> M.LossKind:
     return M.neg_cross_entropy(label)
 
 
-def _hooked(cfg: AttackConfig, z: np.ndarray) -> np.ndarray:
-    # the gradient is taken at the transformed point (straight-through)
-    return z if cfg.transform_hook is None else cfg.transform_hook(z)
-
-
-def _grad(cfg, w, z, kind, where):
-    g = M.input_gradient(w, _hooked(cfg, z), kind)
+def _grad(w, z, kind, where):
+    g = M.input_gradient(w, z, kind)
     if not np.all(np.isfinite(g)):
         raise NumericError(f"non-finite gradient at {where}")
     return g
 
 
 def fused_loss_and_grad(models: Sequence[M.Weights], x: np.ndarray,
-                        kind: M.LossKind, cfg: AttackConfig):
+                        kind: M.LossKind):
     """Loss of the averaged logits and its input gradient.
 
     Consumes one gradient call per model: each per-model chain contribution
@@ -158,42 +156,63 @@ def fused_loss_and_grad(models: Sequence[M.Weights], x: np.ndarray,
     """
     if len(models) == 0:
         raise ValueError("empty model batch")
-    z = _hooked(cfg, x)
-    logits = np.stack([M.forward(w, z) for w in models])
+    logits = np.stack([M.forward(w, x) for w in models])
     zbar = logits.mean(axis=0)
     value = float(M.loss_from_logits(zbar, kind))
     dl = M.dloss_dlogits(zbar, kind) / len(models)
     g = np.zeros_like(x)
     for w in models:
-        g = g + M.vjp_input(w, z, dl)
+        g = g + M.vjp_input(w, x, dl)
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite fused gradient")
     return value, g
 
 
 def loss_average_grad(models: Sequence[M.Weights], x: np.ndarray,
-                      kind: M.LossKind, cfg: AttackConfig) -> np.ndarray:
+                      kind: M.LossKind) -> np.ndarray:
     """Gradient of the per-model loss average (one call per model)."""
     if len(models) == 0:
         raise ValueError("empty model batch")
-    g = np.zeros_like(x)
-    for w in models:
-        g = g + _grad(cfg, w, x, kind, "loss-average gradient")
-    return g / len(models)
+    return _objective_grad(models, x, kind, False, "loss-average gradient")
 
 
-def inner_max_per_model(x_hat: np.ndarray, w: M.Weights, kind: M.LossKind,
-                        cfg: AttackConfig) -> np.ndarray:
-    """T sign-ascent steps on one model; consumes exactly T gradient calls.
+def _objective_grad(batch, z, kind, fused, where) -> np.ndarray:
+    """Input gradient of the step objective: the fused-logit loss, or the
+    per-model loss average (a single model's own gradient for a batch of
+    one).  One gradient call per model."""
+    if fused:
+        return fused_loss_and_grad(batch, z, kind)[1]
+    g = _grad(batch[0], z, kind, where)
+    for w in batch[1:]:
+        g = g + _grad(w, z, kind, where)
+    return g / len(batch)
+
+
+def _objective(batch, z, kind, fused) -> float:
+    """Value of the step objective (forwards only, no gradient calls)."""
+    if fused:
+        return float(M.loss_from_logits(
+            np.mean([M.forward(w, z) for w in batch], axis=0), kind))
+    return float(np.mean([M.loss(w, z, kind) for w in batch]))
+
+
+def _ascend(x_hat, batch, kind, fused, cfg) -> np.ndarray:
+    """inner_T sign-ascent steps of the objective from x_hat; returns eps.
 
     No projection is applied: ||eps||_inf <= inner_T * beta_eps holds by
     construction.
     """
     eps = np.zeros_like(x_hat)
     for t in range(cfg.inner_T):
-        g = _grad(cfg, w, x_hat + eps, kind, f"inner step {t}")
+        g = _objective_grad(batch, x_hat + eps, kind, fused, f"inner step {t}")
         eps = eps + cfg.beta_eps * np.sign(g)
     return eps
+
+
+def inner_max_per_model(x_hat: np.ndarray, w: M.Weights, kind: M.LossKind,
+                        cfg: AttackConfig) -> np.ndarray:
+    """T sign-ascent steps on one model; consumes exactly T gradient calls."""
+    return _ascend(x_hat, [w], kind, False, cfg)
 
 
 def inner_max_global(x_hat: np.ndarray, batch: Sequence[M.Weights],
@@ -202,11 +221,7 @@ def inner_max_global(x_hat: np.ndarray, batch: Sequence[M.Weights],
     consumes inner_T * len(batch) gradient calls."""
     if len(batch) == 0:
         raise ValueError("empty model batch")
-    eps = np.zeros_like(x_hat)
-    for _ in range(cfg.inner_T):
-        _, g = fused_loss_and_grad(batch, x_hat + eps, kind, cfg)
-        eps = eps + cfg.beta_eps * np.sign(g)
-    return eps
+    return _ascend(x_hat, batch, kind, True, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +263,39 @@ def predict_ngrad(method: str, n_iter: int, num_components: int,
 
 
 # ---------------------------------------------------------------------------
-# run scaffolding
+# the step loop
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """How one method instantiates the step loop.
+
+    models:  "snapshot" (one scheduled snapshot per step, I * n steps),
+             "list" (the fixed model list every step, n_iter steps) or
+             "components" (one snapshot per component, n_iter steps);
+    fused:   the objective is the loss of the averaged logits, otherwise
+             the average of the per-model losses;
+    reverse: from the late start on, ascend the objective for inner_T sign
+             steps and take the outer gradient at the shifted point;
+    update:  "sign", "momentum" (L1-normalized) or "cwa" (a reverse step,
+             then L2-momentum micro-steps through the batch).
+    """
+
+    models: str
+    fused: bool
+    reverse: bool
+    update: str
+
+
+_PLANS = {
+    "ifgsm": _Plan("snapshot", False, False, "sign"),
+    "mifgsm": _Plan("snapshot", False, False, "momentum"),
+    "drap": _Plan("snapshot", False, True, "momentum"),
+    "rap": _Plan("list", False, True, "sign"),
+    "flat_rap": _Plan("components", True, True, "momentum"),
+    "flat_cwa": _Plan("components", True, False, "cwa"),
+}
 
 
 def _start(x, label, targeted, method, cfg) -> AttackState:
@@ -266,15 +312,7 @@ def _start(x, label, targeted, method, cfg) -> AttackState:
     return state
 
 
-def _note(state, cfg, step, comp, snap, loss_pre, loss_post, tally):
-    if state.iterates is not None:
-        state.iterates.append(state.x_hat.copy())
-    if state.trace is not None:
-        state.trace.append(TraceRow(step, comp, snap, loss_pre, loss_post,
-                                    tally.count))
-
-
-def _finish(state, cfg, tally, predicted):
+def _finish(state, tally, predicted):
     state.grad_calls = tally.count
     state.predicted_grad_calls = predicted
     if state.grad_calls != predicted:
@@ -286,293 +324,121 @@ def _finish(state, cfg, tally, predicted):
     return state
 
 
-def _resolve_batch_iters(cfg) -> int:
-    if cfg.n_iter is None:
-        raise ValueError("this method needs an explicit n_iter")
-    if cfg.n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
-    return cfg.n_iter
-
-
-def _component_batch(ens, j, cfg, rng):
-    n = ens.snapshots_per_component
-    out = []
-    for i in range(ens.num_components):
-        if cfg.schedule_mode == "random":
-            out.append(ens.schedule(j % n, i, mode="random", rng=rng))
-        else:
-            out.append(ens.schedule(j % n, i))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# runners
-# ---------------------------------------------------------------------------
-
-
-def run_drap(x, label, ensemble: SurrogateEnsemble, cfg: AttackConfig) -> AttackState:
-    """Per-model reverse perturbations over the snapshot schedule.
-
-    Sweeps the whole ensemble once: n component epochs, one model per
-    (epoch, component) step, K = I * n outer updates total.  From epoch
-    n_ls on, each step first ascends the sampled model's loss for inner_T
-    sign steps and takes the outer gradient at the shifted point; momentum
-    accumulates across every step and never resets.
-    """
+def _schedule(method, plan, ensemble, models, cfg):
+    """Validate the run length.  Returns the cost-model prediction and the
+    steps as (step, component, snapshot, batch, late) tuples; component and
+    snapshot are -1 where a step does not use a single one."""
+    if plan.models == "list":
+        if len(models) == 0:
+            raise ValueError("empty model batch")
+        if cfg.n_iter is None:
+            raise ValueError("this method needs an explicit n_iter")
+        if cfg.n_iter < 1:
+            raise ValueError("n_iter must be >= 1")
+        predicted = predict_ngrad(method, cfg.n_iter, len(models),
+                                  T=cfg.inner_T, late_start=cfg.n_ls)
+        return predicted, ((it, -1, -1, models, it >= cfg.n_ls)
+                           for it in range(cfg.n_iter))
     I, n = ensemble.num_components, ensemble.snapshots_per_component
     K = ensemble.size
-    if cfg.n_iter is not None and cfg.n_iter != K:
-        raise ValueError(
-            f"this attack consumes the ensemble exactly once: n_iter must be "
-            f"{K} (= I * n), got {cfg.n_iter}")
-    if cfg.n_ls > n:
-        raise ValueError(f"n_ls {cfg.n_ls} exceeds snapshots per component {n}")
-    kind = attack_loss_kind(cfg.targeted, label)
     rng = np.random.default_rng(cfg.seed)
-    predicted = predict_ngrad("drap", K, I, T=cfg.inner_T, late_start=cfg.n_ls)
-    state = _start(x, label, cfg.targeted, "drap", cfg)
-    with M.GRAD_CALLS.scope() as tally:
-        step = 0
-        for j in range(n):
-            for i in range(I):
-                w = ensemble.schedule(j, i, mode=cfg.schedule_mode, rng=rng)
-                if j >= cfg.n_ls and cfg.inner_T > 0:
-                    eps = inner_max_per_model(state.x_hat, w, kind, cfg)
-                    z = state.x_hat + eps
-                else:
-                    z = state.x_hat
-                loss_pre = M.loss(w, _hooked(cfg, state.x_hat), kind)
-                g = _grad(cfg, w, z, kind, f"outer step {step}")
-                state.m = momentum_step(state.m, g, cfg.mu)
-                state.x_hat = project(state.x_hat - cfg.beta_x * np.sign(state.m),
-                                      state.x, cfg.gamma)
-                loss_post = M.loss(w, _hooked(cfg, state.x_hat), kind)
-                _note(state, cfg, step, i, j, loss_pre, loss_post, tally)
-                step += 1
-    return _finish(state, cfg, tally, predicted)
 
+    def pick(j, i):
+        return ensemble.schedule(j, i, mode=cfg.schedule_mode, rng=rng)
 
-def _run_ensemble_sweep(x, label, ensemble, cfg, method, with_momentum):
-    """Longitudinal baseline: one scheduled model per step, no inner loop."""
-    I, n = ensemble.num_components, ensemble.snapshots_per_component
-    K = ensemble.size
+    if plan.models == "components":
+        n_iter = cfg.n_iter if cfg.n_iter is not None else K
+        if n_iter < 1:
+            raise ValueError("n_iter must be >= 1")
+        predicted = predict_ngrad(method, n_iter, I, T=cfg.inner_T,
+                                  late_start=cfg.n_ls)
+        return predicted, ((it, -1, it % n, [pick(it % n, i) for i in range(I)],
+                            it >= cfg.n_ls) for it in range(n_iter))
     if cfg.n_iter is not None and cfg.n_iter != K:
+        if plan.reverse:
+            raise ValueError(
+                f"this attack consumes the ensemble exactly once: n_iter must "
+                f"be {K} (= I * n), got {cfg.n_iter}")
         raise ValueError(
             f"an ensemble sweep visits every snapshot once: n_iter must be "
             f"{K}, got {cfg.n_iter}")
-    kind = attack_loss_kind(cfg.targeted, label)
-    rng = np.random.default_rng(cfg.seed)
-    predicted = K
-    state = _start(x, label, cfg.targeted, method, cfg)
-    with M.GRAD_CALLS.scope() as tally:
-        step = 0
-        for j in range(n):
-            for i in range(I):
-                w = ensemble.schedule(j, i, mode=cfg.schedule_mode, rng=rng)
-                loss_pre = M.loss(w, _hooked(cfg, state.x_hat), kind)
-                g = _grad(cfg, w, state.x_hat, kind, f"outer step {step}")
-                if with_momentum:
-                    state.m = momentum_step(state.m, g, cfg.mu)
-                    direction = np.sign(state.m)
-                else:
-                    direction = np.sign(g)
-                state.x_hat = project(state.x_hat - cfg.beta_x * direction,
-                                      state.x, cfg.gamma)
-                loss_post = M.loss(w, _hooked(cfg, state.x_hat), kind)
-                _note(state, cfg, step, i, j, loss_pre, loss_post, tally)
-                step += 1
-    return _finish(state, cfg, tally, predicted)
+    if plan.reverse and cfg.n_ls > n:
+        raise ValueError(f"n_ls {cfg.n_ls} exceeds snapshots per component {n}")
+    # the cost model counts drap in single-model steps and the sweeps in
+    # component epochs of I models; the late start is in component epochs
+    predicted = predict_ngrad(method, K if plan.reverse else n, I,
+                              T=cfg.inner_T, late_start=cfg.n_ls)
+    return predicted, ((j * I + i, i, j, [pick(j, i)], j >= cfg.n_ls)
+                       for j in range(n) for i in range(I))
 
 
-def _run_batch_fgsm(x, label, models, cfg, method, with_momentum):
-    """Classic multi-model baseline: per-iteration loss-average gradient."""
-    if len(models) == 0:
-        raise ValueError("empty model batch")
-    n_iter = _resolve_batch_iters(cfg)
-    I = len(models)
-    kind = attack_loss_kind(cfg.targeted, label)
-    predicted = predict_ngrad(method, n_iter, I)
-    state = _start(x, label, cfg.targeted, method, cfg)
-    with M.GRAD_CALLS.scope() as tally:
-        for it in range(n_iter):
-            loss_pre = float(np.mean(
-                [M.loss(w, _hooked(cfg, state.x_hat), kind) for w in models]))
-            g = loss_average_grad(models, state.x_hat, kind, cfg)
-            if with_momentum:
-                state.m = momentum_step(state.m, g, cfg.mu)
-                direction = np.sign(state.m)
-            else:
-                direction = np.sign(g)
-            state.x_hat = project(state.x_hat - cfg.beta_x * direction,
-                                  state.x, cfg.gamma)
-            loss_post = float(np.mean(
-                [M.loss(w, _hooked(cfg, state.x_hat), kind) for w in models]))
-            _note(state, cfg, it, -1, -1, loss_pre, loss_post, tally)
-    return _finish(state, cfg, tally, predicted)
-
-
-def run_ifgsm(x, label, models_or_ensemble, cfg: AttackConfig) -> AttackState:
-    """Iterative sign descent of the model-averaged loss (no momentum).
-
-    Given a snapshot ensemble it sweeps the schedule one model per step;
-    given a plain model list it uses the loss-average gradient of the whole
-    batch each iteration.
-    """
-    if isinstance(models_or_ensemble, SurrogateEnsemble):
-        return _run_ensemble_sweep(x, label, models_or_ensemble, cfg,
-                                   "ifgsm", with_momentum=False)
-    return _run_batch_fgsm(x, label, models_or_ensemble, cfg,
-                           "ifgsm", with_momentum=False)
-
-
-def run_mifgsm(x, label, models_or_ensemble, cfg: AttackConfig) -> AttackState:
-    """run_ifgsm plus L1-normalized momentum accumulation."""
-    if isinstance(models_or_ensemble, SurrogateEnsemble):
-        return _run_ensemble_sweep(x, label, models_or_ensemble, cfg,
-                                   "mifgsm", with_momentum=True)
-    return _run_batch_fgsm(x, label, models_or_ensemble, cfg,
-                           "mifgsm", with_momentum=True)
-
-
-def run_rap(x, label, models: Sequence[M.Weights], cfg: AttackConfig) -> AttackState:
-    """Reverse perturbation on the loss average of a fixed model batch.
-
-    After the late-start iteration the inner loop ascends the averaged
-    loss for inner_T steps (building one shared eps), then the outer step
-    descends at the shifted point.  No momentum.
-    """
-    if len(models) == 0:
-        raise ValueError("empty model batch")
-    n_iter = _resolve_batch_iters(cfg)
-    I = len(models)
-    kind = attack_loss_kind(cfg.targeted, label)
-    predicted = predict_ngrad("rap", n_iter, I, T=cfg.inner_T,
-                              late_start=cfg.n_ls)
-    state = _start(x, label, cfg.targeted, "rap", cfg)
-    with M.GRAD_CALLS.scope() as tally:
-        for it in range(n_iter):
-            if it >= cfg.n_ls and cfg.inner_T > 0:
-                eps = np.zeros_like(state.x_hat)
-                for _ in range(cfg.inner_T):
-                    ag = loss_average_grad(models, state.x_hat + eps, kind, cfg)
-                    eps = eps + cfg.beta_eps * np.sign(ag)
-                z = state.x_hat + eps
-            else:
-                z = state.x_hat
-            loss_pre = float(np.mean(
-                [M.loss(w, _hooked(cfg, state.x_hat), kind) for w in models]))
-            g = loss_average_grad(models, z, kind, cfg)
-            state.x_hat = project(state.x_hat - cfg.beta_x * np.sign(g),
-                                  state.x, cfg.gamma)
-            loss_post = float(np.mean(
-                [M.loss(w, _hooked(cfg, state.x_hat), kind) for w in models]))
-            _note(state, cfg, it, -1, -1, loss_pre, loss_post, tally)
-    return _finish(state, cfg, tally, predicted)
-
-
-def run_flat_rap(x, label, ensemble: SurrogateEnsemble,
-                 cfg: AttackConfig) -> AttackState:
-    """Reverse perturbation on fused logits of per-component samples.
-
-    Each iteration draws one snapshot per component, builds a shared eps by
-    ascending the loss of the averaged logits (inner_T fused steps), then
-    descends the same fused objective at the shifted point with momentum.
-    """
-    I = ensemble.num_components
-    n_iter = cfg.n_iter if cfg.n_iter is not None else ensemble.size
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
-    kind = attack_loss_kind(cfg.targeted, label)
-    rng = np.random.default_rng(cfg.seed)
-    predicted = predict_ngrad("flat_rap", n_iter, I, T=cfg.inner_T,
-                              late_start=cfg.n_ls)
-    state = _start(x, label, cfg.targeted, "flat_rap", cfg)
-    with M.GRAD_CALLS.scope() as tally:
-        for it in range(n_iter):
-            batch = _component_batch(ensemble, it, cfg, rng)
-            if it >= cfg.n_ls and cfg.inner_T > 0:
-                eps = inner_max_global(state.x_hat, batch, kind, cfg)
-                z = state.x_hat + eps
-            else:
-                z = state.x_hat
-            loss_pre, g = fused_loss_and_grad(batch, z, kind, cfg)
-            state.m = momentum_step(state.m, g, cfg.mu)
-            state.x_hat = project(state.x_hat - cfg.beta_x * np.sign(state.m),
-                                  state.x, cfg.gamma)
-            loss_post = float(M.loss_from_logits(
-                np.mean([M.forward(w, _hooked(cfg, state.x_hat)) for w in batch],
-                        axis=0), kind))
-            _note(state, cfg, it, -1, it % ensemble.snapshots_per_component,
-                  loss_pre, loss_post, tally)
-    return _finish(state, cfg, tally, predicted)
-
-
-def run_flat_cwa(x, label, ensemble: SurrogateEnsemble,
-                 cfg: AttackConfig) -> AttackState:
-    """Reverse step followed by per-model micro-updates.
-
-    Each iteration: take one fused-gradient ascent step of radius beta_eps
-    from the current iterate, then walk through the component batch
-    accumulating L2-normalized momentum with non-sign micro-updates of
-    scale micro_step, and finally move the iterate by a sign step along
-    the net displacement.  No late start; momentum persists across
-    iterations.
-    """
-    I = ensemble.num_components
-    n_iter = cfg.n_iter if cfg.n_iter is not None else ensemble.size
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
-    kind = attack_loss_kind(cfg.targeted, label)
-    rng = np.random.default_rng(cfg.seed)
-    predicted = predict_ngrad("flat_cwa", n_iter, I)
-    state = _start(x, label, cfg.targeted, "flat_cwa", cfg)
-    with M.GRAD_CALLS.scope() as tally:
-        for it in range(n_iter):
-            batch = _component_batch(ensemble, it, cfg, rng)
-            loss_pre, g = fused_loss_and_grad(batch, state.x_hat, kind, cfg)
-            cur = project(state.x_hat + cfg.beta_eps * np.sign(g),
-                          state.x, cfg.gamma)
-            for w in batch:
-                g = _grad(cfg, w, cur, kind, f"micro step at iteration {it}")
-                l2 = float(np.linalg.norm(g))
-                if l2 < MOMENTUM_NORM_FLOOR:
-                    state.m = cfg.mu * state.m
-                else:
-                    state.m = cfg.mu * state.m + g / l2
-                cur = project(cur - cfg.micro_step * state.m, state.x, cfg.gamma)
-                if state.iterates is not None:
-                    state.iterates.append(cur.copy())
-            net = cur - state.x_hat
-            state.x_hat = project(state.x_hat + cfg.beta_x * np.sign(net),
-                                  state.x, cfg.gamma)
-            loss_post = float(M.loss_from_logits(
-                np.mean([M.forward(w, _hooked(cfg, state.x_hat)) for w in batch],
-                        axis=0), kind))
-            _note(state, cfg, it, -1, it % ensemble.snapshots_per_component,
-                  loss_pre, loss_post, tally)
-    return _finish(state, cfg, tally, predicted)
+def _cwa_step(state, batch, kind, cfg, it) -> np.ndarray:
+    """One fused ascent step of radius beta_eps from the iterate, then
+    L2-normalized momentum micro-updates of scale micro_step through the
+    batch; returns the iterate moved by a sign step along the net
+    displacement."""
+    _, g = fused_loss_and_grad(batch, state.x_hat, kind)
+    cur = project(state.x_hat + cfg.beta_eps * np.sign(g), state.x, cfg.gamma)
+    for w in batch:
+        g = _grad(w, cur, kind, f"micro step at iteration {it}")
+        l2 = float(np.linalg.norm(g))
+        if l2 < MOMENTUM_NORM_FLOOR:
+            state.m = cfg.mu * state.m
+        else:
+            state.m = cfg.mu * state.m + g / l2
+        cur = project(cur - cfg.micro_step * state.m, state.x, cfg.gamma)
+        if state.iterates is not None:
+            state.iterates.append(cur.copy())
+    net = cur - state.x_hat
+    return project(state.x_hat + cfg.beta_x * np.sign(net), state.x, cfg.gamma)
 
 
 def run_attack(x, label, ensemble, cfg: AttackConfig,
                models: Optional[Sequence[M.Weights]] = None) -> AttackState:
-    """Dispatch on cfg.method.  RAP runs on the prototype batch; methods
-    that take either form prefer the explicit model list when given."""
+    """Run cfg.method on one example as an instance of the step loop.
+
+    Each step takes a model batch from the method's plan, optionally
+    shifts the iterate by a reverse (flatness) ascent of the objective
+    from the late start on, and descends the objective inside the
+    gamma-ball intersected with the unit box.  rap attacks the explicit
+    model list, else the ensemble prototypes; ifgsm and mifgsm attack the
+    explicit list when one is given, else sweep the ensemble schedule.
+    """
     method = cfg.method
-    if method == "drap":
-        return run_drap(x, label, ensemble, cfg)
-    if method == "flat_rap":
-        return run_flat_rap(x, label, ensemble, cfg)
-    if method == "flat_cwa":
-        return run_flat_cwa(x, label, ensemble, cfg)
+    plan = _PLANS[method]
     if method == "rap":
-        batch = models if models is not None else ensemble.pretrained
-        if not batch:
+        models = models if models is not None else ensemble.pretrained
+        if not models:
             raise ValueError("rap needs a model batch (or ensemble prototypes)")
-        return run_rap(x, label, batch, cfg)
-    runner = run_ifgsm if method == "ifgsm" else run_mifgsm
-    if models is not None:
-        return runner(x, label, models, cfg)
-    return runner(x, label, ensemble, cfg)
+    elif method in ("ifgsm", "mifgsm") and models is not None:
+        plan = replace(plan, models="list")
+    predicted, steps = _schedule(method, plan, ensemble, models, cfg)
+    kind = attack_loss_kind(cfg.targeted, label)
+    state = _start(x, label, cfg.targeted, method, cfg)
+    with M.GRAD_CALLS.scope() as tally:
+        for step, comp, snap, batch, late in steps:
+            if state.trace is not None:
+                loss_pre = _objective(batch, state.x_hat, kind, plan.fused)
+            if plan.update == "cwa":
+                state.x_hat = _cwa_step(state, batch, kind, cfg, step)
+            else:
+                z = state.x_hat
+                if plan.reverse and late and cfg.inner_T > 0:
+                    z = z + _ascend(z, batch, kind, plan.fused, cfg)
+                d = _objective_grad(batch, z, kind, plan.fused,
+                                    f"outer step {step}")
+                if plan.update == "momentum":
+                    state.m = momentum_step(state.m, d, cfg.mu)
+                    d = state.m
+                state.x_hat = project(state.x_hat - cfg.beta_x * np.sign(d),
+                                      state.x, cfg.gamma)
+            if state.iterates is not None:
+                state.iterates.append(state.x_hat.copy())
+            if state.trace is not None:
+                loss_post = _objective(batch, state.x_hat, kind, plan.fused)
+                state.trace.append(TraceRow(step, comp, snap, loss_pre,
+                                            loss_post, tally.count))
+    return _finish(state, tally, predicted)
 
 
 # ---------------------------------------------------------------------------

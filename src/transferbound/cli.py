@@ -40,7 +40,7 @@ PHI_DEFAULTS = {"tv": (1.0, 0.0), "kl": (1.2564, 1.0), "chi2": (1.0, 0.25)}
 
 _INT_KEYS = {"inner_t", "n_ls", "n", "components", "seed", "n_examples",
              "bound_examples", "n_train", "n_test", "input_dim",
-             "num_classes", "pretrain_epochs", "workers"}
+             "num_classes", "pretrain_epochs"}
 _FLOAT_KEYS = {"gamma", "beta_x", "beta_eps", "mu", "r", "c1", "c2", "rho",
                "delta", "separation", "proto_lr", "micro_step"}
 _STR_KEYS = {"method", "phi", "out", "dataset", "dataset_path"}
@@ -209,7 +209,6 @@ def _experiment_config(args: argparse.Namespace) -> H.ExperimentConfig:
         bound=bound,
         bound_r=pick("r", None),
         targeted=values.get("targeted", False),
-        workers=values.get("workers", 1),
     )
 
 

@@ -11,7 +11,6 @@ timestamp comment line at the top of each CSV.
 from __future__ import annotations
 
 import datetime
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -168,7 +167,6 @@ class ExperimentConfig:
     bound: B.BoundConfig = field(default_factory=B.BoundConfig)
     bound_r: Optional[float] = None  # None: adapt to each example's risk
     targeted: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if not self.seeds:
@@ -181,8 +179,6 @@ class ExperimentConfig:
             raise ValueError("cifar10 needs dataset_path")
         if self.components < 1 or self.snapshots < 1:
             raise ValueError("components and snapshots must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         bad = [m for m in self.methods if m not in A.METHODS]
         if bad:
             raise ValueError(f"unknown methods {bad}")
@@ -264,8 +260,6 @@ def _config_lines(cfg: ExperimentConfig) -> list:
         value = getattr(cfg, f)
         if f == "attack":
             for sub in sorted(A.AttackConfig.__dataclass_fields__):
-                if sub in ("transform_hook",):
-                    continue
                 pairs.append(f"attack.{sub} = {getattr(value, sub)!r}")
         elif f == "bound":
             for sub in sorted(B.BoundConfig.__dataclass_fields__):
@@ -328,19 +322,16 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
         y = data.y_test[: cfg.n_examples].astype(int)
         y_t = (y + 1) % data.num_classes
 
+        labels = y_t if cfg.targeted else y
         states_by_method = {}
         for method in cfg.methods:
             acfg = _method_config(cfg, method, seed, surrogate)
-
-            def one(idx, _acfg=acfg):
-                lbl = int(y_t[idx] if cfg.targeted else y[idx])
-                return A.run_attack(X[idx], lbl, surrogate, _acfg)
-
-            if cfg.workers > 1:
-                with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                    states = list(pool.map(one, range(cfg.n_examples)))
-            else:
-                states = [one(i) for i in range(cfg.n_examples)]
+            # only example 0's trace is written or read
+            first = replace(acfg, record_trace=True)
+            rest = replace(acfg, record_trace=False)
+            states = [A.run_attack(X[i], int(labels[i]), surrogate,
+                                   rest if i else first)
+                      for i in range(cfg.n_examples)]
             states_by_method[method] = (acfg, states)
 
             if "attack" in phases:

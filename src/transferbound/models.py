@@ -580,5 +580,9 @@ def load_weights(path) -> Weights:
         )
     if off + 8 * count > len(blob):
         raise CheckpointError(f"{path}: truncated parameter payload")
+    if off + 8 * count < len(blob):
+        raise CheckpointError(
+            f"{path}: {len(blob) - off - 8 * count} trailing bytes after the "
+            f"parameter payload")
     params = np.frombuffer(blob, dtype="<f8", count=count, offset=off).astype(np.float64)
     return Weights(spec, params)

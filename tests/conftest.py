@@ -5,8 +5,7 @@ from transferbound import forge as F
 from transferbound import models as M
 
 
-@pytest.fixture(scope="session")
-def tiny_setup():
+def build_tiny_setup():
     """2-component x 3-snapshot ensemble on easy 2-D data (fast unit tests)."""
     data = F.make_dataset("gaussian_mixture", 300, 120, 71,
                           input_dim=2, num_classes=2, separation=6.0)
@@ -21,8 +20,7 @@ def tiny_setup():
     return ens, data
 
 
-@pytest.fixture(scope="session")
-def quad_setup():
+def build_quad_setup():
     """The standard 4-prototype ensemble on 6-D, 3-class data."""
     data = F.make_dataset("gaussian_mixture", 600, 300, 72,
                           input_dim=6, num_classes=3, separation=5.0)
@@ -30,3 +28,13 @@ def quad_setup():
                                epochs=4, lr=0.05)
     ens = F.build_ensemble(protos, data, pretrain_epochs=15)
     return ens, data
+
+
+@pytest.fixture(scope="session")
+def tiny_setup():
+    return build_tiny_setup()
+
+
+@pytest.fixture(scope="session")
+def quad_setup():
+    return build_quad_setup()

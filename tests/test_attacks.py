@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transferbound import attacks as A
 from transferbound import models as M
@@ -95,7 +99,7 @@ class TestInnerMax:
         ens, data = tiny_setup
         w = ens.components[1][2]
         kind = M.neg_cross_entropy(0)
-        _, fused = A.fused_loss_and_grad([w], data.X_test[3], kind, small_cfg())
+        _, fused = A.fused_loss_and_grad([w], data.X_test[3], kind)
         direct = M.input_gradient(w, data.X_test[3], kind)
         assert np.max(np.abs(fused - direct)) < 1e-14
 
@@ -129,9 +133,9 @@ class TestCostModel:
 class TestRunners:
     def test_drap_budget_and_accounting(self, quad_setup):
         ens, data = quad_setup
-        cfg = small_cfg(inner_T=3, n_ls=1)
+        cfg = small_cfg(method="drap", inner_T=3, n_ls=1)
         x, y = data.X_test[0], int(data.y_test[0])
-        st = A.run_drap(x, y, ens, cfg)
+        st = A.run_attack(x, y, ens, cfg)
         K, I, n = ens.size, ens.num_components, ens.snapshots_per_component
         expect = cfg.n_ls * I + (K - cfg.n_ls * I) * (cfg.inner_T + 1)
         assert st.grad_calls == st.predicted_grad_calls == expect
@@ -143,9 +147,9 @@ class TestRunners:
 
     def test_drap_zero_gamma_is_identity(self, tiny_setup):
         ens, data = tiny_setup
-        cfg = small_cfg(gamma=0.0)
+        cfg = small_cfg(method="drap", gamma=0.0)
         x = data.X_test[2]
-        st = A.run_drap(x, int(data.y_test[2]), ens, cfg)
+        st = A.run_attack(x, int(data.y_test[2]), ens, cfg)
         for xh in st.iterates:
             assert np.array_equal(xh, x)
 
@@ -153,24 +157,25 @@ class TestRunners:
         ens, data = tiny_setup
         x, y = data.X_test[0], int(data.y_test[0])
         with pytest.raises(ValueError, match="n_iter"):
-            A.run_drap(x, y, ens, small_cfg(n_iter=ens.size + 1))
+            A.run_attack(x, y, ens, small_cfg(method="drap", n_iter=ens.size + 1))
         with pytest.raises(ValueError, match="n_ls"):
-            A.run_drap(x, y, ens, small_cfg(n_ls=ens.snapshots_per_component + 1))
+            A.run_attack(x, y, ens, small_cfg(
+                method="drap", n_ls=ens.snapshots_per_component + 1))
 
     def test_drap_deterministic(self, tiny_setup):
         ens, data = tiny_setup
         x, y = data.X_test[4], int(data.y_test[4])
-        a = A.run_drap(x, y, ens, small_cfg())
-        b = A.run_drap(x, y, ens, small_cfg())
+        a = A.run_attack(x, y, ens, small_cfg(method="drap"))
+        b = A.run_attack(x, y, ens, small_cfg(method="drap"))
         assert a.x_hat.tobytes() == b.x_hat.tobytes()
 
     def test_drap_attack_actually_degrades_true_class(self, quad_setup):
         ens, data = quad_setup
-        cfg = small_cfg(inner_T=3, n_ls=1)
+        cfg = small_cfg(method="drap", inner_T=3, n_ls=1)
         kind_hits = 0
         for idx in range(10):
             x, y = data.X_test[idx], int(data.y_test[idx])
-            st = A.run_drap(x, y, ens, cfg)
+            st = A.run_attack(x, y, ens, cfg)
             before = np.mean([M.loss(w, x, M.bounded_error(y))
                               for w in ens.all_members()])
             after = np.mean([M.loss(w, st.x_hat, M.bounded_error(y))
@@ -182,8 +187,8 @@ class TestRunners:
         ens, data = quad_setup
         n = ens.snapshots_per_component
         x, y = data.X_test[1], int(data.y_test[1])
-        drap = A.run_drap(x, y, ens, small_cfg(n_ls=n, inner_T=5))
-        sweep = A.run_mifgsm(x, y, ens, small_cfg())
+        drap = A.run_attack(x, y, ens, small_cfg(method="drap", n_ls=n, inner_T=5))
+        sweep = A.run_attack(x, y, ens, small_cfg(method="mifgsm"))
         assert len(drap.iterates) == len(sweep.iterates)
         for a, b in zip(drap.iterates, sweep.iterates):
             assert a.tobytes() == b.tobytes()
@@ -193,8 +198,8 @@ class TestRunners:
         ens, data = tiny_setup
         w = ens.components[0][0]
         x, y = data.X_test[5], int(data.y_test[5])
-        cfg = small_cfg(n_iter=1, mu=1.0)
-        st = A.run_mifgsm(x, y, [w], cfg)
+        cfg = small_cfg(method="mifgsm", n_iter=1, mu=1.0)
+        st = A.run_attack(x, y, ens, cfg, models=[w])
         g = M.input_gradient(w, x, M.neg_cross_entropy(y))
         fgsm = A.project(x - cfg.beta_x * np.sign(g), x, cfg.gamma)
         assert np.array_equal(st.x_hat, fgsm)
@@ -202,24 +207,28 @@ class TestRunners:
     def test_batch_baselines_need_n_iter(self, tiny_setup):
         ens, data = tiny_setup
         with pytest.raises(ValueError, match="n_iter"):
-            A.run_ifgsm(data.X_test[0], 0, [ens.components[0][0]], small_cfg())
+            A.run_attack(data.X_test[0], 0, ens, small_cfg(method="ifgsm"),
+                         models=[ens.components[0][0]])
 
     def test_rap_cost_branches(self, tiny_setup):
         ens, data = tiny_setup
         batch = [c[0] for c in ens.components]
         x, y = data.X_test[6], int(data.y_test[6])
-        st = A.run_rap(x, y, batch, small_cfg(n_iter=4, n_ls=2, inner_T=3))
+        st = A.run_attack(x, y, ens, small_cfg(method="rap", n_iter=4, n_ls=2,
+                                               inner_T=3), models=batch)
         assert st.grad_calls == 2 * 2 + 2 * 4 * 2  # ls iters + (T+1)*I iters
-        st2 = A.run_rap(x, y, batch, small_cfg(n_iter=2, n_ls=5, inner_T=3))
+        st2 = A.run_attack(x, y, ens, small_cfg(method="rap", n_iter=2, n_ls=5,
+                                                inner_T=3), models=batch)
         assert st2.grad_calls == 2 * 2  # never reaches the late start
 
     def test_flat_rap_and_flat_cwa_costs(self, quad_setup):
         ens, data = quad_setup
         I = ens.num_components
         x, y = data.X_test[2], int(data.y_test[2])
-        fr = A.run_flat_rap(x, y, ens, small_cfg(n_iter=6, n_ls=2, inner_T=2))
+        fr = A.run_attack(x, y, ens, small_cfg(method="flat_rap", n_iter=6,
+                                               n_ls=2, inner_T=2))
         assert fr.grad_calls == 2 * I + 4 * 3 * I
-        fc = A.run_flat_cwa(x, y, ens, small_cfg(n_iter=6))
+        fc = A.run_attack(x, y, ens, small_cfg(method="flat_cwa", n_iter=6))
         assert fc.grad_calls == 6 * 2 * I
 
     def test_all_methods_respect_budget(self, quad_setup):
@@ -227,12 +236,15 @@ class TestRunners:
         x, y = data.X_test[7], int(data.y_test[7])
         gamma = 0.07
         runs = [
-            A.run_drap(x, y, ens, small_cfg(gamma=gamma)),
-            A.run_ifgsm(x, y, ens, small_cfg(gamma=gamma)),
-            A.run_mifgsm(x, y, ens, small_cfg(gamma=gamma)),
-            A.run_rap(x, y, ens.pretrained, small_cfg(gamma=gamma, n_iter=3)),
-            A.run_flat_rap(x, y, ens, small_cfg(gamma=gamma, n_iter=4)),
-            A.run_flat_cwa(x, y, ens, small_cfg(gamma=gamma, n_iter=4)),
+            A.run_attack(x, y, ens, small_cfg(method="drap", gamma=gamma)),
+            A.run_attack(x, y, ens, small_cfg(method="ifgsm", gamma=gamma)),
+            A.run_attack(x, y, ens, small_cfg(method="mifgsm", gamma=gamma)),
+            A.run_attack(x, y, ens, small_cfg(method="rap", gamma=gamma, n_iter=3),
+                         models=ens.pretrained),
+            A.run_attack(x, y, ens, small_cfg(method="flat_rap", gamma=gamma,
+                                              n_iter=4)),
+            A.run_attack(x, y, ens, small_cfg(method="flat_cwa", gamma=gamma,
+                                              n_iter=4)),
         ]
         for st in runs:
             for xh in st.iterates:
@@ -242,24 +254,30 @@ class TestRunners:
     def test_input_outside_unit_box_rejected(self, tiny_setup):
         ens, _ = tiny_setup
         with pytest.raises(ValueError, match="benign"):
-            A.run_drap(np.array([0.5, 1.5]), 0, ens, small_cfg())
+            A.run_attack(np.array([0.5, 1.5]), 0, ens, small_cfg(method="drap"))
 
-    def test_dispatch_matches_direct_runners(self, quad_setup):
+    def test_dispatch_is_repeatable_and_names_method(self, quad_setup):
         ens, data = quad_setup
         x, y = data.X_test[9], int(data.y_test[9])
         cfg = small_cfg(method="drap")
         via = A.run_attack(x, y, ens, cfg)
-        direct = A.run_drap(x, y, ens, small_cfg(method="drap"))
-        assert via.x_hat.tobytes() == direct.x_hat.tobytes()
+        again = A.run_attack(x, y, ens, small_cfg(method="drap"))
+        assert via.x_hat.tobytes() == again.x_hat.tobytes()
         cfg_rap = small_cfg(method="rap", n_iter=3)
         assert A.run_attack(x, y, ens, cfg_rap).method == "rap"
+        # ifgsm/mifgsm attack an explicit model list, else sweep the schedule
+        listed = A.run_attack(x, y, ens, small_cfg(method="mifgsm", n_iter=3),
+                              models=ens.pretrained)
+        assert listed.grad_calls == 3 * len(ens.pretrained)
+        assert A.run_attack(x, y, ens, small_cfg(method="mifgsm")).grad_calls == ens.size
 
     def test_targeted_objective_pulls_target_class(self, quad_setup):
         ens, data = quad_setup
         x, y = data.X_test[3], int(data.y_test[3])
         target = (y + 1) % 3
-        cfg = small_cfg(gamma=0.25, beta_x=0.05, targeted=True, inner_T=0)
-        st = A.run_drap(x, target, ens, cfg)
+        cfg = small_cfg(method="drap", gamma=0.25, beta_x=0.05, targeted=True,
+                        inner_T=0)
+        st = A.run_attack(x, target, ens, cfg)
         before = np.mean([M.loss(w, x, M.targeted_cross_entropy(target))
                           for w in ens.all_members()])
         after = np.mean([M.loss(w, st.x_hat, M.targeted_cross_entropy(target))
@@ -285,8 +303,8 @@ class TestRunners:
 class TestTrace:
     def test_trace_csv_shape(self, tiny_setup):
         ens, data = tiny_setup
-        cfg = small_cfg()
-        st = A.run_drap(data.X_test[0], int(data.y_test[0]), ens, cfg)
+        cfg = small_cfg(method="drap")
+        st = A.run_attack(data.X_test[0], int(data.y_test[0]), ens, cfg)
         text = A.trace_to_csv(st, cfg)
         lines = text.strip().split("\n")
         assert lines[0].startswith("# method=drap")
@@ -297,16 +315,132 @@ class TestTrace:
 
     def test_trace_grad_calls_column_is_cumulative(self, tiny_setup):
         ens, data = tiny_setup
-        cfg = small_cfg()
-        st = A.run_drap(data.X_test[1], int(data.y_test[1]), ens, cfg)
+        cfg = small_cfg(method="drap")
+        st = A.run_attack(data.X_test[1], int(data.y_test[1]), ens, cfg)
         counts = [row.grad_calls for row in st.trace]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
         assert counts[-1] == st.grad_calls
 
     def test_trace_disabled(self, tiny_setup):
         ens, data = tiny_setup
-        cfg = small_cfg(record_trace=False)
-        st = A.run_drap(data.X_test[0], int(data.y_test[0]), ens, cfg)
+        cfg = small_cfg(method="drap", record_trace=False)
+        st = A.run_attack(data.X_test[0], int(data.y_test[0]), ens, cfg)
         assert st.trace is None
         with pytest.raises(ValueError):
             A.trace_to_csv(st, cfg)
+
+    @pytest.mark.parametrize("method", A.METHODS)
+    def test_loss_pre_is_objective_at_previous_iterate(self, quad_setup, method):
+        ens, data = quad_setup
+        I, n = ens.num_components, ens.snapshots_per_component
+        x, y = data.X_test[4], int(data.y_test[4])
+        cfg = small_cfg(method=method, n_iter=6 if method == "rap" else None)
+        st = A.run_attack(x, y, ens, cfg)
+        kind = M.neg_cross_entropy(y)
+        # flat_cwa also keeps its I micro-step iterates
+        stride = I + 1 if method == "flat_cwa" else 1
+        for row in st.trace:
+            prev = x if row.iter == 0 else st.iterates[row.iter * stride - 1]
+            if method in ("flat_rap", "flat_cwa"):
+                batch = [c[row.iter % n] for c in ens.components]
+                want = float(M.loss_from_logits(
+                    np.mean([M.forward(w, prev) for w in batch], axis=0), kind))
+            elif method == "rap":
+                want = float(np.mean([M.loss(w, prev, kind) for w in ens.pretrained]))
+            else:
+                want = M.loss(ens.components[row.component][row.snapshot], prev, kind)
+            assert row.loss_pre == want, row
+
+    @pytest.mark.parametrize("method", A.METHODS)
+    def test_untraced_run_makes_no_extra_forwards(self, quad_setup, monkeypatch,
+                                                  method):
+        ens, data = quad_setup
+        x, y = data.X_test[5], int(data.y_test[5])
+        counts = {"forward": 0, "loss": 0}
+        forward, loss = M.forward, M.loss
+
+        def counted_forward(*args):
+            counts["forward"] += 1
+            return forward(*args)
+
+        def counted_loss(*args):
+            counts["loss"] += 1
+            return loss(*args)
+
+        monkeypatch.setattr(M, "forward", counted_forward)
+        monkeypatch.setattr(M, "loss", counted_loss)
+        n_iter = 6 if method == "rap" else None
+        st = A.run_attack(x, y, ens, small_cfg(method=method, n_iter=n_iter,
+                                               record_trace=False))
+        # fused gradients take one forward per model; input_gradient runs its
+        # own forward pass without these entry points
+        fused = {"flat_rap": st.grad_calls, "flat_cwa": st.grad_calls // 2}
+        assert counts == {"forward": fused.get(method, 0), "loss": 0}
+        A.run_attack(x, y, ens, small_cfg(method=method, n_iter=n_iter))
+        assert counts["forward"] > fused.get(method, 0)
+
+
+@st.composite
+def loop_switches(draw):
+    """One point of the step loop's switch grid on a fixture ensemble."""
+    setup = draw(st.sampled_from(["tiny", "quad"]))
+    method = draw(st.sampled_from(A.METHODS))
+    listed = method in ("ifgsm", "mifgsm") and draw(st.booleans())
+    n_iter = None
+    if listed or method == "rap":
+        n_iter = draw(st.integers(1, 6))
+    elif method in ("flat_rap", "flat_cwa"):
+        n_iter = draw(st.none() | st.integers(1, 6))
+    return dict(setup=setup, method=method, listed=listed, n_iter=n_iter,
+                inner_T=draw(st.integers(0, 3)), n_ls_frac=draw(st.floats(0, 1)),
+                targeted=draw(st.booleans()), seed=draw(st.integers(0, 3)),
+                random_schedule=draw(st.booleans()),
+                gamma=draw(st.sampled_from([0.0, 0.03, 0.1])),
+                mu=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                example=draw(st.integers(0, 9)))
+
+
+class TestLoopProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(sw=loop_switches())
+    def test_accounting_budget_and_late_start_reduction(self, tiny_setup,
+                                                        quad_setup, sw):
+        ens, data = tiny_setup if sw["setup"] == "tiny" else quad_setup
+        I, n, K = ens.num_components, ens.snapshots_per_component, ens.size
+        method, T = sw["method"], sw["inner_T"]
+        n_ls = round(sw["n_ls_frac"] * n)
+        x, y = data.X_test[sw["example"]], int(data.y_test[sw["example"]])
+        label = (y + 1) % data.num_classes if sw["targeted"] else y
+        cfg = small_cfg(
+            method=method, inner_T=T, n_ls=n_ls, n_iter=sw["n_iter"],
+            targeted=sw["targeted"], seed=sw["seed"], gamma=sw["gamma"],
+            mu=sw["mu"],
+            schedule_mode="random" if sw["random_schedule"] else "trajectory")
+        models = ens.pretrained if sw["listed"] else None
+
+        with M.GRAD_CALLS.scope() as tally:
+            state = A.run_attack(x, label, ens, cfg, models=models)
+        iters = sw["n_iter"] if sw["n_iter"] is not None else K
+        P = len(ens.pretrained)
+        sweep_cost = (iters, P) if sw["listed"] else (n, I)
+        predicted = {
+            "ifgsm": A.predict_ngrad("ifgsm", *sweep_cost),
+            "mifgsm": A.predict_ngrad("mifgsm", *sweep_cost),
+            "rap": A.predict_ngrad("rap", iters, P, T=T, late_start=n_ls),
+            "flat_rap": A.predict_ngrad("flat_rap", iters, I, T=T, late_start=n_ls),
+            "flat_cwa": A.predict_ngrad("flat_cwa", iters, I),
+            "drap": A.predict_ngrad("drap", K, I, T=T, late_start=n_ls),
+        }[method]
+        assert tally.count == state.grad_calls == predicted
+
+        for xh in state.iterates + [state.x_hat]:
+            assert np.max(np.abs(xh - x)) <= sw["gamma"] + 1e-12
+            assert xh.min() >= 0.0 and xh.max() <= 1.0
+
+        if method == "drap":
+            late = A.run_attack(x, label, ens, replace(cfg, n_ls=n))
+            sweep = A.run_attack(x, label, ens, replace(cfg, method="mifgsm"))
+            assert late.x_hat.tobytes() == sweep.x_hat.tobytes()
+            assert [a.tobytes() for a in late.iterates] == \
+                [b.tobytes() for b in sweep.iterates]
+            assert late.grad_calls == sweep.grad_calls == K

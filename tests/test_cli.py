@@ -71,10 +71,11 @@ def test_bad_flag_exits_2(capsys):
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("no_such_key = 1\n", encoding="utf-8")
-    rc = cli.main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert rc == cli.EXIT_CONFIG
-    assert "configuration error" in capsys.readouterr().err
+    for key in ("no_such_key", "workers"):
+        cfg.write_text(f"{key} = 1\n", encoding="utf-8")
+        rc = cli.main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_cifar_without_path_exits_2(tiny_config, tmp_path, capsys):

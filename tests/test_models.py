@@ -315,6 +315,15 @@ class TestCheckpoints:
             with pytest.raises(M.CheckpointError):
                 M.load_weights(clipped)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        rng = np.random.default_rng(54)
+        w = M.init_weights(M.ModelSpec("linear", 4, 2), rng)
+        path = tmp_path / "w.fxw"
+        M.save_weights(w, path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(M.CheckpointError, match="trailing"):
+            M.load_weights(path)
+
     def test_count_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(53)
         w = M.init_weights(M.ModelSpec("linear", 4, 2), rng)
