@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import models as M
-from .forge import SurrogateEnsemble
 
 METHODS = ("ifgsm", "mifgsm", "rap", "flat_rap", "flat_cwa", "drap")
 
@@ -156,24 +155,16 @@ def fused_loss_and_grad(models: Sequence[M.Weights], x: np.ndarray,
     """
     if len(models) == 0:
         raise ValueError("empty model batch")
-    logits = np.stack([M.forward(w, x) for w in models])
-    zbar = logits.mean(axis=0)
+    vjps = [M.vjp(w, x) for w in models]
+    zbar = np.stack([logits for logits, _ in vjps]).mean(axis=0)
     value = float(M.loss_from_logits(zbar, kind))
     dl = M.dloss_dlogits(zbar, kind) / len(models)
     g = np.zeros_like(x)
-    for w in models:
-        g = g + M.vjp_input(w, x, dl)
+    for _, pullback in vjps:
+        g = g + pullback(dl)
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite fused gradient")
     return value, g
-
-
-def loss_average_grad(models: Sequence[M.Weights], x: np.ndarray,
-                      kind: M.LossKind) -> np.ndarray:
-    """Gradient of the per-model loss average (one call per model)."""
-    if len(models) == 0:
-        raise ValueError("empty model batch")
-    return _objective_grad(models, x, kind, False, "loss-average gradient")
 
 
 def _objective_grad(batch, z, kind, fused, where) -> np.ndarray:
@@ -193,7 +184,7 @@ def _objective(batch, z, kind, fused) -> float:
     if fused:
         return float(M.loss_from_logits(
             np.mean([M.forward(w, z) for w in batch], axis=0), kind))
-    return float(np.mean([M.loss(w, z, kind) for w in batch]))
+    return float(np.mean(M.loss_matrix(batch, z[None], kind)))
 
 
 def _ascend(x_hat, batch, kind, fused, cfg) -> np.ndarray:

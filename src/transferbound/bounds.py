@@ -3,7 +3,10 @@
 The machinery audits how far target-ensemble risk at an adversarial
 example can exceed its surrogate risk.  Risk is always the bounded loss
 (1 - probability of the attacked class), so every quantity lives in
-[0, 1] and the variational estimators below are well defined.
+[0, 1] and the variational estimators below are well defined.  Every
+such loss over a model list (the profile at the adversarial example,
+candidate filtering, the per-candidate loss vectors, the sharpness risk)
+is one ``models.loss_matrix`` call: one batched forward per model.
 
 The discrepancy between surrogate and target is measured only over a
 candidate set of perturbed inputs whose surrogate risk stays below a
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,19 +79,13 @@ class LossProfile:
 def profile(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
             target_models: Optional[Sequence[M.Weights]] = None) -> LossProfile:
     kind = M.bounded_error(label)
-    comps = [np.array([M.loss(w, x_hat, kind) for w in comp])
+    point = x_hat[None]
+    comps = [M.loss_matrix(comp, point, kind)[:, 0]
              for comp in ensemble.components]
     target = None
     if target_models is not None:
-        target = np.array([M.loss(w, x_hat, kind) for w in target_models])
+        target = M.loss_matrix(target_models, point, kind)[:, 0]
     return LossProfile(comps, target)
-
-
-def _loss_matrix(models: Sequence[M.Weights], points: np.ndarray,
-                 kind: M.LossKind) -> np.ndarray:
-    """(num models, num points) bounded-loss matrix via batched forwards."""
-    return np.stack([M.loss_from_logits(M.forward(w, points), kind)
-                     for w in models])
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +104,14 @@ class CandidateSetXr:
     def build(cls, pool: Sequence[np.ndarray], ensemble: SurrogateEnsemble,
               label: int, r: float, x: Optional[np.ndarray] = None,
               gamma: Optional[float] = None) -> "CandidateSetXr":
-        kind = M.bounded_error(label)
-        members = list(ensemble.all_members())
-        kept = []
-        for cand in pool:
-            if x is not None and gamma is not None:
-                if np.max(np.abs(cand - x)) > gamma + 1e-12:
-                    continue
-            risk = float(np.mean([M.loss(w, cand, kind) for w in members]))
-            if risk <= r:
-                kept.append(np.asarray(cand, dtype=np.float64))
-        return cls(r=r, candidates=kept)
+        if len(pool) == 0:
+            return cls(r=r, candidates=[])
+        pts = np.asarray(pool, dtype=np.float64)
+        if x is not None and gamma is not None:
+            pts = pts[np.max(np.abs(pts - x), axis=1) <= gamma + 1e-12]
+        risk = M.loss_matrix(list(ensemble.all_members()), pts,
+                             M.bounded_error(label)).mean(axis=0)
+        return cls(r=r, candidates=list(pts[risk <= r]))
 
 
 def candidate_losses(candidates: Sequence[np.ndarray],
@@ -131,8 +125,8 @@ def candidate_losses(candidates: Sequence[np.ndarray],
     if len(candidates) == 0:
         return [], []
     pts = np.stack(candidates)
-    s_mat = _loss_matrix(list(ensemble.all_members()), pts, kind)
-    t_mat = _loss_matrix(list(target_models), pts, kind)
+    s_mat = M.loss_matrix(list(ensemble.all_members()), pts, kind)
+    t_mat = M.loss_matrix(list(target_models), pts, kind)
     return [s_mat[:, c] for c in range(pts.shape[0])], \
            [t_mat[:, c] for c in range(pts.shape[0])]
 
@@ -393,7 +387,7 @@ def sharpness(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
     d = x_hat.size
 
     def risk(z):
-        return float(np.mean([M.loss(w, z, kind) for w in members]))
+        return float(np.mean(M.loss_matrix(members, z[None], kind)))
 
     base = risk(x_hat)
     best = base

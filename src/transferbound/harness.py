@@ -370,8 +370,8 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
             for idx in range(min(cfg.bound_examples, cfg.n_examples)):
                 x_hat = states[idx].x_hat
                 lbl = int(y[idx])
-                risk = B.profile(x_hat, surrogate, lbl).surrogate_risk
-                r = cfg.bound_r if cfg.bound_r is not None else risk + 0.05
+                r = cfg.bound_r if cfg.bound_r is not None else (
+                    B.profile(x_hat, surrogate, lbl).surrogate_risk + 0.05)
                 rep = B.assemble_bound(
                     x_hat, X[idx], cfg.attack.gamma, surrogate,
                     targets["heldout"], lbl, cfg.bound, r,

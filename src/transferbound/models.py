@@ -5,18 +5,17 @@ a linear softmax classifier, an MLP with one or two hidden layers, and a
 small 1-D convolutional net -- all exposed through the same flat-parameter
 interface so ensembles can mix them freely.
 
-Gradient bookkeeping: every input-gradient computation routed through
-``vjp_input`` (and therefore ``input_gradient``) increments the global
-gradient-call counter by exactly one.  That count is the unit in which
-attack query budgets are measured.  Weight gradients used for training do
-not touch the counter.
+Gradient bookkeeping: every call of a ``vjp`` pullback (and therefore
+every ``input_gradient``) increments the global gradient-call counter by
+exactly one.  That count is the unit in which attack query budgets are
+measured.  Weight gradients used for training do not touch the counter.
 """
 
 from __future__ import annotations
 
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -354,16 +353,20 @@ def forward(w: Weights, x: np.ndarray) -> np.ndarray:
     return logits[0] if single else logits
 
 
-def vjp_input(w: Weights, x: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
-    """Input gradient for a given logit cotangent; counts one gradient call."""
+def vjp(w: Weights, x: np.ndarray):
+    """Logits at x and their pullback: a function from a logit cotangent
+    to the input gradient.  Each pullback call counts one gradient call."""
     xb, single = _as_batch(x, w.spec.input_dim)
-    dl = np.asarray(dlogits, dtype=np.float64)
-    if single:
-        dl = dl[None, :]
-    _, cache = _forward_cached(w, xb)
-    dx, _ = _backward(w, cache, dl, need_input=True, need_weights=False)
-    GRAD_CALLS.add(1)
-    return dx[0] if single else dx
+    logits, cache = _forward_cached(w, xb)
+
+    def pullback(dlogits: np.ndarray) -> np.ndarray:
+        dl = np.asarray(dlogits, dtype=np.float64)
+        dx, _ = _backward(w, cache, dl[None, :] if single else dl,
+                          need_input=True, need_weights=False)
+        GRAD_CALLS.add(1)
+        return dx[0] if single else dx
+
+    return (logits[0] if single else logits), pullback
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +431,7 @@ def loss_from_logits(logits: np.ndarray, kind: LossKind) -> np.ndarray:
 
 
 def dloss_dlogits(logits: np.ndarray, kind: LossKind) -> np.ndarray:
-    """d loss / d logits; the cotangent fed into ``vjp_input``."""
+    """d loss / d logits; the cotangent fed into a ``vjp`` pullback."""
     z = np.asarray(logits, dtype=np.float64)
     p = np.exp(z - _logsumexp(z)[..., None])
     onehot = np.zeros_like(p)
@@ -448,15 +451,22 @@ def loss(w: Weights, x: np.ndarray, kind: LossKind) -> float:
     return float(values) if np.ndim(values) == 0 else values
 
 
+def loss_matrix(models: Sequence[Weights], points: np.ndarray,
+                kind: LossKind) -> np.ndarray:
+    """Losses of every model at every (B, d) point, shape (len(models), B):
+    one batched forward per model, no gradient-call accounting."""
+    if np.ndim(points) != 2:
+        raise ValueError("points must be a (B, d) batch")
+    _check_label(kind, min(w.spec.num_classes for w in models))
+    return np.stack([loss_from_logits(forward(w, points), kind)
+                     for w in models])
+
+
 def input_gradient(w: Weights, x: np.ndarray, kind: LossKind) -> np.ndarray:
     """d loss / d x.  Increments the global gradient-call counter by 1."""
     _check_label(kind, w.spec.num_classes)
-    xb, single = _as_batch(x, w.spec.input_dim)
-    logits, cache = _forward_cached(w, xb)
-    dl = dloss_dlogits(logits, kind)
-    dx, _ = _backward(w, cache, dl, need_input=True, need_weights=False)
-    GRAD_CALLS.add(1)
-    return dx[0] if single else dx
+    logits, pullback = vjp(w, x)
+    return pullback(dloss_dlogits(logits, kind))
 
 
 def weight_gradient(w: Weights, x: np.ndarray, kind: LossKind) -> np.ndarray:

@@ -372,12 +372,12 @@ class TestTrace:
         n_iter = 6 if method == "rap" else None
         st = A.run_attack(x, y, ens, small_cfg(method=method, n_iter=n_iter,
                                                record_trace=False))
-        # fused gradients take one forward per model; input_gradient runs its
-        # own forward pass without these entry points
-        fused = {"flat_rap": st.grad_calls, "flat_cwa": st.grad_calls // 2}
-        assert counts == {"forward": fused.get(method, 0), "loss": 0}
+        # gradients, fused ones included, take their forward pass inside
+        # models.vjp, not through these entry points
+        assert st.grad_calls > 0
+        assert counts == {"forward": 0, "loss": 0}
         A.run_attack(x, y, ens, small_cfg(method=method, n_iter=n_iter))
-        assert counts["forward"] > fused.get(method, 0)
+        assert counts["forward"] > 0
 
 
 @st.composite

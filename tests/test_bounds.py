@@ -425,6 +425,39 @@ def test_candidate_set_filters_and_nesting(tiny_setup):
     assert all(arr.tobytes() in wide_ids for arr in narrow.candidates)
 
 
+def count_calls(monkeypatch, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(M, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(M, name, counted)
+    return counts
+
+
+def test_candidate_set_takes_one_forward_per_member(tiny_setup, monkeypatch):
+    ens, data = tiny_setup
+    rng = np.random.default_rng(3)
+    x, y = data.X_test[3], int(data.y_test[3])
+    counts = count_calls(monkeypatch, "forward", "loss")
+    for size in (1, 5, 40):
+        pool = [np.clip(x + rng.uniform(-0.1, 0.1, size=x.size), 0, 1)
+                for _ in range(size)]
+        counts["forward"] = 0
+        B.CandidateSetXr.build(pool, ens, y, r=1.0, x=x, gamma=0.1)
+        assert counts == {"forward": ens.size, "loss": 0}
+
+
+def test_candidate_set_empty_pool_and_pool_outside_ball(tiny_setup):
+    ens, data = tiny_setup
+    x, y = data.X_test[3], int(data.y_test[3])
+    assert B.CandidateSetXr.build([], ens, y, r=1.0).candidates == []
+    far = [np.clip(x + s * 0.5, 0, 1) for s in (-1.0, 1.0)]
+    assert all(np.max(np.abs(c - x)) > 0.1 for c in far)
+    assert B.CandidateSetXr.build(far, ens, y, r=1.0, x=x,
+                                  gamma=0.1).candidates == []
+
+
 # ---------------------------------------------------------------------------
 # assembled bound
 # ---------------------------------------------------------------------------
@@ -464,6 +497,16 @@ def test_assemble_bound_all_phis_cover(bound_setup):
             assert rep.assembled >= rep.realized_target_risk - 1e-9
             row = rep.csv_row()
             assert len(row.split(",")) == len(B.BOUND_COLUMNS.split(","))
+
+
+def test_assemble_bound_scores_through_loss_matrix(bound_setup, monkeypatch):
+    ens, data, targets = bound_setup
+    x, y = data.X_test[6], int(data.y_test[6])
+    counts = count_calls(monkeypatch, "loss")
+    cfg = B.BoundConfig(phi="kl", c1=1.2564, c2=1.0, rho=0.05)
+    rep = B.assemble_bound(x, x, 0.08, ens, targets, y, cfg, r=1.0, seed=6)
+    assert rep.num_candidates >= 1
+    assert counts == {"loss": 0}
 
 
 def test_assemble_bound_monotone_in_r(bound_setup):

@@ -150,6 +150,42 @@ class TestLosses:
             M.input_gradient(w, np.zeros(4), M.neg_cross_entropy(5))
 
 
+class TestLossMatrix:
+    @staticmethod
+    def models_and_points(seed, n_points):
+        rng = np.random.default_rng(seed)
+        d, k = int(rng.integers(2, 12)), int(rng.integers(2, 6))
+        models = [M.init_weights(random_spec(rng, d=d, k=k), rng)
+                  for _ in range(int(rng.integers(1, 6)))]
+        return models, rng.uniform(0, 1, (n_points, d)), int(rng.integers(k))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_point_equals_per_model_loss_bitwise(self, seed):
+        models, X, label = self.models_and_points(seed, 1)
+        for kind in (M.neg_cross_entropy(label), M.bounded_error(label)):
+            got = M.loss_matrix(models, X, kind)
+            assert got.shape == (len(models), 1)
+            assert list(got[:, 0]) == [M.loss(w, X[0], kind) for w in models]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_batch_matches_per_point_loss(self, seed):
+        # a batched forward may round differently from single-row forwards
+        models, X, label = self.models_and_points(seed, 7)
+        kind = M.targeted_cross_entropy(label)
+        got = M.loss_matrix(models, X, kind)
+        want = [[M.loss(w, x, kind) for x in X] for w in models]
+        assert got.shape == (len(models), len(X))
+        assert got == pytest.approx(np.array(want), rel=0, abs=1e-14)
+
+    def test_rejects_bad_label_and_unbatched_points(self):
+        models, X, _ = self.models_and_points(3, 2)
+        k = models[0].spec.num_classes
+        with pytest.raises(ValueError, match="out of range"):
+            M.loss_matrix(models, X, M.bounded_error(k))
+        with pytest.raises(ValueError, match="batch"):
+            M.loss_matrix(models, X[0], M.bounded_error(0))
+
+
 def central_difference(f, x, h=1e-4):
     g = np.zeros_like(x)
     for i in range(x.size):
@@ -262,9 +298,15 @@ class TestGradCounter:
         spec = random_spec(rng)
         w = M.init_weights(spec, rng)
         x = rng.uniform(0, 1, spec.input_dim)
+        kind = M.bounded_error(0)
         with M.GRAD_CALLS.scope() as tally:
-            M.vjp_input(w, x, np.ones(spec.num_classes))
-        assert tally.count == 1
+            logits, pullback = M.vjp(w, x)
+            assert tally.count == 0
+            g = pullback(M.dloss_dlogits(logits, kind))
+            pullback(np.ones(spec.num_classes))
+        assert tally.count == 2
+        assert np.array_equal(logits, M.forward(w, x))
+        assert np.array_equal(g, M.input_gradient(w, x, kind))
 
     def test_concurrent_increments_accumulate(self):
         rng = np.random.default_rng(43)
