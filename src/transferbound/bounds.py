@@ -6,7 +6,9 @@ example can exceed its surrogate risk.  Risk is always the bounded loss
 [0, 1] and the variational estimators below are well defined.  Every
 such loss over a model list (the profile at the adversarial example,
 candidate filtering, the per-candidate loss vectors, the sharpness risk)
-is one ``models.loss_matrix`` call: one batched forward per model.
+is one ``models.loss_matrix`` call: one stacked forward per spec group.
+Each sharpness ascent step is one ``models.vjp_stack`` call, a stacked
+forward and backward per spec group.
 
 The discrepancy between surrogate and target is measured only over a
 candidate set of perturbed inputs whose surrogate risk stays below a
@@ -375,7 +377,9 @@ def sharpness(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
     projected gradient ascent with random restarts.
 
     The zero perturbation is always a candidate, so the result is >= 0.
-    Each ascent step consumes one gradient call per ensemble member.
+    Each ascent step is one ``models.vjp_stack`` call (a stacked forward and
+    backward per spec group) giving the risk and one gradient call per
+    member; the last point of a restart costs one more forward.
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
@@ -391,7 +395,6 @@ def sharpness(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
 
     base = risk(x_hat)
     best = base
-    step = 2.0 * rho / steps
     for restart in range(restarts):
         if restart == 0:
             eps = np.zeros_like(x_hat)
@@ -399,17 +402,18 @@ def sharpness(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
             u = rng.normal(size=d)
             u /= np.linalg.norm(u)
             eps = u * rho * rng.uniform() ** (1.0 / d)
-            best = max(best, risk(x_hat + eps))
         for _ in range(steps):
-            g = np.mean([M.input_gradient(w, x_hat + eps, kind)
-                         for w in members], axis=0)
+            logits, pullback = M.vjp_stack(members, (x_hat + eps)[None])
+            best = max(best, float(np.mean(M.loss_from_logits(logits, kind))))
+            g = np.mean(pullback(M.dloss_dlogits(logits, kind))[:, 0], axis=0)
             norm = float(np.linalg.norm(g))
             if norm < 1e-15:
                 break
-            eps = eps + step * g / norm
+            eps = eps + 2.0 * rho / steps * g / norm
             scale = float(np.linalg.norm(eps))
             if scale > rho:
                 eps = eps * (rho / scale)
+        else:
             best = max(best, risk(x_hat + eps))
     return best - base
 

@@ -202,7 +202,7 @@ def fine_tune_collect(cfg: PrototypeConfig, pretrained: M.Weights,
 
 
 def accuracy(w: M.Weights, X: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(M.predict_classes(w, X) == y))
+    return float(np.mean(M.predict_matrix([w], X)[0] == y))
 
 
 # ---------------------------------------------------------------------------

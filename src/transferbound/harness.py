@@ -109,7 +109,7 @@ def evaluate_asr(x_hat, labels, target_sets: Mapping[str, Sequence[M.Weights]],
 
     Untargeted success is argmax != y; targeted success is argmax == the
     intended class.  The rate averages over every (example, model) pair
-    in a set.
+    in a set; each set costs one stacked forward per spec group.
     """
     x_hat = np.asarray(x_hat, dtype=np.float64)
     labels = np.asarray(labels)
@@ -127,16 +127,13 @@ def evaluate_asr(x_hat, labels, target_sets: Mapping[str, Sequence[M.Weights]],
     for name, models in target_sets.items():
         if len(models) == 0:
             raise ValueError(f"target set {name!r} is empty")
-        hits = 0
-        total = 0
-        for w in models:
-            pred = M.predict_classes(w, x_hat)
-            if targeted:
-                hits += int(np.sum(pred == target_labels))
-            else:
-                hits += int(np.sum(pred != labels))
-            total += labels.size
-        rows[(method, name)] = AsrCell(hits / total, int(labels.size), 1)
+        pred = M.predict_matrix(models, x_hat)
+        if targeted:
+            hits = int(np.sum(pred == target_labels))
+        else:
+            hits = int(np.sum(pred != labels))
+        rows[(method, name)] = AsrCell(hits / (len(models) * labels.size),
+                                       int(labels.size), 1)
     return AsrTable(rows)
 
 

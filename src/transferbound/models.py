@@ -5,10 +5,15 @@ a linear softmax classifier, an MLP with one or two hidden layers, and a
 small 1-D convolutional net -- all exposed through the same flat-parameter
 interface so ensembles can mix them freely.
 
+One forward/backward core runs on a (M, P) stack of one spec's parameter
+vectors: a model is a one-member stack, and a model list runs one stacked
+pass per spec group (``loss_matrix``, ``predict_matrix``, ``vjp_stack``).
+
 Gradient bookkeeping: every call of a ``vjp`` pullback (and therefore
 every ``input_gradient``) increments the global gradient-call counter by
-exactly one.  That count is the unit in which attack query budgets are
-measured.  Weight gradients used for training do not touch the counter.
+exactly one, and a ``vjp_stack`` pullback by one per member.  That count
+is the unit in which attack query budgets are measured.  Weight
+gradients used for training do not touch the counter.
 """
 
 from __future__ import annotations
@@ -141,18 +146,19 @@ class ModelSpec:
         return min(3, self.input_dim)
 
 
-def param_count(spec: ModelSpec) -> int:
-    d, k = spec.input_dim, spec.num_classes
+def _dense_shapes(spec: ModelSpec):
+    """(fan_out, fan_in) of each layer in flat-parameter order; conv_tiny's
+    first layer is its (channels, kernel_size) kernel."""
     if spec.arch == "linear":
-        return k * d + k
+        return [(spec.num_classes, spec.input_dim)]
     if spec.arch == "mlp":
-        total, fan_in = 0, d
-        for h in spec.hidden:
-            total += h * fan_in + h
-            fan_in = h
-        return total + k * fan_in + k
-    c = spec.channels
-    return c * spec.kernel_size + c + k * c + k
+        fans = (spec.input_dim,) + spec.hidden
+        return list(zip(spec.hidden, fans)) + [(spec.num_classes, fans[-1])]
+    return [(spec.channels, spec.kernel_size), (spec.num_classes, spec.channels)]
+
+
+def param_count(spec: ModelSpec) -> int:
+    return sum(fan_out * fan_in + fan_out for fan_out, fan_in in _dense_shapes(spec))
 
 
 @dataclass(frozen=True)
@@ -176,54 +182,23 @@ class Weights:
 
 def init_weights(spec: ModelSpec, rng: np.random.Generator) -> Weights:
     """Random initialization; He-style scaling for relu, Xavier for tanh."""
+    gain = 2.0 if spec.activation == "relu" else 1.0
     chunks = []
-
-    def dense(fan_out, fan_in):
-        if spec.activation == "relu":
-            scale = np.sqrt(2.0 / fan_in)
-        else:
-            scale = np.sqrt(1.0 / fan_in)
-        chunks.append(rng.normal(0.0, scale, size=fan_out * fan_in))
+    for fan_out, fan_in in _dense_shapes(spec):
+        chunks.append(rng.normal(0.0, np.sqrt(gain / fan_in), size=fan_out * fan_in))
         chunks.append(np.zeros(fan_out))
-
-    if spec.arch == "linear":
-        dense(spec.num_classes, spec.input_dim)
-    elif spec.arch == "mlp":
-        fan_in = spec.input_dim
-        for h in spec.hidden:
-            dense(h, fan_in)
-            fan_in = h
-        dense(spec.num_classes, fan_in)
-    else:
-        dense(spec.channels, spec.kernel_size)
-        dense(spec.num_classes, spec.channels)
     return Weights(spec, np.concatenate(chunks))
 
 
-def _unpack(spec: ModelSpec, params: np.ndarray):
-    """Split the flat vector into (weight, bias) pairs per layer."""
-    layers = []
-    off = 0
-
-    def take(fan_out, fan_in):
-        nonlocal off
-        w = params[off : off + fan_out * fan_in].reshape(fan_out, fan_in)
-        off += fan_out * fan_in
-        b = params[off : off + fan_out]
-        off += fan_out
-        layers.append((w, b))
-
-    if spec.arch == "linear":
-        take(spec.num_classes, spec.input_dim)
-    elif spec.arch == "mlp":
-        fan_in = spec.input_dim
-        for h in spec.hidden:
-            take(h, fan_in)
-            fan_in = h
-        take(spec.num_classes, fan_in)
-    else:
-        take(spec.channels, spec.kernel_size)
-        take(spec.num_classes, spec.channels)
+def _layers(spec: ModelSpec, P: np.ndarray):
+    """(weight, bias) views per layer of a (M, P) stack of parameter vectors:
+    weights (M, fan_out, fan_in), biases (M, 1, fan_out)."""
+    layers, off = [], 0
+    for fan_out, fan_in in _dense_shapes(spec):
+        n = fan_out * fan_in
+        layers.append((P[:, off : off + n].reshape(-1, fan_out, fan_in),
+                       P[:, None, off + n : off + n + fan_out]))
+        off += n + fan_out
     return layers
 
 
@@ -256,117 +231,165 @@ def _as_batch(x: np.ndarray, d: int):
     return x, False
 
 
-def _forward_cached(w: Weights, xb: np.ndarray):
-    spec = w.spec
-    layers = _unpack(spec, w.params)
-    cache = {"x": xb}
+def _forward_stack(spec: ModelSpec, P: np.ndarray, xb: np.ndarray):
+    """The one forward pass: logits (M, B, k) of a (M, P) parameter stack at
+    a (B, d) batch, and its cache.  Matmuls run per member, so each row
+    equals that of a one-member stack bitwise."""
+    layers = _layers(spec, P)
+    cache = {"x": xb, "layers": layers}
     if spec.arch == "linear":
         (W, b), = layers
-        return xb @ W.T + b, cache
+        return xb @ W.transpose(0, 2, 1) + b, cache
     if spec.arch == "mlp":
         h = xb
         pre, post = [], []
         for W, b in layers[:-1]:
-            a = h @ W.T + b
+            a = h @ W.transpose(0, 2, 1) + b
             h = _act(spec, a)
             pre.append(a)
             post.append(h)
         W, b = layers[-1]
         cache["pre"], cache["post"] = pre, post
-        return h @ W.T + b, cache
+        return h @ W.transpose(0, 2, 1) + b, cache
     # conv_tiny: 'same' zero padding, activation, global average pool
     (K, cb), (W, b) = layers
     ksz, d = spec.kernel_size, spec.input_dim
     pad = (ksz - 1) // 2
     xpad = np.pad(xb, ((0, 0), (pad, pad + ksz - 1 - pad)))
-    a = np.broadcast_to(cb[None, :, None], (xb.shape[0], spec.channels, d)).copy()
+    a = np.broadcast_to(cb[..., None], (P.shape[0], xb.shape[0], spec.channels, d)).copy()
     for j in range(ksz):
-        a += K[:, j][None, :, None] * xpad[:, None, j : j + d]
+        a += K[:, None, :, j, None] * xpad[:, None, j : j + d]
     h = _act(spec, a)
-    pooled = h.mean(axis=2)
+    pooled = h.mean(axis=3)
     cache.update(xpad=xpad, pre=a, post=h, pooled=pooled)
-    return pooled @ W.T + b, cache
+    return pooled @ W.transpose(0, 2, 1) + b, cache
 
 
-def _backward(w: Weights, cache, dlogits: np.ndarray, need_input: bool, need_weights: bool):
-    """Reverse pass shared by input and weight gradients.
-
-    ``dlogits`` has shape (B, k).  Returns (dx, dparams); either may be
-    None when not requested.  Weight gradients are summed over the batch.
-    """
-    spec = w.spec
-    layers = _unpack(spec, w.params)
-    xb = cache["x"]
-    grads = [None] * len(layers)
-
+def _backward_stack(spec: ModelSpec, cache, dlogits: np.ndarray, weights: bool = False):
+    """Reverse pass of ``_forward_stack``: the input gradients (M, B, d) of a
+    (M, B, k) cotangent, or with ``weights`` the flat weight gradient of a
+    one-member stack, summed over the batch."""
+    layers, xb = cache["layers"], cache["x"]
+    grads = []  # (dW, db) per layer, last layer first
     if spec.arch == "linear":
         (W, _), = layers
-        dx = dlogits @ W if need_input else None
-        if need_weights:
-            grads[0] = (dlogits.T @ xb, dlogits.sum(axis=0))
-    elif spec.arch == "mlp":
+        if weights:
+            return _flat([(dlogits[0].T @ xb, dlogits[0].sum(axis=0))])
+        return dlogits @ W
+    if spec.arch == "mlp":
         pre, post = cache["pre"], cache["post"]
-        W, _ = layers[-1]
-        if need_weights:
-            grads[-1] = (dlogits.T @ post[-1], dlogits.sum(axis=0))
-        dh = dlogits @ W
-        for i in range(len(layers) - 2, -1, -1):
-            da = dh * _act_grad(spec, pre[i], post[i])
-            W, _ = layers[i]
-            below = xb if i == 0 else post[i - 1]
-            if need_weights:
-                grads[i] = (da.T @ below, da.sum(axis=0))
-            dh = da @ W
-        dx = dh if need_input else None
-    else:
-        (K, _), (W, _) = layers
-        ksz, d = spec.kernel_size, spec.input_dim
-        pad = (ksz - 1) // 2
-        xpad, pre, post = cache["xpad"], cache["pre"], cache["post"]
-        pooled = cache["pooled"]
-        if need_weights:
-            grads[1] = (dlogits.T @ pooled, dlogits.sum(axis=0))
-        dpooled = dlogits @ W
-        da = (dpooled[:, :, None] / d) * _act_grad(spec, pre, post)
-        if need_weights:
-            dK = np.zeros_like(K)
-            for j in range(ksz):
-                dK[:, j] = np.einsum("bcp,bp->c", da, xpad[:, j : j + d])
-            grads[0] = (dK, da.sum(axis=(0, 2)))
-        dx = None
-        if need_input:
-            dxpad = np.zeros_like(xpad)
-            for j in range(ksz):
-                dxpad[:, j : j + d] += np.einsum("bcp,c->bp", da, K[:, j])
-            dx = dxpad[:, pad : pad + d]
+        dh = dlogits
+        for i in range(len(layers) - 1, -1, -1):
+            if i < len(layers) - 1:
+                dh = dh * _act_grad(spec, pre[i], post[i])
+            if weights:
+                below = post[i - 1][0] if i else xb
+                grads.append((dh[0].T @ below, dh[0].sum(axis=0)))
+                if i == 0:
+                    return _flat(grads)
+            dh = dh @ layers[i][0]
+        return dh
+    (K, _), (W, _) = layers
+    ksz, d = spec.kernel_size, spec.input_dim
+    pad = (ksz - 1) // 2
+    xpad, pre, post = cache["xpad"], cache["pre"], cache["post"]
+    if weights:
+        grads.append((dlogits[0].T @ cache["pooled"][0], dlogits[0].sum(axis=0)))
+    da = ((dlogits @ W)[..., None] / d) * _act_grad(spec, pre, post)
+    if weights:
+        dK = np.zeros(K.shape[1:])
+        for j in range(ksz):
+            dK[:, j] = np.einsum("bcp,bp->c", da[0], xpad[:, j : j + d])
+        grads.append((dK, da[0].sum(axis=(0, 2))))
+        return _flat(grads)
+    dxpad = np.zeros((da.shape[0],) + xpad.shape)
+    for j in range(ksz):
+        dxpad[:, :, j : j + d] += np.einsum("mbcp,mc->mbp", da, K[:, :, j])
+    return dxpad[:, :, pad : pad + d]
 
-    dparams = None
-    if need_weights:
-        dparams = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-    return dx, dparams
+
+def _flat(grads) -> np.ndarray:
+    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in reversed(grads)])
+
+
+def _forward_one(w: Weights, xb: np.ndarray):
+    """The core on the one-member stack ``w.params[None]``."""
+    logits, cache = _forward_stack(w.spec, w.params[None], xb)
+    return logits[0], cache
+
+
+def _by_spec(models: Sequence[Weights]):
+    """(spec, member indices, stacked (M, P) parameters) per spec, in order
+    of first appearance."""
+    if len(models) == 0:
+        raise ValueError("need at least one model")
+    groups = {}
+    for i, w in enumerate(models):
+        groups.setdefault(w.spec, []).append(i)
+    return [(spec, idx, np.array([models[i].params for i in idx]))
+            for spec, idx in groups.items()]
 
 
 def forward(w: Weights, x: np.ndarray) -> np.ndarray:
     """Logits for a single input (d,) -> (k,), or a batch (B,d) -> (B,k)."""
-    xb, single = _as_batch(x, w.spec.input_dim)
-    logits, _ = _forward_cached(w, xb)
-    return logits[0] if single else logits
+    return vjp(w, x)[0]
 
 
 def vjp(w: Weights, x: np.ndarray):
     """Logits at x and their pullback: a function from a logit cotangent
     to the input gradient.  Each pullback call counts one gradient call."""
     xb, single = _as_batch(x, w.spec.input_dim)
-    logits, cache = _forward_cached(w, xb)
+    logits, cache = _forward_one(w, xb)
 
     def pullback(dlogits: np.ndarray) -> np.ndarray:
-        dl = np.asarray(dlogits, dtype=np.float64)
-        dx, _ = _backward(w, cache, dl[None, :] if single else dl,
-                          need_input=True, need_weights=False)
+        dl = np.asarray(dlogits, dtype=np.float64).reshape((1,) + logits.shape)
+        dx = _backward_stack(w.spec, cache, dl)[0]
         GRAD_CALLS.add(1)
         return dx[0] if single else dx
 
     return (logits[0] if single else logits), pullback
+
+
+def vjp_stack(models: Sequence[Weights], x: np.ndarray):
+    """``vjp`` for a model list: the logits of every model at x, shape
+    (len(models), *x.shape[:-1], k), and their pullback, a function from a
+    cotangent of that shape to the members' input gradients, shape
+    (len(models), *x.shape).  One stacked forward and backward per spec
+    group; each pullback call counts ``len(models)`` gradient calls."""
+    groups = _by_spec(models)
+    d, k = groups[0][0].input_dim, groups[0][0].num_classes
+    if any((spec.input_dim, spec.num_classes) != (d, k) for spec, _, _ in groups):
+        raise ValueError("models disagree on the input dim or the number of classes")
+    xb, single = _as_batch(x, d)
+    logits = np.empty((len(models), xb.shape[0], k))
+    caches = []
+    for spec, idx, P in groups:
+        logits[idx], cache = _forward_stack(spec, P, xb)
+        caches.append(cache)
+
+    def pullback(dlogits: np.ndarray) -> np.ndarray:
+        dl = np.asarray(dlogits, dtype=np.float64).reshape(logits.shape)
+        dx = np.empty((len(models),) + xb.shape)
+        for (spec, idx, _), cache in zip(groups, caches):
+            dx[idx] = _backward_stack(spec, cache, dl[idx])
+        GRAD_CALLS.add(len(models))
+        return dx[:, 0] if single else dx
+
+    return (logits[:, 0] if single else logits), pullback
+
+
+def _per_model(models: Sequence[Weights], points: np.ndarray, fn) -> np.ndarray:
+    """``fn(spec, logits)`` of each spec group's stacked (M, B, k) logits at
+    a (B, d) batch, with its rows put back in model order."""
+    if np.ndim(points) != 2:
+        raise ValueError("points must be a (B, d) batch")
+    out = None
+    for spec, idx, P in _by_spec(models):
+        rows = fn(spec, _forward_stack(spec, P, _as_batch(points, spec.input_dim)[0])[0])
+        if out is None:
+            out = np.empty((len(models),) + rows.shape[1:], rows.dtype)
+        out[idx] = rows
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +477,17 @@ def loss(w: Weights, x: np.ndarray, kind: LossKind) -> float:
 def loss_matrix(models: Sequence[Weights], points: np.ndarray,
                 kind: LossKind) -> np.ndarray:
     """Losses of every model at every (B, d) point, shape (len(models), B):
-    one batched forward per model, no gradient-call accounting."""
-    if np.ndim(points) != 2:
-        raise ValueError("points must be a (B, d) batch")
-    _check_label(kind, min(w.spec.num_classes for w in models))
-    return np.stack([loss_from_logits(forward(w, points), kind)
-                     for w in models])
+    one stacked forward per spec group, no gradient-call accounting."""
+    def losses(spec, logits):
+        _check_label(kind, spec.num_classes)
+        return loss_from_logits(logits, kind)
+    return _per_model(models, points, losses)
+
+
+def predict_matrix(models: Sequence[Weights], X: np.ndarray) -> np.ndarray:
+    """Predicted class of every model at every (B, d) point, shape
+    (len(models), B): one stacked forward per spec group."""
+    return _per_model(models, X, lambda spec, logits: np.argmax(logits, axis=-1))
 
 
 def input_gradient(w: Weights, x: np.ndarray, kind: LossKind) -> np.ndarray:
@@ -473,10 +501,8 @@ def weight_gradient(w: Weights, x: np.ndarray, kind: LossKind) -> np.ndarray:
     """d loss / d params at one input (training plumbing; not counted)."""
     _check_label(kind, w.spec.num_classes)
     xb, _ = _as_batch(x, w.spec.input_dim)
-    logits, cache = _forward_cached(w, xb)
-    dl = dloss_dlogits(logits, kind)
-    _, dp = _backward(w, cache, dl, need_input=False, need_weights=True)
-    return dp
+    logits, cache = _forward_one(w, xb)
+    return _backward_stack(w.spec, cache, dloss_dlogits(logits, kind)[None], weights=True)
 
 
 def batch_ce_value_and_weight_grad(w: Weights, X: np.ndarray, y: np.ndarray):
@@ -490,30 +516,23 @@ def batch_ce_value_and_weight_grad(w: Weights, X: np.ndarray, y: np.ndarray):
         raise ValueError("labels must match the batch size")
     if y.min() < 0 or y.max() >= w.spec.num_classes:
         raise ValueError("label out of range")
-    logits, cache = _forward_cached(w, Xb)
+    logits, cache = _forward_one(w, Xb)
     lse = _logsumexp(logits)
     zy = logits[np.arange(len(y)), y]
     value = float(np.mean(lse - zy))
     p = np.exp(logits - lse[:, None])
     p[np.arange(len(y)), y] -= 1.0
-    _, dp = _backward(w, cache, p / len(y), need_input=False, need_weights=True)
-    return value, dp
+    return value, _backward_stack(w.spec, cache, (p / len(y))[None], weights=True)
 
 
 def batch_ce_input_gradients(w: Weights, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-example input gradients of cross-entropy (training PGD plumbing)."""
     Xb, _ = _as_batch(X, w.spec.input_dim)
     y = np.asarray(y, dtype=np.int64)
-    logits, cache = _forward_cached(w, Xb)
+    logits, cache = _forward_one(w, Xb)
     p = np.exp(logits - _logsumexp(logits)[:, None])
     p[np.arange(len(y)), y] -= 1.0
-    dx, _ = _backward(w, cache, p, need_input=True, need_weights=False)
-    return dx
-
-
-def predict_classes(w: Weights, X: np.ndarray) -> np.ndarray:
-    logits = forward(w, X)
-    return np.argmax(logits, axis=-1)
+    return _backward_stack(w.spec, cache, p[None])[0]
 
 
 # ---------------------------------------------------------------------------

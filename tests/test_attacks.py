@@ -357,7 +357,7 @@ class TestTrace:
         ens, data = quad_setup
         x, y = data.X_test[5], int(data.y_test[5])
         counts = {"forward": 0, "loss": 0}
-        forward, loss = M.forward, M.loss
+        forward, loss = M._forward_stack, M.loss
 
         def counted_forward(*args):
             counts["forward"] += 1
@@ -367,17 +367,19 @@ class TestTrace:
             counts["loss"] += 1
             return loss(*args)
 
-        monkeypatch.setattr(M, "forward", counted_forward)
+        # _forward_stack is the one forward pass every model entry point runs
+        monkeypatch.setattr(M, "_forward_stack", counted_forward)
         monkeypatch.setattr(M, "loss", counted_loss)
         n_iter = 6 if method == "rap" else None
         st = A.run_attack(x, y, ens, small_cfg(method=method, n_iter=n_iter,
                                                record_trace=False))
-        # gradients, fused ones included, take their forward pass inside
-        # models.vjp, not through these entry points
+        # each gradient call, fused ones included, is one models.vjp: one
+        # forward and one pullback, and no forward runs outside them
         assert st.grad_calls > 0
-        assert counts == {"forward": 0, "loss": 0}
-        A.run_attack(x, y, ens, small_cfg(method=method, n_iter=n_iter))
-        assert counts["forward"] > 0
+        assert counts == {"forward": st.grad_calls, "loss": 0}
+        counts["forward"] = 0
+        traced = A.run_attack(x, y, ens, small_cfg(method=method, n_iter=n_iter))
+        assert counts["forward"] > traced.grad_calls
 
 
 @st.composite

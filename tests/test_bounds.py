@@ -380,6 +380,97 @@ def test_sharpness_deterministic(tiny_setup):
     assert a == b
 
 
+def per_model_risk(members, z, kind):
+    return float(np.mean(np.stack(
+        [M.loss_from_logits(M.forward(w, z[None]), kind) for w in members])))
+
+
+def frozen_sharpness(x_hat, ensemble, label, rho, steps=20, restarts=3, seed=0):
+    """The per-member loop that the stacked ``bounds.sharpness`` replaced,
+    kept as its oracle: one ``input_gradient`` per member per step, and a
+    separate risk forward after every update."""
+    if rho < 0:
+        raise ValueError("rho must be >= 0")
+    if rho == 0:
+        return 0.0
+    kind = M.bounded_error(label)
+    members = list(ensemble.all_members())
+    rng = np.random.default_rng(seed)
+    d = x_hat.size
+
+    def risk(z):
+        return per_model_risk(members, z, kind)
+
+    base = risk(x_hat)
+    best = base
+    step = 2.0 * rho / steps
+    for restart in range(restarts):
+        if restart == 0:
+            eps = np.zeros_like(x_hat)
+        else:
+            u = rng.normal(size=d)
+            u /= np.linalg.norm(u)
+            eps = u * rho * rng.uniform() ** (1.0 / d)
+            best = max(best, risk(x_hat + eps))
+        for _ in range(steps):
+            g = np.mean([M.input_gradient(w, x_hat + eps, kind)
+                         for w in members], axis=0)
+            norm = float(np.linalg.norm(g))
+            if norm < 1e-15:
+                break
+            eps = eps + step * g / norm
+            scale = float(np.linalg.norm(eps))
+            if scale > rho:
+                eps = eps * (rho / scale)
+            best = max(best, risk(x_hat + eps))
+    return best - base
+
+
+@pytest.mark.parametrize("setup", ["tiny_setup", "quad_setup"])
+@pytest.mark.parametrize("seed", range(4))
+def test_sharpness_equals_per_member_oracle(request, setup, seed):
+    ens, data = request.getfixturevalue(setup)
+    x, y = data.X_test[seed], int(data.y_test[seed])
+    for rho, steps, restarts in ((0.1, 6, 3), (0.3, 4, 1), (0.0, 6, 3)):
+        with M.GRAD_CALLS.scope() as tally:
+            got = B.sharpness(x, ens, y, rho, steps=steps, restarts=restarts,
+                              seed=seed)
+        assert got == frozen_sharpness(x, ens, y, rho, steps, restarts, seed)
+        # no step of these trained ensembles takes the zero-gradient break
+        assert tally.count == (steps * restarts * ens.size if rho else 0)
+
+
+def test_sharpness_without_steps_scores_the_restart_starts(quad_setup):
+    ens, data = quad_setup
+    x, y = data.X_test[1], int(data.y_test[1])
+    # the replaced loop divided by steps before its first restart
+    with pytest.raises(ZeroDivisionError):
+        frozen_sharpness(x, ens, y, 0.2, steps=0)
+    with M.GRAD_CALLS.scope() as tally:
+        got = B.sharpness(x, ens, y, 0.2, steps=0, restarts=3, seed=5)
+    assert tally.count == 0
+    members, kind = list(ens.all_members()), M.bounded_error(y)
+    rng = np.random.default_rng(5)
+    risks = [per_model_risk(members, x, kind)]
+    for _ in range(2):
+        u = rng.normal(size=x.size)
+        u /= np.linalg.norm(u)
+        risks.append(per_model_risk(
+            members, x + u * 0.2 * rng.uniform() ** (1.0 / x.size), kind))
+    assert got == max(risks) - risks[0]
+
+
+def test_sharpness_zero_weight_ensemble_breaks_on_first_step():
+    specs = [M.ModelSpec("linear", 3, 2), M.ModelSpec("mlp", 3, 2, hidden=(4,))]
+    ens = F.SurrogateEnsemble(components=[
+        [M.Weights(s, np.zeros(M.param_count(s)))] * 2 for s in specs])
+    x = np.array([0.2, 0.5, 0.7])
+    with M.GRAD_CALLS.scope() as tally:
+        got = B.sharpness(x, ens, 0, 0.1, steps=5, restarts=3, seed=2)
+    assert got == frozen_sharpness(x, ens, 0, 0.1, 5, 3, 2) == 0.0
+    assert tally.count == 3 * ens.size  # one step per restart, then the break
+
+
 # ---------------------------------------------------------------------------
 # profiles and candidate sets
 # ---------------------------------------------------------------------------
@@ -435,17 +526,20 @@ def count_calls(monkeypatch, *names):
     return counts
 
 
-def test_candidate_set_takes_one_forward_per_member(tiny_setup, monkeypatch):
+def test_candidate_set_takes_one_forward_per_spec_group(tiny_setup, monkeypatch):
     ens, data = tiny_setup
     rng = np.random.default_rng(3)
     x, y = data.X_test[3], int(data.y_test[3])
-    counts = count_calls(monkeypatch, "forward", "loss")
+    groups = len({w.spec for w in ens.all_members()})
+    assert groups == 2 < ens.size
+    # _forward_stack is the one forward pass every model entry point runs
+    counts = count_calls(monkeypatch, "_forward_stack", "loss")
     for size in (1, 5, 40):
         pool = [np.clip(x + rng.uniform(-0.1, 0.1, size=x.size), 0, 1)
                 for _ in range(size)]
-        counts["forward"] = 0
+        counts["_forward_stack"] = 0
         B.CandidateSetXr.build(pool, ens, y, r=1.0, x=x, gamma=0.1)
-        assert counts == {"forward": ens.size, "loss": 0}
+        assert counts == {"_forward_stack": groups, "loss": 0}
 
 
 def test_candidate_set_empty_pool_and_pool_outside_ball(tiny_setup):

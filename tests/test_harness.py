@@ -103,6 +103,22 @@ def test_asr_matches_manual_count(tiny_setup):
         assert cell.examples == 10 and cell.seeds == 1
 
 
+def test_asr_mixed_spec_set_matches_per_model_count(tiny_setup):
+    ens, _ = tiny_setup
+    rng = np.random.default_rng(4)
+    x = rng.uniform(size=(40, 2))
+    y = rng.integers(0, 2, 40)
+    # linear and mlp snapshots interleaved: two spec groups, not runs
+    mixed = [c[j] for j in range(3) for c in ens.components]
+    preds = np.array([[np.argmax(M.forward(w, xi)) for xi in x] for w in mixed])
+    for targeted in (False, True):
+        hits = preds == 1 - y if targeted else preds != y
+        assert len({int(row.sum()) for row in hits}) > 1  # the models disagree
+        table = H.evaluate_asr(x, y, {"mixed": mixed}, targeted=targeted,
+                               target_labels=1 - y)
+        assert table.rows[("attack", "mixed")].rate == hits.sum() / hits.size
+
+
 def test_asr_table_validation_and_combine():
     with pytest.raises(ValueError):
         H.AsrTable({("m", "s"): H.AsrCell(1.5, 10, 1)})

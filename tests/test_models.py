@@ -186,6 +186,65 @@ class TestLossMatrix:
             M.loss_matrix(models, X[0], M.bounded_error(0))
 
 
+class TestStackedCore:
+    """Members of one spec run as one stacked forward/backward; each row
+    must equal that member's own one-member pass."""
+
+    @staticmethod
+    def interleaved(seed, n):
+        rng = np.random.default_rng(seed)
+        d, k = int(rng.integers(3, 12)), int(rng.integers(2, 6))
+        specs = [M.ModelSpec("linear", d, k),
+                 M.ModelSpec("mlp", d, k, hidden=(16,)),
+                 M.ModelSpec("conv_tiny", d, k, channels=3, activation="tanh")]
+        models = [M.init_weights(specs[i % 3], rng) for i in range(n)]
+        return models, rng, d, k
+
+    @pytest.mark.parametrize("batch", [1, 65])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_loss_matrix_equals_per_model_loop_bitwise(self, seed, batch):
+        # bitwise for conv_tiny too: its stacked ops are elementwise, or
+        # reductions and matmuls that run per member
+        models, rng, d, k = self.interleaved(seed, 12)
+        X = rng.uniform(0, 1, (batch, d))
+        for kind in (M.neg_cross_entropy(0), M.bounded_error(k - 1)):
+            got = M.loss_matrix(models, X, kind)
+            want = np.stack([M.loss_from_logits(M.forward(w, X), kind)
+                             for w in models])
+            assert got.shape == (len(models), batch)
+            assert got.tobytes() == want.tobytes()
+        assert np.array_equal(M.predict_matrix(models, X),
+                              [np.argmax(M.forward(w, X), axis=-1) for w in models])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_list_pullback_rows_equal_input_gradient(self, seed):
+        models, rng, d, _ = self.interleaved(seed, 9)
+        kind = M.targeted_cross_entropy(1)
+        for x in (rng.uniform(0, 1, d), rng.uniform(0, 1, (4, d))):
+            with M.GRAD_CALLS.scope() as tally:
+                logits, pullback = M.vjp_stack(models, x)
+                assert tally.count == 0
+                grads = pullback(M.dloss_dlogits(logits, kind))
+            assert tally.count == len(models)
+            assert grads.shape == (len(models),) + x.shape
+            for i, w in enumerate(models):
+                assert logits[i].tobytes() == M.forward(w, x).tobytes()
+                assert grads[i].tobytes() == M.input_gradient(w, x, kind).tobytes()
+
+    def test_rejects_empty_list_unbatched_points_and_mixed_classes(self):
+        models, rng, d, k = self.interleaved(0, 3)
+        X = rng.uniform(0, 1, (2, d))
+        with pytest.raises(ValueError, match="at least one model"):
+            M.loss_matrix([], X, M.bounded_error(0))
+        with pytest.raises(ValueError, match="at least one model"):
+            M.vjp_stack([], X)
+        with pytest.raises(ValueError, match="batch"):
+            M.loss_matrix(models, X[0], M.bounded_error(0))
+        wider = M.init_weights(M.ModelSpec("linear", d, k + 1), rng)
+        with pytest.raises(ValueError, match="classes"):
+            M.vjp_stack(models + [wider], X)
+
+
 def central_difference(f, x, h=1e-4):
     g = np.zeros_like(x)
     for i in range(x.size):
