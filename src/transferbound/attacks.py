@@ -9,7 +9,9 @@ loss can get near the current iterate before the outer step commits.
 
 Every method is one instance of a single step loop (``run_attack``); the
 per-method plan picks the models of each step, the objective, whether a
-reverse ascent runs from the late start on, and the update rule.
+reverse ascent runs from the late start on, and the update rule.  Each
+evaluation of the objective on a step's model batch, its gradient or its
+traced value, is one ``models.vjp_stack`` call.
 
 Query accounting: one unit is one input-gradient computation on one model.
 Every run predicts its own total from the cost model up front and verifies
@@ -139,52 +141,28 @@ def attack_loss_kind(targeted: bool, label: int) -> M.LossKind:
     return M.neg_cross_entropy(label)
 
 
-def _grad(w, z, kind, where):
-    g = M.input_gradient(w, z, kind)
-    if not np.all(np.isfinite(g)):
-        raise NumericError(f"non-finite gradient at {where}")
-    return g
-
-
-def fused_loss_and_grad(models: Sequence[M.Weights], x: np.ndarray,
-                        kind: M.LossKind):
-    """Loss of the averaged logits and its input gradient.
-
-    Consumes one gradient call per model: each per-model chain contribution
-    is a separate backward pass.
-    """
-    if len(models) == 0:
-        raise ValueError("empty model batch")
-    vjps = [M.vjp(w, x) for w in models]
-    zbar = np.stack([logits for logits, _ in vjps]).mean(axis=0)
-    value = float(M.loss_from_logits(zbar, kind))
-    dl = M.dloss_dlogits(zbar, kind) / len(models)
-    g = np.zeros_like(x)
-    for _, pullback in vjps:
-        g = g + pullback(dl)
-    if not np.all(np.isfinite(g)):
-        raise NumericError("non-finite fused gradient")
-    return value, g
-
-
-def _objective_grad(batch, z, kind, fused, where) -> np.ndarray:
-    """Input gradient of the step objective: the fused-logit loss, or the
-    per-model loss average (a single model's own gradient for a batch of
-    one).  One gradient call per model."""
+def _objective_grad(batch, z, kind, fused) -> np.ndarray:
+    """Input gradient of the step objective on a model batch: the loss of
+    the averaged logits, or the average of the per-model losses (a single
+    model's own gradient for a batch of one).  One ``vjp_stack`` call, one
+    gradient call per model; the member gradients are summed in model
+    order."""
+    logits, pullback = M.vjp_stack(batch, z)
     if fused:
-        return fused_loss_and_grad(batch, z, kind)[1]
-    g = _grad(batch[0], z, kind, where)
-    for w in batch[1:]:
-        g = g + _grad(w, z, kind, where)
-    return g / len(batch)
+        dl = M.dloss_dlogits(logits.mean(axis=0), kind) / len(batch)
+        g = pullback(np.broadcast_to(dl, logits.shape)).sum(axis=0)
+    else:
+        g = pullback(M.dloss_dlogits(logits, kind)).sum(axis=0) / len(batch)
+    if not np.all(np.isfinite(g)):
+        raise NumericError("non-finite gradient of the step objective")
+    return g
 
 
 def _objective(batch, z, kind, fused) -> float:
     """Value of the step objective (forwards only, no gradient calls)."""
-    if fused:
-        return float(M.loss_from_logits(
-            np.mean([M.forward(w, z) for w in batch], axis=0), kind))
-    return float(np.mean(M.loss_matrix(batch, z[None], kind)))
+    logits = M.vjp_stack(batch, z)[0]
+    return float(np.mean(M.loss_from_logits(
+        logits.mean(axis=0) if fused else logits, kind)))
 
 
 def _ascend(x_hat, batch, kind, fused, cfg) -> np.ndarray:
@@ -195,7 +173,7 @@ def _ascend(x_hat, batch, kind, fused, cfg) -> np.ndarray:
     """
     eps = np.zeros_like(x_hat)
     for t in range(cfg.inner_T):
-        g = _objective_grad(batch, x_hat + eps, kind, fused, f"inner step {t}")
+        g = _objective_grad(batch, x_hat + eps, kind, fused)
         eps = eps + cfg.beta_eps * np.sign(g)
     return eps
 
@@ -363,15 +341,15 @@ def _schedule(method, plan, ensemble, models, cfg):
                        for j in range(n) for i in range(I))
 
 
-def _cwa_step(state, batch, kind, cfg, it) -> np.ndarray:
+def _cwa_step(state, batch, kind, cfg) -> np.ndarray:
     """One fused ascent step of radius beta_eps from the iterate, then
     L2-normalized momentum micro-updates of scale micro_step through the
     batch; returns the iterate moved by a sign step along the net
     displacement."""
-    _, g = fused_loss_and_grad(batch, state.x_hat, kind)
+    g = _objective_grad(batch, state.x_hat, kind, True)
     cur = project(state.x_hat + cfg.beta_eps * np.sign(g), state.x, cfg.gamma)
     for w in batch:
-        g = _grad(w, cur, kind, f"micro step at iteration {it}")
+        g = _objective_grad([w], cur, kind, False)
         l2 = float(np.linalg.norm(g))
         if l2 < MOMENTUM_NORM_FLOOR:
             state.m = cfg.mu * state.m
@@ -411,13 +389,12 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
             if state.trace is not None:
                 loss_pre = _objective(batch, state.x_hat, kind, plan.fused)
             if plan.update == "cwa":
-                state.x_hat = _cwa_step(state, batch, kind, cfg, step)
+                state.x_hat = _cwa_step(state, batch, kind, cfg)
             else:
                 z = state.x_hat
                 if plan.reverse and late and cfg.inner_T > 0:
                     z = z + _ascend(z, batch, kind, plan.fused, cfg)
-                d = _objective_grad(batch, z, kind, plan.fused,
-                                    f"outer step {step}")
+                d = _objective_grad(batch, z, kind, plan.fused)
                 if plan.update == "momentum":
                     state.m = momentum_step(state.m, d, cfg.mu)
                     d = state.m

@@ -6,14 +6,18 @@ small 1-D convolutional net -- all exposed through the same flat-parameter
 interface so ensembles can mix them freely.
 
 One forward/backward core runs on a (M, P) stack of one spec's parameter
-vectors: a model is a one-member stack, and a model list runs one stacked
-pass per spec group (``loss_matrix``, ``predict_matrix``, ``vjp_stack``).
+vectors.  ``vjp_stack`` is the one entry point for a model list: it groups
+the members by spec, runs one stacked pass per group, and returns the
+logits in model order with their pullback.  ``vjp``, ``forward`` and
+``input_gradient`` are its one-member case, and ``loss_matrix`` and
+``predict_matrix`` reduce its logits; only the training helpers call the
+core directly.
 
-Gradient bookkeeping: every call of a ``vjp`` pullback (and therefore
-every ``input_gradient``) increments the global gradient-call counter by
-exactly one, and a ``vjp_stack`` pullback by one per member.  That count
-is the unit in which attack query budgets are measured.  Weight
-gradients used for training do not touch the counter.
+Gradient bookkeeping: a pullback call adds one gradient call per member
+per input row to the global counter, ``len(models) * B`` for a (B, d)
+batch, so an ``input_gradient`` at one point counts one.  That count is
+the unit in which attack query budgets are measured.  Weight gradients
+used for training do not touch the counter.
 """
 
 from __future__ import annotations
@@ -319,15 +323,31 @@ def _forward_one(w: Weights, xb: np.ndarray):
 
 
 def _by_spec(models: Sequence[Weights]):
-    """(spec, member indices, stacked (M, P) parameters) per spec, in order
-    of first appearance."""
+    """(spec, member index, stacked (M, P) parameters) per spec, in order
+    of first appearance.  The index is a slice when the group's members are
+    one contiguous run of the list, which spares a scatter per use."""
     if len(models) == 0:
         raise ValueError("need at least one model")
     groups = {}
     for i, w in enumerate(models):
         groups.setdefault(w.spec, []).append(i)
-    return [(spec, idx, np.array([models[i].params for i in idx]))
-            for spec, idx in groups.items()]
+    out = []
+    for spec, idx in groups.items():
+        run = idx[-1] - idx[0] + 1 == len(idx)
+        out.append((spec, slice(idx[0], idx[-1] + 1) if run else idx,
+                    np.array([models[i].params for i in idx])))
+    return out
+
+
+def _in_model_order(groups, blocks) -> np.ndarray:
+    """Each spec group's block of member rows put back in model order; a
+    single group's block already is."""
+    if len(blocks) == 1:
+        return blocks[0]
+    out = np.empty((sum(len(b) for b in blocks),) + blocks[0].shape[1:])
+    for (_, idx, _), block in zip(groups, blocks):
+        out[idx] = block
+    return out
 
 
 def forward(w: Weights, x: np.ndarray) -> np.ndarray:
@@ -336,60 +356,38 @@ def forward(w: Weights, x: np.ndarray) -> np.ndarray:
 
 
 def vjp(w: Weights, x: np.ndarray):
-    """Logits at x and their pullback: a function from a logit cotangent
-    to the input gradient.  Each pullback call counts one gradient call."""
-    xb, single = _as_batch(x, w.spec.input_dim)
-    logits, cache = _forward_one(w, xb)
-
-    def pullback(dlogits: np.ndarray) -> np.ndarray:
-        dl = np.asarray(dlogits, dtype=np.float64).reshape((1,) + logits.shape)
-        dx = _backward_stack(w.spec, cache, dl)[0]
-        GRAD_CALLS.add(1)
-        return dx[0] if single else dx
-
-    return (logits[0] if single else logits), pullback
+    """Logits at x and their pullback, a function from a logit cotangent to
+    the input gradient: the one-member case of ``vjp_stack``."""
+    logits, pullback = vjp_stack([w], x)
+    return logits[0], lambda dlogits: pullback(np.asarray(dlogits)[None])[0]
 
 
 def vjp_stack(models: Sequence[Weights], x: np.ndarray):
-    """``vjp`` for a model list: the logits of every model at x, shape
-    (len(models), *x.shape[:-1], k), and their pullback, a function from a
-    cotangent of that shape to the members' input gradients, shape
-    (len(models), *x.shape).  One stacked forward and backward per spec
-    group; each pullback call counts ``len(models)`` gradient calls."""
+    """The logits of every model at x, shape (len(models), *x.shape[:-1], k),
+    and their pullback, a function from a cotangent of that shape to the
+    members' input gradients, shape (len(models), *x.shape).
+
+    One stacked forward and backward per spec group.  Each pullback call
+    counts one gradient call per member per row of x:
+    ``len(models) * B`` for a (B, d) batch, ``len(models)`` for one point.
+    """
     groups = _by_spec(models)
     d, k = groups[0][0].input_dim, groups[0][0].num_classes
     if any((spec.input_dim, spec.num_classes) != (d, k) for spec, _, _ in groups):
         raise ValueError("models disagree on the input dim or the number of classes")
     xb, single = _as_batch(x, d)
-    logits = np.empty((len(models), xb.shape[0], k))
-    caches = []
-    for spec, idx, P in groups:
-        logits[idx], cache = _forward_stack(spec, P, xb)
-        caches.append(cache)
+    passes = [_forward_stack(spec, P, xb) for spec, _, P in groups]
+    logits = _in_model_order(groups, [z for z, _ in passes])
 
     def pullback(dlogits: np.ndarray) -> np.ndarray:
         dl = np.asarray(dlogits, dtype=np.float64).reshape(logits.shape)
-        dx = np.empty((len(models),) + xb.shape)
-        for (spec, idx, _), cache in zip(groups, caches):
-            dx[idx] = _backward_stack(spec, cache, dl[idx])
-        GRAD_CALLS.add(len(models))
+        dx = _in_model_order(groups, [
+            _backward_stack(spec, cache, dl[idx])
+            for (spec, idx, _), (_, cache) in zip(groups, passes)])
+        GRAD_CALLS.add(len(models) * xb.shape[0])
         return dx[:, 0] if single else dx
 
     return (logits[:, 0] if single else logits), pullback
-
-
-def _per_model(models: Sequence[Weights], points: np.ndarray, fn) -> np.ndarray:
-    """``fn(spec, logits)`` of each spec group's stacked (M, B, k) logits at
-    a (B, d) batch, with its rows put back in model order."""
-    if np.ndim(points) != 2:
-        raise ValueError("points must be a (B, d) batch")
-    out = None
-    for spec, idx, P in _by_spec(models):
-        rows = fn(spec, _forward_stack(spec, P, _as_batch(points, spec.input_dim)[0])[0])
-        if out is None:
-            out = np.empty((len(models),) + rows.shape[1:], rows.dtype)
-        out[idx] = rows
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -477,21 +475,25 @@ def loss(w: Weights, x: np.ndarray, kind: LossKind) -> float:
 def loss_matrix(models: Sequence[Weights], points: np.ndarray,
                 kind: LossKind) -> np.ndarray:
     """Losses of every model at every (B, d) point, shape (len(models), B):
-    one stacked forward per spec group, no gradient-call accounting."""
-    def losses(spec, logits):
-        _check_label(kind, spec.num_classes)
-        return loss_from_logits(logits, kind)
-    return _per_model(models, points, losses)
+    the logits of ``vjp_stack``, no gradient-call accounting."""
+    if np.ndim(points) != 2:
+        raise ValueError("points must be a (B, d) batch")
+    logits = vjp_stack(models, points)[0]
+    _check_label(kind, logits.shape[-1])
+    return loss_from_logits(logits, kind)
 
 
 def predict_matrix(models: Sequence[Weights], X: np.ndarray) -> np.ndarray:
     """Predicted class of every model at every (B, d) point, shape
-    (len(models), B): one stacked forward per spec group."""
-    return _per_model(models, X, lambda spec, logits: np.argmax(logits, axis=-1))
+    (len(models), B): the argmax of ``vjp_stack``'s logits."""
+    if np.ndim(X) != 2:
+        raise ValueError("points must be a (B, d) batch")
+    return np.argmax(vjp_stack(models, X)[0], axis=-1)
 
 
 def input_gradient(w: Weights, x: np.ndarray, kind: LossKind) -> np.ndarray:
-    """d loss / d x.  Increments the global gradient-call counter by 1."""
+    """d loss / d x.  Increments the global gradient-call counter by 1 per
+    row of x."""
     _check_label(kind, w.spec.num_classes)
     logits, pullback = vjp(w, x)
     return pullback(dloss_dlogits(logits, kind))

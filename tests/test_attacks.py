@@ -99,9 +99,66 @@ class TestInnerMax:
         ens, data = tiny_setup
         w = ens.components[1][2]
         kind = M.neg_cross_entropy(0)
-        _, fused = A.fused_loss_and_grad([w], data.X_test[3], kind)
+        fused = A._objective_grad([w], data.X_test[3], kind, True)
         direct = M.input_gradient(w, data.X_test[3], kind)
         assert np.max(np.abs(fused - direct)) < 1e-14
+
+
+def frozen_fused_loss_and_grad(models, x, kind):
+    """The per-member fused gradient that ``attacks._objective_grad``
+    replaced, kept as its oracle: one ``vjp`` per member, the pullbacks
+    summed onto zeros."""
+    if len(models) == 0:
+        raise ValueError("empty model batch")
+    vjps = [M.vjp(w, x) for w in models]
+    zbar = np.stack([logits for logits, _ in vjps]).mean(axis=0)
+    value = float(M.loss_from_logits(zbar, kind))
+    dl = M.dloss_dlogits(zbar, kind) / len(models)
+    g = np.zeros_like(x)
+    for _, pullback in vjps:
+        g = g + pullback(dl)
+    if not np.all(np.isfinite(g)):
+        raise A.NumericError("non-finite fused gradient")
+    return value, g
+
+
+def frozen_objective_grad(batch, z, kind, fused):
+    """The per-member step-objective gradient that ``attacks._objective_grad``
+    replaced, kept as its oracle: one ``input_gradient`` per member for the
+    loss average."""
+    if fused:
+        return frozen_fused_loss_and_grad(batch, z, kind)[1]
+    g = M.input_gradient(batch[0], z, kind)
+    for w in batch[1:]:
+        g = g + M.input_gradient(w, z, kind)
+    return g / len(batch)
+
+
+class TestObjectiveGradient:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("setup", ["tiny_setup", "quad_setup"])
+    def test_equals_per_member_loops(self, request, setup, seed):
+        ens, data = request.getfixturevalue(setup)
+        rng = np.random.default_rng(seed)
+        n = ens.snapshots_per_component
+        batches = [[w] for w in ens.all_members()]
+        batches += [[c[j] for c in ens.components] for j in range(n)]
+        batches += [ens.pretrained]
+        points = [data.X_test[seed], rng.uniform(0, 1, data.X_test.shape[1])]
+        y = int(data.y_test[seed])
+        kinds = [M.neg_cross_entropy(y),
+                 M.targeted_cross_entropy((y + 1) % data.num_classes)]
+        for batch in batches:
+            for z in points:
+                for kind in kinds:
+                    for fused in (False, True):
+                        with M.GRAD_CALLS.scope() as tally:
+                            got = A._objective_grad(batch, z, kind, fused)
+                        assert tally.count == len(batch)
+                        want = frozen_objective_grad(batch, z, kind, fused)
+                        assert np.array_equal(got, want)
+                    assert A._objective(batch, z, kind, True) == \
+                        frozen_fused_loss_and_grad(batch, z, kind)[0]
 
 
 class TestCostModel:
@@ -356,12 +413,28 @@ class TestTrace:
                                                   method):
         ens, data = quad_setup
         x, y = data.X_test[5], int(data.y_test[5])
-        counts = {"forward": 0, "loss": 0}
-        forward, loss = M._forward_stack, M.loss
+        forward, vjp_stack, loss = M._forward_stack, M.vjp_stack, M.loss
+        counts = {"outside": 0, "loss": 0}
+        calls = []  # per vjp_stack call: [forwards, members, pulled back]
 
         def counted_forward(*args):
-            counts["forward"] += 1
+            if calls and calls[-1][2] is None:
+                calls[-1][0] += 1
+            else:
+                counts["outside"] += 1
             return forward(*args)
+
+        def counted_vjp_stack(models, z):
+            call = [0, len(models), None]
+            calls.append(call)
+            logits, pullback = vjp_stack(models, z)
+            call[2] = False
+
+            def counted_pullback(dlogits):
+                call[2] = True
+                return pullback(dlogits)
+
+            return logits, counted_pullback
 
         def counted_loss(*args):
             counts["loss"] += 1
@@ -369,17 +442,22 @@ class TestTrace:
 
         # _forward_stack is the one forward pass every model entry point runs
         monkeypatch.setattr(M, "_forward_stack", counted_forward)
+        monkeypatch.setattr(M, "vjp_stack", counted_vjp_stack)
         monkeypatch.setattr(M, "loss", counted_loss)
         n_iter = 6 if method == "rap" else None
         st = A.run_attack(x, y, ens, small_cfg(method=method, n_iter=n_iter,
                                                record_trace=False))
-        # each gradient call, fused ones included, is one models.vjp: one
-        # forward and one pullback, and no forward runs outside them
+        # every forward runs inside a vjp_stack whose pullback runs, and
+        # those pullbacks make up every gradient call
         assert st.grad_calls > 0
-        assert counts == {"forward": st.grad_calls, "loss": 0}
-        counts["forward"] = 0
-        traced = A.run_attack(x, y, ens, small_cfg(method=method, n_iter=n_iter))
-        assert counts["forward"] > traced.grad_calls
+        assert counts == {"outside": 0, "loss": 0}
+        assert all(f >= 1 and pulled for f, _, pulled in calls)
+        assert sum(m for _, m, _ in calls) == st.grad_calls
+        untraced = sum(f for f, _, _ in calls)
+        calls.clear()
+        A.run_attack(x, y, ens, small_cfg(method=method, n_iter=n_iter))
+        assert sum(f for f, _, _ in calls) > untraced
+        assert not all(pulled for _, _, pulled in calls)
 
 
 @st.composite

@@ -225,7 +225,7 @@ class TestStackedCore:
                 logits, pullback = M.vjp_stack(models, x)
                 assert tally.count == 0
                 grads = pullback(M.dloss_dlogits(logits, kind))
-            assert tally.count == len(models)
+            assert tally.count == len(models) * (4 if x.ndim == 2 else 1)
             assert grads.shape == (len(models),) + x.shape
             for i, w in enumerate(models):
                 assert logits[i].tobytes() == M.forward(w, x).tobytes()
@@ -366,6 +366,22 @@ class TestGradCounter:
         assert tally.count == 2
         assert np.array_equal(logits, M.forward(w, x))
         assert np.array_equal(g, M.input_gradient(w, x, kind))
+
+    def test_pullback_counts_one_per_member_per_row(self):
+        models, rng, d, _ = TestStackedCore.interleaved(44, 3)
+        X = rng.uniform(0, 1, (7, d))
+        kind = M.bounded_error(0)
+        with M.GRAD_CALLS.scope() as tally:
+            logits, pullback = M.vjp_stack(models, X)
+            pullback(M.dloss_dlogits(logits, kind))
+        assert tally.count == 3 * 7
+        for w in models:
+            with M.GRAD_CALLS.scope() as tally:
+                logits, pullback = M.vjp(w, X)
+                pullback(M.dloss_dlogits(logits, kind))
+                assert tally.count == 7
+                M.input_gradient(w, X, kind)
+            assert tally.count == 14
 
     def test_concurrent_increments_accumulate(self):
         rng = np.random.default_rng(43)
