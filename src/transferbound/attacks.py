@@ -310,10 +310,8 @@ def _schedule(method, plan, ensemble, models, cfg):
                            for it in range(cfg.n_iter))
     I, n = ensemble.num_components, ensemble.snapshots_per_component
     K = ensemble.size
+    mode = cfg.schedule_mode
     rng = np.random.default_rng(cfg.seed)
-
-    def pick(j, i):
-        return ensemble.schedule(j, i, mode=cfg.schedule_mode, rng=rng)
 
     if plan.models == "components":
         n_iter = cfg.n_iter if cfg.n_iter is not None else K
@@ -321,8 +319,11 @@ def _schedule(method, plan, ensemble, models, cfg):
             raise ValueError("n_iter must be >= 1")
         predicted = predict_ngrad(method, n_iter, I, T=cfg.inner_T,
                                   late_start=cfg.n_ls)
-        return predicted, ((it, -1, it % n, [pick(it % n, i) for i in range(I)],
-                            it >= cfg.n_ls) for it in range(n_iter))
+        # under the random schedule the I snapshots of a step differ
+        return predicted, ((it, -1, it % n if mode == "trajectory" else -1,
+                            [ensemble.schedule(it % n, i, mode, rng)
+                             for i in range(I)], it >= cfg.n_ls)
+                           for it in range(n_iter))
     if cfg.n_iter is not None and cfg.n_iter != K:
         if plan.reverse:
             raise ValueError(
@@ -337,8 +338,12 @@ def _schedule(method, plan, ensemble, models, cfg):
     # component epochs of I models; the late start is in component epochs
     predicted = predict_ngrad(method, K if plan.reverse else n, I,
                               T=cfg.inner_T, late_start=cfg.n_ls)
-    return predicted, ((j * I + i, i, j, [pick(j, i)], j >= cfg.n_ls)
-                       for j in range(n) for i in range(I))
+
+    def step(j, i):
+        s = ensemble.schedule_index(j, i, mode, rng)
+        return j * I + i, i, s, [ensemble.components[i][s]], j >= cfg.n_ls
+
+    return predicted, (step(j, i) for j in range(n) for i in range(I))
 
 
 def _cwa_step(state, batch, kind, cfg) -> np.ndarray:
@@ -383,6 +388,8 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
         plan = replace(plan, models="list")
     predicted, steps = _schedule(method, plan, ensemble, models, cfg)
     kind = attack_loss_kind(cfg.targeted, label)
+    pool = models if plan.models == "list" else ensemble.all_members()
+    M._check_label(kind, min(w.spec.num_classes for w in pool))
     state = _start(x, label, cfg.targeted, method, cfg)
     with M.GRAD_CALLS.scope() as tally:
         for step, comp, snap, batch, late in steps:

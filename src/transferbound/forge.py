@@ -238,9 +238,9 @@ class SurrogateEnsemble:
     def size(self) -> int:
         return self.num_components * self.snapshots_per_component
 
-    def schedule(self, j: int, i: int, mode: str = "trajectory",
-                 rng: Optional[np.random.Generator] = None) -> M.Weights:
-        """Snapshot for outer step j, component i.
+    def schedule_index(self, j: int, i: int, mode: str = "trajectory",
+                       rng: Optional[np.random.Generator] = None) -> int:
+        """Index of the snapshot for outer step j, component i.
 
         trajectory mode is the deterministic bijection: step j of component
         i returns snapshot j, so a full sweep over (j, i) visits every
@@ -252,12 +252,18 @@ class SurrogateEnsemble:
         if mode == "trajectory":
             if not 0 <= j < self.snapshots_per_component:
                 raise ValueError(f"outer step {j} out of range")
-            return self.components[i][j]
+            return j
         if mode == "random":
             if rng is None:
                 raise ValueError("random schedule needs a generator")
-            return self.components[i][int(rng.integers(self.snapshots_per_component))]
+            return int(rng.integers(self.snapshots_per_component))
         raise ValueError(f"unknown schedule mode {mode!r}")
+
+    def schedule(self, j: int, i: int, mode: str = "trajectory",
+                 rng: Optional[np.random.Generator] = None) -> M.Weights:
+        """Snapshot for outer step j, component i (see ``schedule_index``)."""
+        s = self.schedule_index(j, i, mode, rng)
+        return self.components[i][s]
 
     def all_members(self):
         for comp in self.components:

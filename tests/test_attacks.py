@@ -357,6 +357,20 @@ class TestRunners:
         assert wins / total >= 0.85
 
 
+class TestLabelCheck:
+    @pytest.mark.parametrize("record_trace", [False, True])
+    @pytest.mark.parametrize("method", A.METHODS)
+    def test_out_of_range_label_is_a_value_error(self, quad_setup, method,
+                                                 record_trace):
+        ens, data = quad_setup
+        cfg = small_cfg(method=method, n_iter=6 if method == "rap" else None,
+                        record_trace=record_trace)
+        for targeted in (False, True):
+            with pytest.raises(ValueError, match="out of range"):
+                A.run_attack(data.X_test[0], data.num_classes, ens,
+                             replace(cfg, targeted=targeted))
+
+
 class TestTrace:
     def test_trace_csv_shape(self, tiny_setup):
         ens, data = tiny_setup
@@ -407,6 +421,34 @@ class TestTrace:
             else:
                 want = M.loss(ens.components[row.component][row.snapshot], prev, kind)
             assert row.loss_pre == want, row
+
+    def test_random_schedule_rows_name_the_snapshot_drawn(self, quad_setup):
+        ens, data = quad_setup
+        I, n = ens.num_components, ens.snapshots_per_component
+        x, y = data.X_test[6], int(data.y_test[6])
+        cfg = small_cfg(method="drap", schedule_mode="random", seed=3)
+        st = A.run_attack(x, y, ens, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        drawn = [int(rng.integers(n)) for _ in range(ens.size)]
+        assert [row.snapshot for row in st.trace] == drawn
+        assert any(row.snapshot != row.iter // I for row in st.trace)
+        kind = M.neg_cross_entropy(y)
+        for row in st.trace:
+            prev = x if row.iter == 0 else st.iterates[row.iter - 1]
+            w = ens.components[row.component][row.snapshot]
+            assert row.loss_pre == M.loss(w, prev, kind), row
+
+    @pytest.mark.parametrize("method", ["flat_rap", "flat_cwa"])
+    def test_random_component_batches_name_no_snapshot(self, quad_setup, method):
+        ens, data = quad_setup
+        n = ens.snapshots_per_component
+        cfg = small_cfg(method=method, schedule_mode="random", seed=3)
+        st = A.run_attack(data.X_test[6], int(data.y_test[6]), ens, cfg)
+        assert [row.snapshot for row in st.trace] == [-1] * ens.size
+        st = A.run_attack(data.X_test[6], int(data.y_test[6]), ens,
+                          replace(cfg, schedule_mode="trajectory"))
+        assert [row.snapshot for row in st.trace] == \
+            [it % n for it in range(ens.size)]
 
     @pytest.mark.parametrize("method", A.METHODS)
     def test_untraced_run_makes_no_extra_forwards(self, quad_setup, monkeypatch,

@@ -11,6 +11,11 @@ flat_rap rows from its late start on are hashed without ``loss_pre``: the
 old runner recorded it at the reverse-shifted point, the loop records it at
 the iterate (``test_attacks.TestTrace`` checks the new values).
 
+The trace digests of the seed-1 (random schedule) ifgsm, mifgsm, drap,
+flat_rap and flat_cwa cases were re-recorded when the ``snapshot`` column
+changed from the schedule position to the snapshot drawn (``-1`` for the
+component batches); their ``x_hat`` and gradient-call pins did not change.
+
 Re-record with ``PYTHONPATH=src python tests/test_equivalence.py``.
 """
 
@@ -67,17 +72,17 @@ PINNED = {
     ('tiny_setup', 'ifgsm', 0, True):
         ('9d30cb1e7681b3659be359d72df1e28ae2bcfa969b694e880f0d13e9455559db', 6, '4e7d413274a6798fd7b6031379d56a547958ed54df6be06d9fc0f108151a209c'),
     ('tiny_setup', 'ifgsm', 1, False):
-        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 6, 'd5185bd1f944d407eb37fb02f7f5f18bc70e77b27a370e33d8c9619e40b4d327'),
+        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 6, '22b4d699cddcd449b80ab73aa3a3f83aca8ab91ae799f12e546ce9a080ac8e4f'),
     ('tiny_setup', 'ifgsm', 1, True):
-        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 6, 'bdd1985deb4d0445e03563a0041ae39c87af79685bcac7dce846fb7803c761ee'),
+        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 6, 'b641ad2d9a01b5bb0303d696356d36bf032e3701df6fa855788f45a968b6d5de'),
     ('tiny_setup', 'mifgsm', 0, False):
         ('9d30cb1e7681b3659be359d72df1e28ae2bcfa969b694e880f0d13e9455559db', 6, 'c83f1150d0f2fcfc0148a567f4615025884e29230fa747b069fb7cc1d6e3cacb'),
     ('tiny_setup', 'mifgsm', 0, True):
         ('9d30cb1e7681b3659be359d72df1e28ae2bcfa969b694e880f0d13e9455559db', 6, '387f411d76ddaf17bf29f6f5e3632d7f7f14f4981d7d678e266c80028967a16a'),
     ('tiny_setup', 'mifgsm', 1, False):
-        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 6, 'a8d47a33e0bc027802240c7f9374bde1aaa22218c59f65e637c0e0aed7aa593c'),
+        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 6, '6d80646ffbe4334753ac383e26c55c8e06597bd61ef26801a2475b32941d1b2d'),
     ('tiny_setup', 'mifgsm', 1, True):
-        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 6, 'bdeb0287c7d70fb308e4e337d55f78a509bb7beac87647ee36367b793aa5056f'),
+        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 6, 'b2a86c9e3a404aa398ad8d519df6416504cba1bafcc1e6d36306f67f9e55f6dd'),
     ('tiny_setup', 'rap', 0, False):
         ('9d30cb1e7681b3659be359d72df1e28ae2bcfa969b694e880f0d13e9455559db', 26, '17f78a15b7ab136dab5abc3666c0cc4b9cfcb29a8e4b7ab5056cef55185a56c7'),
     ('tiny_setup', 'rap', 0, True):
@@ -91,25 +96,25 @@ PINNED = {
     ('tiny_setup', 'flat_rap', 0, True):
         ('9d30cb1e7681b3659be359d72df1e28ae2bcfa969b694e880f0d13e9455559db', 32, '7ef8b6b4c7455e3c5c0b1e372ce345e830bd8ee5f7f874ddf8b00c3cc45090bb'),
     ('tiny_setup', 'flat_rap', 1, False):
-        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 32, '5e24ebf2a907640c900c7decbaca53e8699898a64ad880a9913d0728f253c184'),
+        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 32, '28e0216d84143e82e52d969f136143e652e93a33e969529c3236b9e0a6358905'),
     ('tiny_setup', 'flat_rap', 1, True):
-        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 32, '709e0ba2417e0a7802f8599540d2299727f534ae46d3b95c41bc97b8c97d1895'),
+        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 32, 'e261fc35cc942c73c65982725c09d745e31b857d52bc3c15cc85c1b095033d61'),
     ('tiny_setup', 'flat_cwa', 0, False):
         ('9d30cb1e7681b3659be359d72df1e28ae2bcfa969b694e880f0d13e9455559db', 24, '15e98b0747fb86d1cde6674107b27150cf880f5aa6eff25bf4c382fa85462d6d'),
     ('tiny_setup', 'flat_cwa', 0, True):
         ('9d30cb1e7681b3659be359d72df1e28ae2bcfa969b694e880f0d13e9455559db', 24, 'a9d834713e48c7662cf77090c3d1b71457a68d5757a3a35e513667f0a9d03936'),
     ('tiny_setup', 'flat_cwa', 1, False):
-        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 24, 'ebdd178a662b1801ebc938b8d62d7dfef2979b55bdead90cf3b02ac408224d9e'),
+        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 24, '8de11411eaaa285b966f7a52248ea23cf87d47cda4daeb24d4228c8868efab23'),
     ('tiny_setup', 'flat_cwa', 1, True):
-        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 24, '34f29779cddf852ae82f949954b32a4ab56ede338948d030dc02f1f7aa37a26e'),
+        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 24, '0ea37b7c3ecfa86c075560bfb03842145f197d91eb3c199e06fca436ff1c3a18'),
     ('tiny_setup', 'drap', 0, False):
         ('9d30cb1e7681b3659be359d72df1e28ae2bcfa969b694e880f0d13e9455559db', 14, '85b81617dface24269828adb6c9f76594c21d6e883287da030d60346c0541666'),
     ('tiny_setup', 'drap', 0, True):
         ('9d30cb1e7681b3659be359d72df1e28ae2bcfa969b694e880f0d13e9455559db', 14, '1c59a0e6140536204d83d74d4b7c45de2f5a75e31e6d2bd1a5126f21f5824539'),
     ('tiny_setup', 'drap', 1, False):
-        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 14, 'ca24aedeba649156d790a52321470f2b57859dd4f84654761adc794f16124c3a'),
+        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 14, '87b51e80de0b2fc3841606e6ed32445bf5a43f29b61185e920b3e728b38d5dcd'),
     ('tiny_setup', 'drap', 1, True):
-        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 14, '3d985faabee02842dd39a9c3b4d985b8ea73f15346883e172e54a7172b41cdc7'),
+        ('ba270f1f9fec60422ad9fa2c83a82fcca193ce286ae99248bb56ab6343140bb6', 14, 'd6900ebdd6ac1aea39503242f51ff425cb97b033601b8c776a8042600e1adb44'),
     ('tiny_setup', 'ifgsm_list', 0, False):
         ('9d30cb1e7681b3659be359d72df1e28ae2bcfa969b694e880f0d13e9455559db', 10, '6e06431b4d1e856344f329d539eed19cca73122573f9f579233803596d192c5d'),
     ('tiny_setup', 'ifgsm_list', 0, True):
@@ -131,17 +136,17 @@ PINNED = {
     ('quad_setup', 'ifgsm', 0, True):
         ('4553b5cb862b1194d56a81c606a47d06defad8648684912aad7082046a9eb10a', 16, '22ac52e07c33250afadda20a81885ef215d263a3e30c50464e9a58e44866cdef'),
     ('quad_setup', 'ifgsm', 1, False):
-        ('3e60191745e1318a5dfb5e921a20e9394725cffcb8b13d2944e1caa64ad7991a', 16, '01f144e84a31a345f8e9ef3fe197a93cd9e438eb44ee407acd52ea889a5f3af2'),
+        ('3e60191745e1318a5dfb5e921a20e9394725cffcb8b13d2944e1caa64ad7991a', 16, '6209649d0e657597f9ed99a2c844e71dd8ca7eeea9f400e280940ab79744f1ad'),
     ('quad_setup', 'ifgsm', 1, True):
-        ('a2ea3f4f792e55ab5b10579112177363cd6999f822820a6b4e80cefa61075498', 16, '21410eeefcd9d2e0d5a34ce6359a0999a891df43ec025cb5fb1a6728bd6f6714'),
+        ('a2ea3f4f792e55ab5b10579112177363cd6999f822820a6b4e80cefa61075498', 16, '0f8b6c87e6522732d9b10af9bb9e65efd891ec8f9e6ab43d8a7752b6f98a8914'),
     ('quad_setup', 'mifgsm', 0, False):
         ('8d37d764d9e933f22d75a2f5c6ea99bb71e7fb4a06502cf6c5298c3f103341c9', 16, 'e133cb7408f8f80c2170192f3e3d2fa84b228946d4a05345aad353d4ee2d788f'),
     ('quad_setup', 'mifgsm', 0, True):
         ('10b5a2d6829f727268383fa3c0a78d5e043a30ce38a5d428d8bf333791352ce8', 16, 'b7d35c87aaf5034bf4298aba384e121e445687e9fd80beb9d44b89e3227b7d6f'),
     ('quad_setup', 'mifgsm', 1, False):
-        ('105faacad0b020710ae24cf915d5e14162d72fefe8e6dbf0d8fe30c2e265e69e', 16, 'e7d22fd23a520478d034309fe4abc087a2b51943c1e1d70c80b92162a2a4089a'),
+        ('105faacad0b020710ae24cf915d5e14162d72fefe8e6dbf0d8fe30c2e265e69e', 16, 'e70a88c7b35ce105f280c960acb715f9dc3943e4eb3efb927e93a93ccac54c8d'),
     ('quad_setup', 'mifgsm', 1, True):
-        ('1a080d6175f331a26fc8b174b176032190afe8dccb7a26fd395bd3d58352cfbc', 16, 'bdeb23d8828fc0118614a5ac092bac3d8f5f288dbfeee788161e7059980c8670'),
+        ('1a080d6175f331a26fc8b174b176032190afe8dccb7a26fd395bd3d58352cfbc', 16, '76125c68967d8487cb2dfa3a4db73c27070af21e33388c4fcaf9d65d2b8b7433'),
     ('quad_setup', 'rap', 0, False):
         ('e3197e3fe22c5c79833a1b9ef30d93f2e47691830e0d39fef411de7398d187e1', 52, 'f7016eb711a2b38c134ca0689484f2cd478d68943fbd1f9001a5b53b68810c5e'),
     ('quad_setup', 'rap', 0, True):
@@ -155,25 +160,25 @@ PINNED = {
     ('quad_setup', 'flat_rap', 0, True):
         ('971b16e4d601273f32b7158b772938907eb12cadb5006508aaf6009f5367ac56', 184, '28f187b6f58afdeb0255109ce76ef6a07df1da0ea1729592600c974e24c9e9d7'),
     ('quad_setup', 'flat_rap', 1, False):
-        ('105faacad0b020710ae24cf915d5e14162d72fefe8e6dbf0d8fe30c2e265e69e', 184, 'e44dae55025324af64f386e9a5839230d57553452427a137fcadcd6ba3083fcc'),
+        ('105faacad0b020710ae24cf915d5e14162d72fefe8e6dbf0d8fe30c2e265e69e', 184, 'bbf07712080e363f96b26a3c906dccb428743b23680a05a3a093377d72ab65a2'),
     ('quad_setup', 'flat_rap', 1, True):
-        ('e12a1ebd1b355c80f4d1952ea79bc79b4cc79494116cb2560d5a48d18e8fec8c', 184, '3d5c2fbbd5c69830ae99dc2dbf044acec38ff757a0d555f5a581fcd76c2e2682'),
+        ('e12a1ebd1b355c80f4d1952ea79bc79b4cc79494116cb2560d5a48d18e8fec8c', 184, '02a7106d4334ee6429d57e74416d857285b90c147a03cbe9d47d0de24a1abc83'),
     ('quad_setup', 'flat_cwa', 0, False):
         ('8d37d764d9e933f22d75a2f5c6ea99bb71e7fb4a06502cf6c5298c3f103341c9', 128, '335661dddce0fdd686ccc5ae4c285a80dbdb9fd21b07a5707729a79ef1c42a07'),
     ('quad_setup', 'flat_cwa', 0, True):
         ('10b5a2d6829f727268383fa3c0a78d5e043a30ce38a5d428d8bf333791352ce8', 128, '6fdfac0500084ad80bcd73a8e7692ad92d1146614c7f5cf9c5a5c8b30b1b3c6e'),
     ('quad_setup', 'flat_cwa', 1, False):
-        ('105faacad0b020710ae24cf915d5e14162d72fefe8e6dbf0d8fe30c2e265e69e', 128, 'db20ee8cd215afd4845503d9cf639fc1d5b8805faedf882fd84dd0ddcb2a539b'),
+        ('105faacad0b020710ae24cf915d5e14162d72fefe8e6dbf0d8fe30c2e265e69e', 128, '9e7e19fc5508e4bcf3e3179a722323250c9e4db3fe7f5b809a4f43679582f0df'),
     ('quad_setup', 'flat_cwa', 1, True):
-        ('331ff95296243dd91182af19a1c3e729cb6bc5f86275eb1d52ee904e54df6958', 128, 'f69e895371ac085205cb85c7e811f636b9aa71ec94ba38a52e95defe8e71b6ce'),
+        ('331ff95296243dd91182af19a1c3e729cb6bc5f86275eb1d52ee904e54df6958', 128, '91c0aa306771f382fd79e7a319dd1df965b630c08bbae83042478e95dee2e7cc'),
     ('quad_setup', 'drap', 0, False):
         ('8d37d764d9e933f22d75a2f5c6ea99bb71e7fb4a06502cf6c5298c3f103341c9', 40, '024cdd435d6960133ea59c3862c104cb86c65a9b304f64817df2f7feaf025153'),
     ('quad_setup', 'drap', 0, True):
         ('10b5a2d6829f727268383fa3c0a78d5e043a30ce38a5d428d8bf333791352ce8', 40, 'bd1a51bd29e5427d78f80f0dede90fa256551f6749be988a5ee3746a00bddf48'),
     ('quad_setup', 'drap', 1, False):
-        ('105faacad0b020710ae24cf915d5e14162d72fefe8e6dbf0d8fe30c2e265e69e', 40, '19917fbe9cc58178025a8c10e83cf0fe1e38d4b0634acbc46547538bfee1807e'),
+        ('105faacad0b020710ae24cf915d5e14162d72fefe8e6dbf0d8fe30c2e265e69e', 40, '052d73c4e829517b5b4d752fdec9461a3ec8b9a57b631b7ab07706ca5d275475'),
     ('quad_setup', 'drap', 1, True):
-        ('1a080d6175f331a26fc8b174b176032190afe8dccb7a26fd395bd3d58352cfbc', 40, '1550d6c34576274b39bf2c2006ed99d4ec38932fa323a6c0d3e9959660d53dfd'),
+        ('1a080d6175f331a26fc8b174b176032190afe8dccb7a26fd395bd3d58352cfbc', 40, 'e9908592d450bb63aa285567c9823bec5188e7c8ad0bb66ffb2ed511bb8c7ce0'),
     ('quad_setup', 'ifgsm_list', 0, False):
         ('b75f5a7a7ba4f6fa3530c27cadf5dc3712bb9709dfe0257acd7a4d8757a453ca', 20, '16c06051e79c8b9dc51b1bb006fe05c38f975c7fe9af1dd22e93e97caeaffac7'),
     ('quad_setup', 'ifgsm_list', 0, True):

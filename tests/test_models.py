@@ -241,8 +241,10 @@ class TestStackedCore:
         with pytest.raises(ValueError, match="batch"):
             M.loss_matrix(models, X[0], M.bounded_error(0))
         wider = M.init_weights(M.ModelSpec("linear", d, k + 1), rng)
-        with pytest.raises(ValueError, match="classes"):
-            M.vjp_stack(models + [wider], X)
+        for score in (M.vjp_stack, M.predict_matrix,
+                      lambda ms, X: M.loss_matrix(ms, X, M.bounded_error(0))):
+            with pytest.raises(ValueError, match="classes"):
+                score(models + [wider], X)
 
 
 def central_difference(f, x, h=1e-4):
