@@ -153,7 +153,7 @@ def _objective_grad(batch, z, kind, fused) -> np.ndarray:
         g = pullback(np.broadcast_to(dl, logits.shape)).sum(axis=0)
     else:
         g = pullback(M.dloss_dlogits(logits, kind)).sum(axis=0) / len(batch)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericError("non-finite gradient of the step objective")
     return g
 
@@ -388,6 +388,7 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
         plan = replace(plan, models="list")
     predicted, steps = _schedule(method, plan, ensemble, models, cfg)
     kind = attack_loss_kind(cfg.targeted, label)
+    # the objectives index the label's logit column without a check
     pool = models if plan.models == "list" else ensemble.all_members()
     M._check_label(kind, min(w.spec.num_classes for w in pool))
     state = _start(x, label, cfg.targeted, method, cfg)
