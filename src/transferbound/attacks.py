@@ -13,9 +13,19 @@ reverse ascent runs from the late start on, and the update rule.  Each
 evaluation of the objective on a step's model batch, its gradient or its
 traced value, is one ``models.vjp_stack`` call.
 
-Query accounting: one unit is one input-gradient computation on one model.
-Every run predicts its own total from the cost model up front and verifies
-the realized count against it.
+One call attacks a (B, d) batch of examples, one label per row, or one
+(d,) example; the loop's arithmetic is the same for both, per row.  The
+rows share the schedule and run through the loop together, but are
+otherwise independent: the objectives evaluate each row as its own point
+(``vjp_stack`` on (B, 1, d) rows; one (d,) example is one point), and the
+momentum, its norm floors and the projection act per row.  So every
+row's adversarial example and trace equal those of a one-example run on
+it, bitwise.
+
+Query accounting: one unit is one input-gradient computation on one model
+at one example.  Every run predicts its own total from the cost model up
+front, B times the per-example count, and verifies the realized count
+against it.
 """
 
 from __future__ import annotations
@@ -90,6 +100,9 @@ class AttackConfig:
 
 @dataclass
 class TraceRow:
+    """One step: the objective before and after it (one value per example
+    of a batched run) and the gradient calls per example so far."""
+
     iter: int
     component: int
     snapshot: int
@@ -100,6 +113,10 @@ class TraceRow:
 
 @dataclass
 class AttackState:
+    """A run on one example (x of shape (d,), an int label) or on a batch
+    (x of shape (B, d), a (B,) label array).  A batched run's gradient-call
+    counts are totals over its examples; ``example`` splits it."""
+
     x: np.ndarray
     label: int
     targeted: bool
@@ -110,6 +127,21 @@ class AttackState:
     predicted_grad_calls: int = 0
     trace: Optional[list] = None
     iterates: Optional[list] = None
+
+    def example(self, i: int) -> "AttackState":
+        """Example i of a batched run as a one-example state, with the run's
+        gradient-call counts divided by the batch size."""
+        B = len(self.x)
+        trace = None if self.trace is None else [
+            replace(row, loss_pre=float(row.loss_pre[i]),
+                    loss_post=float(row.loss_post[i])) for row in self.trace]
+        return AttackState(
+            x=self.x[i], label=int(self.label[i]), targeted=self.targeted,
+            method=self.method, x_hat=self.x_hat[i], m=self.m[i],
+            grad_calls=self.grad_calls // B,
+            predicted_grad_calls=self.predicted_grad_calls // B, trace=trace,
+            iterates=None if self.iterates is None
+            else [it[i] for it in self.iterates])
 
 
 # ---------------------------------------------------------------------------
@@ -126,28 +158,42 @@ def project(x_hat: np.ndarray, x: np.ndarray, gamma: float) -> np.ndarray:
     return np.clip(x_hat, lo, hi)
 
 
+def _momentum(m: np.ndarray, g: np.ndarray, mu: float,
+              norm: np.ndarray) -> np.ndarray:
+    """mu * m + g / norm per row of (..., d) arrays, with the normalized term
+    dropped for rows whose (..., 1) norm vanishes."""
+    out = mu * m
+    live = ~(norm < MOMENTUM_NORM_FLOOR)
+    step = np.divide(g, norm, out=np.zeros_like(g), where=live)
+    return np.add(out, step, out=out, where=live)
+
+
 def momentum_step(m: np.ndarray, g: np.ndarray, mu: float) -> np.ndarray:
-    """m' = mu * m + g / ||g||_1, with the normalized term zeroed for
-    vanishing gradients."""
-    l1 = float(np.abs(g).sum())
-    if l1 < MOMENTUM_NORM_FLOOR:
-        return mu * m
-    return mu * m + g / l1
+    """m' = mu * m + g / ||g||_1 per row, with the normalized term zeroed
+    for vanishing gradients."""
+    return _momentum(m, g, mu, np.abs(g).sum(axis=-1, keepdims=True))
 
 
-def attack_loss_kind(targeted: bool, label: int) -> M.LossKind:
+def _l2_rows(g: np.ndarray) -> np.ndarray:
+    """The (..., 1) L2 norms of the rows of g, each a one-row dot product as
+    in ``np.linalg.norm``, so bitwise equal to it."""
+    return np.sqrt(g[..., None, :] @ g[..., :, None])[..., 0]
+
+
+def attack_loss_kind(targeted: bool, label) -> M.LossKind:
     if targeted:
         return M.targeted_cross_entropy(label)
     return M.neg_cross_entropy(label)
 
 
 def _objective_grad(batch, z, kind, fused) -> np.ndarray:
-    """Input gradient of the step objective on a model batch: the loss of
-    the averaged logits, or the average of the per-model losses (a single
-    model's own gradient for a batch of one).  One ``vjp_stack`` call, one
-    gradient call per model; the member gradients are summed in model
-    order."""
-    logits, pullback = M.vjp_stack(batch, z)
+    """Input gradient of the step objective on a model batch at one point
+    (d,) or at each row of a (B, d) batch: the loss of the averaged logits,
+    or the average of the per-model losses (a single model's own gradient
+    for a batch of one).  One ``vjp_stack`` call on the points as rows, one
+    gradient call per model per row; the member gradients are summed in
+    model order."""
+    logits, pullback = M.vjp_stack(batch, z[..., None, :])
     if fused:
         dl = M.dloss_dlogits(logits.mean(axis=0), kind) / len(batch)
         g = pullback(np.broadcast_to(dl, logits.shape)).sum(axis=0)
@@ -155,18 +201,23 @@ def _objective_grad(batch, z, kind, fused) -> np.ndarray:
         g = pullback(M.dloss_dlogits(logits, kind)).sum(axis=0) / len(batch)
     if not np.isfinite(g).all():
         raise NumericError("non-finite gradient of the step objective")
-    return g
+    return g[..., 0, :]
 
 
-def _objective(batch, z, kind, fused) -> float:
-    """Value of the step objective (forwards only, no gradient calls)."""
-    logits = M.vjp_stack(batch, z)[0]
-    return float(np.mean(M.loss_from_logits(
-        logits.mean(axis=0) if fused else logits, kind)))
+def _objective(batch, z, kind, fused):
+    """Value of the step objective at each point (forwards only, no
+    gradient calls).  The loss average takes one contiguous mean per
+    point, as ``np.mean`` of that point's member losses does."""
+    logits = M.vjp_stack(batch, z[..., None, :])[0]
+    if fused:
+        return M.loss_from_logits(logits.mean(axis=0), kind)[..., 0][()]
+    losses = M.loss_from_logits(logits, kind)[..., 0]
+    return np.ascontiguousarray(losses.T).mean(axis=-1)
 
 
 def _ascend(x_hat, batch, kind, fused, cfg) -> np.ndarray:
-    """inner_T sign-ascent steps of the objective from x_hat; returns eps.
+    """inner_T sign-ascent steps of the objective from x_hat (one point or
+    a batch of rows); returns eps.
 
     No projection is applied: ||eps||_inf <= inner_T * beta_eps holds by
     construction.
@@ -267,13 +318,21 @@ _PLANS = {
 }
 
 
-def _start(x, label, targeted, method, cfg) -> AttackState:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("attacks operate on single examples")
+def _start(x, label, method, cfg) -> AttackState:
+    """The state of a run on one example (d,) with one label, or on a
+    (B, d) batch with a (B,) label array."""
+    x, label = np.asarray(x, dtype=np.float64), np.asarray(label)
+    if x.ndim not in (1, 2) or len(x) == 0:
+        raise ValueError("attacks take one example (d,) or a (B, d) batch")
+    if label.shape != x.shape[:-1]:
+        raise ValueError(f"need one label per example: {label.size} labels "
+                         f"for {x.size // x.shape[-1]} examples")
+    if label.dtype.kind not in "iu":
+        raise ValueError("labels must be class indices")
     if x.min() < 0.0 or x.max() > 1.0:
         raise ValueError("benign input must lie in [0,1]^d")
-    state = AttackState(x=x, label=int(label), targeted=targeted, method=method)
+    state = AttackState(x=x, label=int(label) if x.ndim == 1 else label,
+                        targeted=cfg.targeted, method=method)
     state.x_hat = project(x.copy(), x, cfg.gamma)
     state.m = np.zeros_like(x)
     state.trace = [] if cfg.record_trace else None
@@ -355,11 +414,7 @@ def _cwa_step(state, batch, kind, cfg) -> np.ndarray:
     cur = project(state.x_hat + cfg.beta_eps * np.sign(g), state.x, cfg.gamma)
     for w in batch:
         g = _objective_grad([w], cur, kind, False)
-        l2 = float(np.linalg.norm(g))
-        if l2 < MOMENTUM_NORM_FLOOR:
-            state.m = cfg.mu * state.m
-        else:
-            state.m = cfg.mu * state.m + g / l2
+        state.m = _momentum(state.m, g, cfg.mu, _l2_rows(g))
         cur = project(cur - cfg.micro_step * state.m, state.x, cfg.gamma)
         if state.iterates is not None:
             state.iterates.append(cur.copy())
@@ -369,7 +424,8 @@ def _cwa_step(state, batch, kind, cfg) -> np.ndarray:
 
 def run_attack(x, label, ensemble, cfg: AttackConfig,
                models: Optional[Sequence[M.Weights]] = None) -> AttackState:
-    """Run cfg.method on one example as an instance of the step loop.
+    """Run cfg.method on one example (x of shape (d,), an int label) or on
+    a (B, d) batch with one label per row, as an instance of the step loop.
 
     Each step takes a model batch from the method's plan, optionally
     shifts the iterate by a reverse (flatness) ascent of the objective
@@ -377,6 +433,11 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
     gamma-ball intersected with the unit box.  rap attacks the explicit
     model list, else the ensemble prototypes; ifgsm and mifgsm attack the
     explicit list when one is given, else sweep the ensemble schedule.
+
+    The B examples of a batch share the schedule and every step; each
+    row's result equals a one-example run on it bitwise
+    (``AttackState.example``).  A batched run's gradient calls total B
+    times the per-example cost model.
     """
     method = cfg.method
     plan = _PLANS[method]
@@ -387,11 +448,14 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
     elif method in ("ifgsm", "mifgsm") and models is not None:
         plan = replace(plan, models="list")
     predicted, steps = _schedule(method, plan, ensemble, models, cfg)
-    kind = attack_loss_kind(cfg.targeted, label)
+    state = _start(x, label, method, cfg)
+    batched = state.x.ndim == 2
+    B = len(state.x) if batched else 1
+    kind = attack_loss_kind(cfg.targeted,
+                            state.label[:, None] if batched else state.label)
     # the objectives index the label's logit column without a check
     pool = models if plan.models == "list" else ensemble.all_members()
     M._check_label(kind, min(w.spec.num_classes for w in pool))
-    state = _start(x, label, cfg.targeted, method, cfg)
     with M.GRAD_CALLS.scope() as tally:
         for step, comp, snap, batch, late in steps:
             if state.trace is not None:
@@ -413,8 +477,8 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
             if state.trace is not None:
                 loss_post = _objective(batch, state.x_hat, kind, plan.fused)
                 state.trace.append(TraceRow(step, comp, snap, loss_pre,
-                                            loss_post, tally.count))
-    return _finish(state, tally, predicted)
+                                            loss_post, tally.count // B))
+    return _finish(state, tally, B * predicted)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
 """Experiment orchestration: data ingestion, attack-success tables, CSV output.
 
 Everything here is plumbing around the other modules: build surrogate and
-held-out target ensembles from disjoint seeds, run the configured attack
-methods over a batch of test examples, score transfer success, evaluate
-bound diagnostics, and emit schema-stable CSV files.  Reruns with the
-same seeds produce byte-identical outputs apart from the single
-timestamp comment line at the top of each CSV.
+held-out target ensembles from disjoint seeds, run each configured attack
+method once over the batch of test examples (one ``run_attack`` call per
+method and seed), score transfer success, evaluate bound diagnostics, and
+emit schema-stable CSV files plus a ``run.json`` run record.  Reruns with
+the same seeds produce byte-identical CSV, trace and adversarial-example
+files apart from the single timestamp comment line at the top of each
+CSV; ``run.json`` holds wall times and so differs.
 """
 
 from __future__ import annotations
 
 import datetime
+import json
+import platform
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -277,9 +282,13 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
     """Run the configured protocol and write artifacts under cfg.out_dir.
 
     phases selects what gets produced: "forge" saves the ensembles,
-    "attack" saves adversarial batches and traces, "asr" the success
-    tables, "bounds" the bound-diagnostic rows (for the primary method),
-    "bench" the gradient-call accounting.  Default: everything.
+    "attack" saves adversarial batches and traces (example 0's), "asr" the
+    success tables, "bounds" the bound-diagnostic rows (for the primary
+    method), "bench" the per-example gradient-call accounting.  Default:
+    everything.  Whenever attacks run, ``run.json`` records the config,
+    the Python and numpy versions, seconds per phase, and per method the
+    examples, wall seconds and gradient calls (predicted and observed)
+    summed over seeds.
     """
     phases = ALL_PHASES if phases is None else frozenset(phases)
     unknown = phases - ALL_PHASES
@@ -294,8 +303,13 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
     asr_lines = []
     bound_lines = []
     bench_lines = []
+    phase_s = dict.fromkeys(["forge", "attack", *sorted(phases & {"asr", "bounds"})],
+                            0.0)
+    totals = {m: {"examples": 0, "seconds": 0.0, "grad_calls_predicted": 0,
+                  "grad_calls_observed": 0} for m in cfg.methods}
 
     for seed in cfg.seeds:
+        t0 = time.perf_counter()
         data = _dataset_for(cfg, seed)
         if data.X_test.shape[0] < cfg.n_examples:
             raise ValueError(f"test split holds {data.X_test.shape[0]} "
@@ -312,6 +326,7 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
             surrogate.save(out / "ensembles" / f"seed{seed}" / "surrogate")
             target_ens.save(out / "ensembles" / f"seed{seed}" / "target")
             written.setdefault("ensembles", out / "ensembles")
+        phase_s["forge"] += time.perf_counter() - t0
         if not need_attacks:
             continue
 
@@ -323,34 +338,38 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
         states_by_method = {}
         for method in cfg.methods:
             acfg = _method_config(cfg, method, seed, surrogate)
-            # only example 0's trace is written or read
-            first = replace(acfg, record_trace=True)
-            rest = replace(acfg, record_trace=False)
-            states = [A.run_attack(X[i], int(labels[i]), surrogate,
-                                   rest if i else first)
-                      for i in range(cfg.n_examples)]
-            states_by_method[method] = (acfg, states)
+            t0 = time.perf_counter()
+            # one run over every example; example 0's trace is written
+            state = A.run_attack(X, labels, surrogate,
+                                 replace(acfg, record_trace=True))
+            seconds = time.perf_counter() - t0
+            states_by_method[method] = state
+            tally = totals[method]
+            tally["examples"] += cfg.n_examples
+            tally["seconds"] += seconds
+            tally["grad_calls_predicted"] += state.predicted_grad_calls
+            tally["grad_calls_observed"] += state.grad_calls
 
             if "attack" in phases:
-                adv = np.stack([s.x_hat for s in states])
-                np.save(out / f"adv_{method}_seed{seed}.npy", adv)
+                np.save(out / f"adv_{method}_seed{seed}.npy", state.x_hat)
                 trace_dir = out / "traces"
                 trace_dir.mkdir(exist_ok=True)
-                A.write_trace(states[0], acfg,
+                A.write_trace(state.example(0), acfg,
                               trace_dir / f"trace_{method}_seed{seed}.csv")
                 written.setdefault("traces", trace_dir)
             if "bench" in phases:
-                s0 = states[0]
+                s0 = state.example(0)
                 bench_lines.append(
                     f"{method},{len(s0.trace)},{surrogate.num_components},"
                     f"{surrogate.snapshots_per_component},"
                     f"{s0.predicted_grad_calls},{s0.grad_calls}")
+            phase_s["attack"] += time.perf_counter() - t0
 
         if "asr" in phases:
+            t0 = time.perf_counter()
             tables = []
             for method in cfg.methods:
-                _, states = states_by_method[method]
-                adv = np.stack([s.x_hat for s in states])
+                adv = states_by_method[method].x_hat
                 table = evaluate_asr(adv, y, targets, targeted=cfg.targeted,
                                      target_labels=y_t, method=method)
                 tables.append(table)
@@ -361,11 +380,13 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
             for t in tables:
                 merged.update(t.rows)
             per_seed_tables.append(AsrTable(merged))
+            phase_s["asr"] += time.perf_counter() - t0
 
         if "bounds" in phases:
-            _, states = states_by_method[cfg.attack.method]
+            t0 = time.perf_counter()
+            adv = states_by_method[cfg.attack.method].x_hat
             for idx in range(min(cfg.bound_examples, cfg.n_examples)):
-                x_hat = states[idx].x_hat
+                x_hat = adv[idx]
                 lbl = int(y[idx])
                 r = cfg.bound_r if cfg.bound_r is not None else (
                     B.profile(x_hat, surrogate, lbl).surrogate_risk + 0.05)
@@ -376,6 +397,7 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
                 bound_lines.append(f"# seed={seed} example={idx} "
                                    f"method={cfg.attack.method}")
                 bound_lines.append(rep.csv_row())
+            phase_s["bounds"] += time.perf_counter() - t0
 
     if "asr" in phases:
         written["asr"] = _write_csv(out / "asr.csv", ASR_COLUMNS, asr_lines)
@@ -394,6 +416,12 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
                                       bench_lines)
     if need_attacks:
         written["adv_dir"] = out
+        record = {"config": _config_lines(cfg),
+                  "python": platform.python_version(), "numpy": np.__version__,
+                  "phase_s": phase_s, "methods": totals}
+        written["run"] = out / "run.json"
+        written["run"].write_text(json.dumps(record, indent=2) + "\n",
+                                  encoding="utf-8")
 
     cfg_path = out / "config_used.txt"
     cfg_path.write_text("\n".join(_config_lines(cfg)) + "\n", encoding="utf-8")

@@ -13,11 +13,17 @@ logits in model order with their pullback.  ``vjp``, ``forward`` and
 ``predict_matrix`` reduce its logits; only the training helpers call the
 core directly.
 
+The input's shape picks the arithmetic.  A (B, d) batch runs one (B, d)
+matrix product per member, which may round differently from one-point
+calls in the last bit.  (B, 1, d) rows run B separate one-point products
+per member, each bitwise equal to a one-point call; the attacks evaluate
+their batches of examples this way.  A loss may carry one label per row.
+
 Gradient bookkeeping: a pullback call adds one gradient call per member
 per input row to the global counter, ``len(models) * B`` for a (B, d)
-batch, so an ``input_gradient`` at one point counts one.  That count is
-the unit in which attack query budgets are measured.  Weight gradients
-used for training do not touch the counter.
+batch or B rows, so an ``input_gradient`` at one point counts one.  That
+count is the unit in which attack query budgets are measured.  Weight
+gradients used for training do not touch the counter.
 """
 
 from __future__ import annotations
@@ -194,14 +200,16 @@ def init_weights(spec: ModelSpec, rng: np.random.Generator) -> Weights:
     return Weights(spec, np.concatenate(chunks))
 
 
-def _layers(spec: ModelSpec, P: np.ndarray):
+def _layers(spec: ModelSpec, P: np.ndarray, lead: int):
     """(weight, bias) views per layer of a (M, P) stack of parameter vectors:
-    weights (M, fan_out, fan_in), biases (M, 1, fan_out)."""
-    layers, off = [], 0
+    weights (M, *lead ones, fan_out, fan_in), biases (M, *lead ones, 1,
+    fan_out), so that they broadcast against a batch with ``lead`` axes
+    in front of its (rows, features) matrix."""
+    layers, off, ones = [], 0, (-1,) + (1,) * lead
     for fan_out, fan_in in _dense_shapes(spec):
         n = fan_out * fan_in
-        layers.append((P[:, off : off + n].reshape(-1, fan_out, fan_in),
-                       P[:, None, off + n : off + n + fan_out]))
+        layers.append((P[:, off : off + n].reshape(ones + (fan_out, fan_in)),
+                       P[:, off + n : off + n + fan_out].reshape(ones + (1, fan_out))))
         off += n + fan_out
     return layers
 
@@ -236,43 +244,47 @@ def _as_batch(x: np.ndarray, d: int):
 
 
 def _forward_stack(spec: ModelSpec, P: np.ndarray, xb: np.ndarray):
-    """The one forward pass: logits (M, B, k) of a (M, P) parameter stack at
-    a (B, d) batch, and its cache.  Matmuls run per member, so each row
-    equals that of a one-member stack bitwise."""
-    layers = _layers(spec, P)
+    """The one forward pass: logits (M, *xb.shape[:-1], k) of a (M, P)
+    parameter stack at a (B, d) batch or at (B, 1, d) rows, and its cache.
+    Matmuls run per member, and on rows per member and row, so each row
+    of a (B, 1, d) input equals a one-point call bitwise; a (B, d) batch
+    is one (B, d) product per member and may round differently."""
+    layers = _layers(spec, P, xb.ndim - 2)
     cache = {"x": xb, "layers": layers}
     if spec.arch == "linear":
         (W, b), = layers
-        return xb @ W.transpose(0, 2, 1) + b, cache
+        return xb @ W.swapaxes(-1, -2) + b, cache
     if spec.arch == "mlp":
         h = xb
         pre, post = [], []
         for W, b in layers[:-1]:
-            a = h @ W.transpose(0, 2, 1) + b
+            a = h @ W.swapaxes(-1, -2) + b
             h = _act(spec, a)
             pre.append(a)
             post.append(h)
         W, b = layers[-1]
         cache["pre"], cache["post"] = pre, post
-        return h @ W.transpose(0, 2, 1) + b, cache
+        return h @ W.swapaxes(-1, -2) + b, cache
     # conv_tiny: 'same' zero padding, activation, global average pool
     (K, cb), (W, b) = layers
     ksz, d = spec.kernel_size, spec.input_dim
     pad = (ksz - 1) // 2
-    xpad = np.pad(xb, ((0, 0), (pad, pad + ksz - 1 - pad)))
-    a = np.broadcast_to(cb[..., None], (P.shape[0], xb.shape[0], spec.channels, d)).copy()
+    xpad = np.pad(xb, [(0, 0)] * (xb.ndim - 1) + [(pad, pad + ksz - 1 - pad)])
+    a = np.broadcast_to(cb[..., None], (P.shape[0],) + xb.shape[:-1]
+                        + (spec.channels, d)).copy()
     for j in range(ksz):
-        a += K[:, None, :, j, None] * xpad[:, None, j : j + d]
+        a += K[..., None, :, j, None] * xpad[..., None, j : j + d]
     h = _act(spec, a)
-    pooled = h.mean(axis=3)
+    pooled = h.mean(axis=-1)
     cache.update(xpad=xpad, pre=a, post=h, pooled=pooled)
-    return pooled @ W.transpose(0, 2, 1) + b, cache
+    return pooled @ W.swapaxes(-1, -2) + b, cache
 
 
 def _backward_stack(spec: ModelSpec, cache, dlogits: np.ndarray, weights: bool = False):
-    """Reverse pass of ``_forward_stack``: the input gradients (M, B, d) of a
-    (M, B, k) cotangent, or with ``weights`` the flat weight gradient of a
-    one-member stack, summed over the batch."""
+    """Reverse pass of ``_forward_stack``: the input gradients (M, *xb.shape)
+    of a cotangent shaped like its logits, or with ``weights`` the flat
+    weight gradient of a one-member stack at a (B, d) batch, summed over
+    the batch."""
     layers, xb = cache["layers"], cache["x"]
     grads = []  # (dW, db) per layer, last layer first
     if spec.arch == "linear":
@@ -308,8 +320,8 @@ def _backward_stack(spec: ModelSpec, cache, dlogits: np.ndarray, weights: bool =
         return _flat(grads)
     dxpad = np.zeros((da.shape[0],) + xpad.shape)
     for j in range(ksz):
-        dxpad[:, :, j : j + d] += np.einsum("mbcp,mc->mbp", da, K[:, :, j])
-    return dxpad[:, :, pad : pad + d]
+        dxpad[..., j : j + d] += np.einsum("m...cp,m...c->m...p", da, K[..., j])
+    return dxpad[..., pad : pad + d]
 
 
 def _flat(grads) -> np.ndarray:
@@ -367,15 +379,22 @@ def vjp_stack(models: Sequence[Weights], x: np.ndarray):
     and their pullback, a function from a cotangent of that shape to the
     members' input gradients, shape (len(models), *x.shape).
 
-    One stacked forward and backward per spec group.  Each pullback call
-    counts one gradient call per member per row of x:
-    ``len(models) * B`` for a (B, d) batch, ``len(models)`` for one point.
+    x is one point (d,), a (B, d) batch or (B, 1, d) rows.  One stacked
+    forward and backward per spec group.  A batch runs one (B, d) product
+    per member; rows run B one-point products per member, and each row's
+    logits and gradients equal a one-point call on it bitwise.  Each
+    pullback call counts one gradient call per member per row of x:
+    ``len(models) * B`` for B rows or a (B, d) batch, ``len(models)`` for
+    one point.
     """
     groups = _by_spec(models)
     d, k = groups[0][0].input_dim, groups[0][0].num_classes
     if any((spec.input_dim, spec.num_classes) != (d, k) for spec, _, _ in groups):
         raise ValueError("models disagree on the input dim or the number of classes")
-    xb, single = _as_batch(x, d)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 3 and x.shape[1:] != (1, d):
+        raise ValueError(f"input rows have shape {x.shape}, model expects (*, 1, {d})")
+    xb, single = (x, False) if x.ndim == 3 else _as_batch(x, d)
     passes = [_forward_stack(spec, P, xb) for spec, _, P in groups]
     logits = _in_model_order(groups, [z for z, _ in passes])
 
@@ -406,6 +425,10 @@ class LossKind:
                          predictions toward that class (targeted objective).
     variant 'bounded'  : 1 - softmax probability of the class; always in
                          [0, 1], used for risk profiles and bound reports.
+
+    label is one class index for every row, or an integer array of them
+    that broadcasts against the logits' leading axes (a (B, 1) array for
+    (M, B, 1, k) logits at (B, 1, d) rows), one class per row.
     """
 
     variant: str
@@ -414,7 +437,16 @@ class LossKind:
     def __post_init__(self):
         if self.variant not in ("neg_ce", "ce", "bounded"):
             raise ValueError(f"unknown loss variant {self.variant!r}")
-        if self.label < 0:
+        if isinstance(self.label, (int, np.integer)):
+            lowest = self.label
+        else:
+            label = np.array(self.label)
+            if label.dtype.kind not in "iu" or label.size == 0:
+                raise ValueError("label must be a class index or an array of them")
+            label.flags.writeable = False
+            object.__setattr__(self, "label", label)
+            lowest = label.min()
+        if lowest < 0:
             raise ValueError("label must be a class index")
 
 
@@ -431,8 +463,9 @@ def bounded_error(label: int) -> LossKind:
 
 
 def _check_label(kind: LossKind, k: int):
-    if kind.label >= k:
-        raise ValueError(f"label {kind.label} out of range for {k} classes")
+    top = kind.label.max() if isinstance(kind.label, np.ndarray) else kind.label
+    if top >= k:
+        raise ValueError(f"label {top} out of range for {k} classes")
 
 
 def _logsumexp(z: np.ndarray) -> np.ndarray:
@@ -440,10 +473,24 @@ def _logsumexp(z: np.ndarray) -> np.ndarray:
     return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))[..., 0]
 
 
+def _label_entries(a: np.ndarray, label):
+    """(view, index) with view[index] the label entry of each row of a
+    (..., k): a itself and the class index, or for a label array the flat
+    view of a (a itself when a is contiguous) and flat positions."""
+    if not isinstance(label, np.ndarray):
+        return a, (..., label)
+    rows = a.shape[:-1]
+    at = np.arange(0, a.size, a.shape[-1]).reshape(rows) + label
+    if at.shape != rows:
+        raise ValueError(f"labels of shape {label.shape} do not fit rows {rows}")
+    return a.reshape(-1), at
+
+
 def loss_from_logits(logits: np.ndarray, kind: LossKind) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     lse = _logsumexp(z)
-    zy = z[..., kind.label]
+    view, at = _label_entries(z, kind.label)
+    zy = view[at]
     if kind.variant == "neg_ce":
         return zy - lse
     if kind.variant == "ce":
@@ -452,17 +499,22 @@ def loss_from_logits(logits: np.ndarray, kind: LossKind) -> np.ndarray:
 
 
 def dloss_dlogits(logits: np.ndarray, kind: LossKind) -> np.ndarray:
-    """d loss / d logits; the cotangent fed into a ``vjp`` pullback."""
+    """d loss / d logits; the cotangent fed into a ``vjp`` pullback.  Only
+    the label entries are shifted, with no one-hot array: 1 - p is
+    1 + (-p) and p - 1 is p + (-1) in IEEE arithmetic."""
     z = np.asarray(logits, dtype=np.float64)
     p = np.exp(z - _logsumexp(z)[..., None])
-    onehot = np.zeros_like(p)
-    onehot[..., kind.label] = 1.0
     if kind.variant == "neg_ce":
-        return onehot - p
-    if kind.variant == "ce":
-        return p - onehot
-    py = p[..., kind.label : kind.label + 1]
-    return py * p - py * onehot
+        g, shift = -p, 1.0
+    elif kind.variant == "ce":
+        g, shift = p, -1.0
+    else:
+        view, at = _label_entries(p, kind.label)
+        py = view[at]
+        g, shift = py[..., None] * p, -py
+    view, at = _label_entries(g, kind.label)
+    view[at] += shift
+    return g
 
 
 def loss(w: Weights, x: np.ndarray, kind: LossKind) -> float:

@@ -1,10 +1,15 @@
 """Ingestion, success-rate scoring, and experiment orchestration."""
 
+import json
+import platform
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from transferbound import attacks as A
 from transferbound import bounds as B
+from transferbound import forge as F
 from transferbound import harness as H
 from transferbound import models as M
 
@@ -267,3 +272,80 @@ def test_run_experiment_creates_missing_dirs(tmp_path):
     written = H.run_experiment(small_config(nested, methods=("drap",)),
                                phases={"asr"})
     assert written["asr"].exists()
+
+
+def frozen_per_example_attacks(cfg, out):
+    """The per-example attack loop that ``run_experiment`` replaced with one
+    batched ``run_attack`` per method, kept as its oracle: a traced run on
+    example 0 and untraced runs on the rest, one call per example, written
+    as the adversarial batches, example 0's traces and ``bench.csv``."""
+    (out / "traces").mkdir(parents=True)
+    bench_lines = []
+    for seed in cfg.seeds:
+        data = H._dataset_for(cfg, seed)
+        surrogate = F.build_ensemble(
+            H._prototypes(cfg, data, base_seed=1000 * seed + 17), data,
+            pretrain_epochs=cfg.pretrain_epochs)
+        X = data.X_test[: cfg.n_examples]
+        y = data.y_test[: cfg.n_examples].astype(int)
+        labels = (y + 1) % data.num_classes if cfg.targeted else y
+        for method in cfg.methods:
+            acfg = H._method_config(cfg, method, seed, surrogate)
+            first = replace(acfg, record_trace=True)
+            rest = replace(acfg, record_trace=False)
+            states = [A.run_attack(X[i], int(labels[i]), surrogate,
+                                   rest if i else first)
+                      for i in range(cfg.n_examples)]
+            np.save(out / f"adv_{method}_seed{seed}.npy",
+                    np.stack([s.x_hat for s in states]))
+            A.write_trace(states[0], acfg,
+                          out / "traces" / f"trace_{method}_seed{seed}.csv")
+            s0 = states[0]
+            bench_lines.append(
+                f"{method},{len(s0.trace)},{surrogate.num_components},"
+                f"{surrogate.snapshots_per_component},"
+                f"{s0.predicted_grad_calls},{s0.grad_calls}")
+    H._write_csv(out / "bench.csv", H.BENCH_COLUMNS, bench_lines)
+
+
+@pytest.mark.parametrize("targeted", [False, True])
+def test_batched_attacks_write_what_per_example_runs_wrote(tmp_path, targeted):
+    cfg = small_config(tmp_path / "batched", methods=A.METHODS, seeds=(0, 1),
+                       n_examples=5, targeted=targeted)
+    H.run_experiment(cfg, phases={"attack", "bench"})
+    oracle = tmp_path / "oracle"
+    frozen_per_example_attacks(cfg, oracle)
+    got = tmp_path / "batched"
+    assert strip_stamp(got / "bench.csv") == strip_stamp(oracle / "bench.csv")
+    for seed in cfg.seeds:
+        for method in A.METHODS:
+            rel = f"adv_{method}_seed{seed}.npy"
+            assert (got / rel).read_bytes() == (oracle / rel).read_bytes(), rel
+            rel = f"traces/trace_{method}_seed{seed}.csv"
+            assert (got / rel).read_text() == (oracle / rel).read_text(), rel
+
+
+def test_run_record(tmp_path):
+    cfg = small_config(tmp_path / "rec", methods=A.METHODS, seeds=(0, 1),
+                       n_examples=4)
+    written = H.run_experiment(cfg, phases={"asr", "bench"})
+    record = json.loads(written["run"].read_text(encoding="utf-8"))
+    assert written["run"] == tmp_path / "rec" / "run.json"
+    assert record["config"] == \
+        (tmp_path / "rec" / "config_used.txt").read_text().splitlines()
+    assert record["python"] == platform.python_version()
+    assert record["numpy"] == np.__version__
+    assert list(record["phase_s"]) == ["forge", "attack", "asr"]
+    assert all(v >= 0.0 for v in record["phase_s"].values())
+    assert list(record["methods"]) == list(A.METHODS)
+    bench = {row.split(",")[0]: int(row.split(",")[4])
+             for row in strip_stamp(written["bench"])[1:]}
+    for method, entry in record["methods"].items():
+        assert entry["examples"] == 8 and entry["seconds"] > 0.0
+        # bench.csv holds the last seed's per-example count; K is fixed
+        assert entry["grad_calls_predicted"] == entry["grad_calls_observed"] \
+            == 8 * bench[method]
+    # no attacks, no run record
+    assert "run" not in H.run_experiment(
+        small_config(tmp_path / "forge_only"), phases={"forge"})
+    assert not (tmp_path / "forge_only" / "run.json").exists()

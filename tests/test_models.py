@@ -149,6 +149,66 @@ class TestLosses:
         with pytest.raises(ValueError):
             M.input_gradient(w, np.zeros(4), M.neg_cross_entropy(5))
 
+    def test_label_vectors_are_checked_per_entry(self):
+        with pytest.raises(ValueError, match="class index"):
+            M.neg_cross_entropy(np.array([0, 2, -1]))
+        with pytest.raises(ValueError, match="class index"):
+            M.bounded_error(np.array([0.0, 1.0]))
+        kind = M.targeted_cross_entropy(np.array([[0], [3], [1]]))
+        with pytest.raises(ValueError, match="label 3 out of range for 3"):
+            M._check_label(kind, 3)
+        M._check_label(kind, 4)
+        with pytest.raises(ValueError, match="do not fit rows"):
+            M.loss_from_logits(np.zeros((3, 4)), kind)
+        with pytest.raises(ValueError):
+            M.dloss_dlogits(np.zeros((2, 1, 4)), kind)
+
+
+def frozen_dloss_dlogits(logits, kind):
+    """The one-hot cotangent that ``models.dloss_dlogits`` replaced, kept as
+    its oracle for one class index."""
+    z = np.asarray(logits, dtype=np.float64)
+    p = np.exp(z - M._logsumexp(z)[..., None])
+    onehot = np.zeros_like(p)
+    onehot[..., kind.label] = 1.0
+    if kind.variant == "neg_ce":
+        return onehot - p
+    if kind.variant == "ce":
+        return p - onehot
+    py = p[..., kind.label : kind.label + 1]
+    return py * p - py * onehot
+
+
+class TestLabelRows:
+    VARIANTS = ("neg_ce", "ce", "bounded")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_label_equals_one_hot_form_bitwise(self, seed, variant):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 6))
+        for shape in ((k,), (7, k), (3, 7, 1, k)):
+            z = rng.normal(0, 4, shape)
+            kind = M.LossKind(variant, int(rng.integers(k)))
+            got = M.dloss_dlogits(z, kind)
+            assert got.tobytes() == frozen_dloss_dlogits(z, kind).tobytes()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_label_vector_equals_per_row_labels_bitwise(self, seed, variant):
+        # (M, B, 1, k) logits with one label per row, as the attacks pass them
+        rng = np.random.default_rng(seed)
+        k, B = int(rng.integers(2, 6)), 9
+        z = rng.normal(0, 4, (3, B, 1, k))
+        labels = rng.integers(0, k, B)
+        kind = M.LossKind(variant, labels[:, None])
+        loss, dl = M.loss_from_logits(z, kind), M.dloss_dlogits(z, kind)
+        assert loss.shape == (3, B, 1) and dl.shape == z.shape
+        for b, y in enumerate(labels):
+            one = M.LossKind(variant, int(y))
+            assert loss[:, b].tobytes() == M.loss_from_logits(z[:, b], one).tobytes()
+            assert dl[:, b].tobytes() == frozen_dloss_dlogits(z[:, b], one).tobytes()
+
 
 class TestLossMatrix:
     @staticmethod
@@ -230,6 +290,50 @@ class TestStackedCore:
             for i, w in enumerate(models):
                 assert logits[i].tobytes() == M.forward(w, x).tobytes()
                 assert grads[i].tobytes() == M.input_gradient(w, x, kind).tobytes()
+
+    @staticmethod
+    def every_arch(seed, n):
+        """linear, one- and two-hidden-layer MLPs (relu and tanh) and
+        conv_tiny, interleaved so that no spec group is a contiguous run."""
+        rng = np.random.default_rng(seed)
+        d, k = int(rng.integers(3, 21)), int(rng.integers(2, 6))
+        specs = [M.ModelSpec("linear", d, k),
+                 M.ModelSpec("mlp", d, k, hidden=(16,)),
+                 M.ModelSpec("mlp", d, k, hidden=(7, 5), activation="tanh"),
+                 M.ModelSpec("conv_tiny", d, k, channels=3, activation="tanh"),
+                 M.ModelSpec("mlp", d, k, hidden=(9,), activation="tanh"),
+                 M.ModelSpec("mlp", d, k, hidden=(6, 4)),
+                 M.ModelSpec("conv_tiny", d, k, channels=2)]
+        models = [M.init_weights(specs[i % len(specs)], rng) for i in range(n)]
+        return models, rng, d, k
+
+    @pytest.mark.parametrize("rows", [1, 65])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_equal_one_point_calls_bitwise(self, seed, rows):
+        models, rng, d, k = self.every_arch(seed, 16)
+        X = rng.uniform(0, 1, (rows, d))
+        labels = rng.integers(0, k, rows)
+        variant = ("neg_ce", "ce", "bounded")[seed % 3]
+        with M.GRAD_CALLS.scope() as tally:
+            logits, pullback = M.vjp_stack(models, X[:, None])
+            assert tally.count == 0
+            grads = pullback(M.dloss_dlogits(
+                logits, M.LossKind(variant, labels[:, None])))
+        assert tally.count == len(models) * rows
+        assert logits.shape == (len(models), rows, 1, k)
+        assert grads.shape == (len(models), rows, 1, d)
+        for b in range(rows):
+            one, pull = M.vjp_stack(models, X[b])
+            g = pull(M.dloss_dlogits(one, M.LossKind(variant, int(labels[b]))))
+            assert logits[:, b, 0].tobytes() == one.tobytes()
+            assert grads[:, b, 0].tobytes() == g.tobytes()
+
+    def test_rows_must_be_one_point_each(self):
+        models, rng, d, _ = self.every_arch(0, 3)
+        with pytest.raises(ValueError, match="rows"):
+            M.vjp_stack(models, rng.uniform(0, 1, (4, 2, d)))
+        with pytest.raises(ValueError, match="rows"):
+            M.vjp_stack(models, rng.uniform(0, 1, (4, 1, d + 1)))
 
     def test_rejects_empty_list_unbatched_points_and_mixed_classes(self):
         models, rng, d, k = self.interleaved(0, 3)
