@@ -4,11 +4,13 @@ Subcommands map onto the experiment phases: forge builds and saves the
 ensembles, attack runs one method and writes traces plus adversarial
 batches, bound evaluates the transfer-bound diagnostics, bench reports
 gradient-call accounting, eval produces attack-success tables, and all
-runs the full protocol.
+runs the full protocol.  Every command but forge and all reuses the
+ensembles forge saved under the same output directory.
 
 Options may come from flags or from a config file of `key = value`
 lines (UTF-8, `#` comments); flags win.  Exit codes: 0 success,
-2 configuration error, 3 numeric failure.
+2 configuration error (saved ensembles that do not match the config
+included), 3 numeric failure.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ seeded uniform sampling.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
 from dataclasses import dataclass, replace
@@ -134,11 +135,11 @@ def _pgd_batch(w: M.Weights, X: np.ndarray, y: np.ndarray,
                eps: float, steps: int) -> np.ndarray:
     """Ascend cross-entropy in the eps-infinity ball around X (training PGD)."""
     step = 2.5 * eps / max(steps, 1)
+    lo, hi = np.clip(X - eps, 0, 1), np.clip(X + eps, 0, 1)
     Xa = X.copy()
     for _ in range(steps):
         g = M.batch_ce_input_gradients(w, Xa, y)
-        Xa = Xa + step * np.sign(g)
-        Xa = np.clip(Xa, np.clip(X - eps, 0, 1), np.clip(X + eps, 0, 1))
+        Xa = np.clip(Xa + step * np.sign(g), lo, hi)
     return Xa
 
 
@@ -218,6 +219,7 @@ class SurrogateEnsemble:
     seed: int = 0
     pretrained: Optional[list] = None
     component_seeds: Optional[list] = None
+    fingerprint: Optional[str] = None  # what trained it (``fingerprint``)
 
     def __post_init__(self):
         if not self.components or not all(self.components):
@@ -270,6 +272,9 @@ class SurrogateEnsemble:
             yield from comp
 
     def save(self, root) -> None:
+        if self.fingerprint is None:
+            raise ValueError("only an ensemble from build_ensemble (which "
+                             "records its fingerprint) can be saved")
         os.makedirs(root, exist_ok=True)
         for i, comp in enumerate(self.components):
             cdir = os.path.join(root, f"component_{i}")
@@ -282,6 +287,7 @@ class SurrogateEnsemble:
             f"I = {self.num_components}",
             f"n = {self.snapshots_per_component}",
             f"seed = {self.seed}",
+            f"fingerprint = {self.fingerprint}",
         ]
         for i, comp in enumerate(self.components):
             lines.append(f"component_{i}_spec = {spec_to_string(comp[0].spec)}")
@@ -292,34 +298,59 @@ class SurrogateEnsemble:
 
     @classmethod
     def load(cls, root) -> "SurrogateEnsemble":
+        """Read what ``save`` wrote; any missing or inconsistent piece
+        raises ``CheckpointError`` naming the offending path."""
         manifest = os.path.join(root, "manifest.txt")
-        if not os.path.exists(manifest):
-            raise FileNotFoundError(f"no manifest.txt under {root}")
+        try:
+            with open(manifest, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise M.CheckpointError(f"{manifest}: cannot read: {exc}") from exc
         kv = {}
-        with open(manifest, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
+        for line in text.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line:
                 key, _, value = line.partition("=")
                 kv[key.strip()] = value.strip()
-        I, n = int(kv["I"]), int(kv["n"])
-        components, pretrained, seeds = [], [], []
-        for i in range(I):
+        missing = [k for k in ("I", "n", "fingerprint") if not kv.get(k)]
+        if missing:
+            raise M.CheckpointError(f"{manifest}: no {', '.join(missing)}")
+        try:
+            I, n = int(kv["I"]), int(kv["n"])
+            specs = [spec_from_string(kv[f"component_{i}_spec"])
+                     for i in range(I)]
+            seeds = [int(kv[f"component_{i}_seed"]) for i in range(I)
+                     if f"component_{i}_seed" in kv]
+            seed = int(kv.get("seed", 0))
+        except (KeyError, ValueError) as exc:
+            raise M.CheckpointError(f"{manifest}: malformed: {exc!r}") from exc
+        if I < 1 or n < 1:
+            raise M.CheckpointError(f"{manifest}: I and n must be >= 1")
+
+        def read(path, spec):
+            if not os.path.isfile(path):
+                raise M.CheckpointError(f"{path}: missing")
+            w = M.load_weights(path)
+            if w.spec != spec:
+                raise M.CheckpointError(
+                    f"{path}: spec {spec_to_string(w.spec)} differs from the "
+                    f"manifest's {spec_to_string(spec)}")
+            return w
+
+        components, pretrained = [], []
+        for i, spec in enumerate(specs):
             cdir = os.path.join(root, f"component_{i}")
-            comp = [M.load_weights(os.path.join(cdir, f"snapshot_{j}.fxw"))
-                    for j in range(n)]
-            components.append(comp)
+            components.append([read(os.path.join(cdir, f"snapshot_{j}.fxw"), spec)
+                               for j in range(n)])
             ppath = os.path.join(cdir, "pretrained.fxw")
             if os.path.exists(ppath):
-                pretrained.append(M.load_weights(ppath))
-            if f"component_{i}_seed" in kv:
-                seeds.append(int(kv[f"component_{i}_seed"]))
+                pretrained.append(read(ppath, spec))
         return cls(
             components,
-            seed=int(kv.get("seed", 0)),
+            seed=seed,
             pretrained=pretrained if len(pretrained) == I else None,
             component_seeds=seeds if len(seeds) == I else None,
+            fingerprint=kv["fingerprint"],
         )
 
 
@@ -350,6 +381,24 @@ def spec_from_string(text: str) -> M.ModelSpec:
     )
 
 
+def fingerprint(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
+                pretrain_epochs: int = 30, pretrain_lr: float = 0.25) -> str:
+    """SHA-256 hex digest of everything ``build_ensemble`` trains from.
+
+    It covers the dataset arrays and class count, the ``repr`` of each
+    prototype config, and the pretraining epochs and rate, so a saved
+    ensemble whose digest matches is exactly what this call would train.
+    """
+    h = hashlib.sha256()
+    for arr in (data.X_train, data.y_train, data.X_test, data.y_test):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    h.update(repr((data.num_classes, pretrain_epochs, pretrain_lr,
+                   list(prototypes))).encode())
+    return h.hexdigest()
+
+
 def build_ensemble(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
                    pretrain_epochs: int = 30,
                    pretrain_lr: float = 0.25) -> SurrogateEnsemble:
@@ -360,8 +409,12 @@ def build_ensemble(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
         components.append(fine_tune_collect(cfg, pre, data))
         pres.append(pre)
         seeds.append(cfg.seed)
-    return SurrogateEnsemble(components, seed=prototypes[0].seed,
-                             pretrained=pres, component_seeds=seeds)
+    return SurrogateEnsemble(
+        components, seed=prototypes[0].seed, pretrained=pres,
+        component_seeds=seeds,
+        fingerprint=fingerprint(prototypes, data,
+                                pretrain_epochs=pretrain_epochs,
+                                pretrain_lr=pretrain_lr))
 
 
 def desk_prototypes(input_dim: int, num_classes: int, gamma: float,

@@ -1,13 +1,13 @@
 """Experiment orchestration: data ingestion, attack-success tables, CSV output.
 
-Everything here is plumbing around the other modules: build surrogate and
-held-out target ensembles from disjoint seeds, run each configured attack
-method once over the batch of test examples (one ``run_attack`` call per
-method and seed), score transfer success, evaluate bound diagnostics, and
-emit schema-stable CSV files plus a ``run.json`` run record.  Reruns with
-the same seeds produce byte-identical CSV, trace and adversarial-example
-files apart from the single timestamp comment line at the top of each
-CSV; ``run.json`` holds wall times and so differs.
+Everything here is plumbing around the other modules: build (or load the
+saved) surrogate and held-out target ensembles from disjoint seeds, run
+each configured attack method once over the batch of test examples (one
+``run_attack`` call per method and seed), score transfer success, evaluate
+bound diagnostics, and emit schema-stable CSV files plus a ``run.json``
+run record.  Reruns with the same seeds produce byte-identical CSV, trace
+and adversarial-example files apart from the single timestamp comment line
+at the top of each CSV; ``run.json`` holds wall times and so differs.
 """
 
 from __future__ import annotations
@@ -222,6 +222,45 @@ def _prototypes(cfg: ExperimentConfig, data: F.Dataset, base_seed: int) -> list:
     return protos
 
 
+ROLE_SEEDS = (("surrogate", 17), ("target", 563))  # base_seed offsets
+
+
+def _ensembles(cfg: ExperimentConfig, data: F.Dataset, seed: int, root: Path,
+               reuse: bool) -> tuple:
+    """The seed's surrogate and target ensembles, and "loaded" or "built".
+
+    With ``reuse`` set and both ``root/surrogate`` and ``root/target``
+    present, they are loaded, and each must carry the fingerprint this
+    config would train; anything else saved there (one role only, an
+    unreadable checkpoint, another fingerprint) raises CheckpointError
+    rather than retraining.  Otherwise both are trained.
+    """
+    protos = {role: _prototypes(cfg, data, base_seed=1000 * seed + offset)
+              for role, offset in ROLE_SEEDS}
+    saved = [role for role in protos if (root / role).exists()]
+    if not reuse or not saved:
+        return (*(F.build_ensemble(p, data, pretrain_epochs=cfg.pretrain_epochs)
+                  for p in protos.values()), "built")
+    rerun = "; re-run `forge` with this config"
+    if len(saved) < len(protos):
+        raise M.CheckpointError(
+            f"{root}: holds only {saved[0]}/ of the saved ensembles{rerun}")
+    loaded = []
+    for role, p in protos.items():
+        try:
+            ens = F.SurrogateEnsemble.load(root / role)
+        except M.CheckpointError as exc:
+            raise M.CheckpointError(f"{exc}{rerun}") from exc
+        want = F.fingerprint(p, data, pretrain_epochs=cfg.pretrain_epochs)
+        if ens.fingerprint != want:
+            raise M.CheckpointError(
+                f"{root / role}: saved ensemble has fingerprint "
+                f"{ens.fingerprint[:12]}..., this config trains "
+                f"{want[:12]}...{rerun}")
+        loaded.append(ens)
+    return (*loaded, "loaded")
+
+
 def _method_config(cfg: ExperimentConfig, method: str, seed: int,
                    ensemble: F.SurrogateEnsemble) -> A.AttackConfig:
     # batch methods need an explicit iteration budget; ensemble sweeps fix
@@ -281,14 +320,19 @@ def _config_lines(cfg: ExperimentConfig) -> list:
 def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
     """Run the configured protocol and write artifacts under cfg.out_dir.
 
-    phases selects what gets produced: "forge" saves the ensembles,
-    "attack" saves adversarial batches and traces (example 0's), "asr" the
-    success tables, "bounds" the bound-diagnostic rows (for the primary
-    method), "bench" the per-example gradient-call accounting.  Default:
-    everything.  Whenever attacks run, ``run.json`` records the config,
-    the Python and numpy versions, seconds per phase, and per method the
-    examples, wall seconds and gradient calls (predicted and observed)
-    summed over seeds.
+    phases selects what gets produced: "forge" trains and saves the
+    ensembles under ``out/ensembles/seed<s>/``, "attack" saves adversarial
+    batches and traces (example 0's), "asr" the success tables, "bounds"
+    the bound-diagnostic rows (for the primary method), "bench" the
+    per-example gradient-call accounting.  Default: everything.  Without
+    "forge", a seed whose ensembles were saved reuses them (checked by
+    fingerprint; a mismatch raises CheckpointError) and a seed without
+    them trains both in memory.  Whenever attacks run, ``run.json``
+    records the config, the Python and numpy versions, seconds per phase
+    ("forge" covers building or loading), per method the examples, wall
+    seconds and gradient calls (predicted and observed) summed over seeds,
+    and per seed whether its ensembles were "loaded" or "built" and the
+    surrogate's fingerprint.
     """
     phases = ALL_PHASES if phases is None else frozenset(phases)
     unknown = phases - ALL_PHASES
@@ -307,6 +351,7 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
                             0.0)
     totals = {m: {"examples": 0, "seconds": 0.0, "grad_calls_predicted": 0,
                   "grad_calls_observed": 0} for m in cfg.methods}
+    sources = {}
 
     for seed in cfg.seeds:
         t0 = time.perf_counter()
@@ -314,17 +359,16 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
         if data.X_test.shape[0] < cfg.n_examples:
             raise ValueError(f"test split holds {data.X_test.shape[0]} "
                              f"examples, need {cfg.n_examples}")
-        surrogate = F.build_ensemble(
-            _prototypes(cfg, data, base_seed=1000 * seed + 17), data,
-            pretrain_epochs=cfg.pretrain_epochs)
-        target_ens = F.build_ensemble(
-            _prototypes(cfg, data, base_seed=1000 * seed + 563), data,
-            pretrain_epochs=cfg.pretrain_epochs)
+        root = out / "ensembles" / f"seed{seed}"
+        surrogate, target_ens, source = _ensembles(
+            cfg, data, seed, root, reuse="forge" not in phases)
         targets = {"heldout": list(target_ens.all_members())}
+        sources[str(seed)] = {"source": source,
+                              "fingerprint": surrogate.fingerprint}
 
         if "forge" in phases:
-            surrogate.save(out / "ensembles" / f"seed{seed}" / "surrogate")
-            target_ens.save(out / "ensembles" / f"seed{seed}" / "target")
+            surrogate.save(root / "surrogate")
+            target_ens.save(root / "target")
             written.setdefault("ensembles", out / "ensembles")
         phase_s["forge"] += time.perf_counter() - t0
         if not need_attacks:
@@ -418,7 +462,8 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
         written["adv_dir"] = out
         record = {"config": _config_lines(cfg),
                   "python": platform.python_version(), "numpy": np.__version__,
-                  "phase_s": phase_s, "methods": totals}
+                  "phase_s": phase_s, "methods": totals,
+                  "ensembles": sources}
         written["run"] = out / "run.json"
         written["run"].write_text(json.dumps(record, indent=2) + "\n",
                                   encoding="utf-8")

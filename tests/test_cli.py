@@ -1,10 +1,19 @@
 """Command-line interface: config files, flag overrides, exit codes."""
 
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import transferbound
 from transferbound import bounds as B
 from transferbound import cli
+from transferbound import forge as F
 from transferbound import harness as H
 
 
@@ -190,3 +199,140 @@ def test_all_subcommand_defaults_complete(tmp_path):
     for method in H.ExperimentConfig(out_dir=str(out)).methods:
         assert (out / f"adv_{method}_seed0.npy").is_file(), method
         assert (out / "traces" / f"trace_{method}_seed0.csv").is_file(), method
+
+
+# ---------------------------------------------------------------------------
+# reuse of the ensembles `forge` saved
+# ---------------------------------------------------------------------------
+
+SMALL_FLAGS = ["--n", "2", "--components", "2"]
+METHODS = H.ExperimentConfig(out_dir="unused").methods
+
+
+def body(path):
+    """File bytes, without the timestamp line that starts every CSV."""
+    data = path.read_bytes()
+    return data.split(b"\n", 1)[1] if data.startswith(b"# generated") else data
+
+
+def outputs(root):
+    names = ["asr.csv", "asr_summary.csv", "bounds.csv", "bench.csv"]
+    names += sorted(p.name for p in root.glob("adv_*.npy"))
+    names += sorted(f"traces/{p.name}" for p in root.glob("traces/*.csv"))
+    return {name: body(root / name) for name in names}
+
+
+@pytest.fixture()
+def count_builds(monkeypatch):
+    builds = []
+    real = F.build_ensemble
+    monkeypatch.setattr(F, "build_ensemble",
+                        lambda *a, **k: builds.append(1) or real(*a, **k))
+    return builds
+
+
+@pytest.mark.parametrize("extra", ["seeds = 0,1\n",
+                                   "seeds = 3\ntargeted = true\n"])
+def test_commands_after_forge_match_a_fresh_out(tmp_path, count_builds, extra):
+    cfg = tmp_path / "reuse.cfg"
+    cfg.write_text(TINY + extra, encoding="utf-8")
+    saved, fresh = tmp_path / "saved", tmp_path / "fresh"
+    args = ["--config", str(cfg), *SMALL_FLAGS]
+    assert cli.main(["forge", *args, "--out", str(saved)]) == cli.EXIT_OK
+    built_by_forge = len(count_builds)
+    for command in ("eval", "bound", "bench"):
+        assert cli.main([command, *args, "--out", str(saved)]) == cli.EXIT_OK
+    assert len(count_builds) == built_by_forge  # nothing retrained
+    record = json.loads((saved / "run.json").read_text(encoding="utf-8"))
+    assert {e["source"] for e in record["ensembles"].values()} == {"loaded"}
+
+    for command in ("eval", "bound", "bench"):
+        assert cli.main([command, *args, "--out", str(fresh)]) == cli.EXIT_OK
+    record = json.loads((fresh / "run.json").read_text(encoding="utf-8"))
+    assert {e["source"] for e in record["ensembles"].values()} == {"built"}
+    got, want = outputs(saved), outputs(fresh)
+    assert len(want) == 4 + 2 * len(METHODS) * len(record["ensembles"])
+    assert got == want
+    for row in (saved / "bench.csv").read_text().splitlines()[2:]:
+        cells = row.split(",")
+        assert cells[4] == cells[5]
+
+
+def test_forge_then_eval_as_separate_processes(tiny_config, tmp_path):
+    out = tmp_path / "out"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(transferbound.__file__).parents[1]))
+    for command in ("forge", "eval"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "transferbound.cli", command,
+             "--config", str(tiny_config), *SMALL_FLAGS, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+    record = json.loads((out / "run.json").read_text(encoding="utf-8"))
+    assert record["ensembles"]["0"]["source"] == "loaded"
+    assert "asr drap/heldout" in proc.stdout
+
+
+@pytest.mark.parametrize("change", [
+    ["--gamma", "0.05"],  # the adversarial prototypes' adv_eps
+    ["--n", "3"],
+    ["--config", "pretrain_epochs = 7\n"],
+    ["--config", "separation = 5.0\n"],
+])
+def test_changed_forge_config_exits_2(tiny_config, tmp_path, capsys,
+                                      count_builds, change):
+    out = tmp_path / "out"
+    assert cli.main(["forge", "--config", str(tiny_config), *SMALL_FLAGS,
+                     "--out", str(out)]) == cli.EXIT_OK
+    builds = len(count_builds)
+    argv = ["eval", "--config", str(tiny_config), *SMALL_FLAGS,
+            "--out", str(out)]
+    if change[0] == "--config":
+        changed = tmp_path / "changed.cfg"
+        changed.write_text(TINY + change[1], encoding="utf-8")
+        argv[2] = str(changed)
+    else:
+        argv += change
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(out / "ensembles" / "seed0") in err and "re-run `forge`" in err
+    assert "fingerprint" in err
+    assert len(count_builds) == builds  # no silent retrain
+    assert not (out / "asr.csv").exists()
+
+
+def _no_fingerprint(root):
+    manifest = root / "surrogate" / "manifest.txt"
+    manifest.write_text("".join(
+        l for l in manifest.read_text().splitlines(keepends=True)
+        if not l.startswith("fingerprint")))
+
+
+def _no_target_dir(root):
+    shutil.rmtree(root / "target")
+
+
+def _truncated_snapshot(root):
+    snap = root / "target" / "component_1" / "snapshot_0.fxw"
+    snap.write_bytes(snap.read_bytes()[:40])
+
+
+def _deleted_snapshot(root):
+    (root / "surrogate" / "component_0" / "snapshot_1.fxw").unlink()
+
+
+@pytest.mark.parametrize("damage", [_no_fingerprint, _no_target_dir,
+                                    _truncated_snapshot, _deleted_snapshot])
+def test_damaged_saved_ensembles_exit_2(tiny_config, tmp_path, capsys,
+                                        count_builds, damage):
+    out = tmp_path / "out"
+    args = ["--config", str(tiny_config), *SMALL_FLAGS, "--out", str(out)]
+    assert cli.main(["forge", *args]) == cli.EXIT_OK
+    builds = len(count_builds)
+    damage(out / "ensembles" / "seed0")
+    capsys.readouterr()
+    assert cli.main(["bench", *args]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(out / "ensembles" / "seed0") in err and "re-run `forge`" in err
+    assert len(count_builds) == builds

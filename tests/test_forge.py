@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,44 @@ class TestEnsemble:
         manifest = (root / "manifest.txt").read_text()
         assert "I = 4" in manifest and "n = 3" in manifest
         assert "component_0_spec" in manifest
+        assert f"fingerprint = {ens.fingerprint}" in manifest
+        assert back.fingerprint == ens.fingerprint
+        assert back.component_seeds == ens.component_seeds
+
+    def test_save_needs_a_fingerprint(self, tmp_path):
+        ens, _ = self.build(n=1)
+        with pytest.raises(ValueError, match="fingerprint"):
+            F.SurrogateEnsemble(ens.components).save(tmp_path / "ens")
+
+    @pytest.mark.parametrize("key", ["I", "n", "fingerprint"])
+    def test_load_rejects_manifest_without(self, tmp_path, key):
+        ens, _ = self.build(n=1)
+        ens.save(tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        lines = [l for l in manifest.read_text().splitlines()
+                 if not l.startswith(f"{key} =")]
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(M.CheckpointError, match=f"manifest.txt: no {key}"):
+            F.SurrogateEnsemble.load(tmp_path)
+
+    def test_load_rejects_missing_or_broken_files(self, tmp_path):
+        ens, _ = self.build(n=2)
+        with pytest.raises(M.CheckpointError, match="manifest.txt"):
+            F.SurrogateEnsemble.load(tmp_path / "nothing")
+        ens.save(tmp_path)
+        snap = tmp_path / "component_1" / "snapshot_1.fxw"
+        blob = snap.read_bytes()
+        snap.write_bytes(blob[:-8])
+        with pytest.raises(M.CheckpointError, match="snapshot_1.fxw: truncated"):
+            F.SurrogateEnsemble.load(tmp_path)
+        snap.unlink()
+        with pytest.raises(M.CheckpointError, match="snapshot_1.fxw: missing"):
+            F.SurrogateEnsemble.load(tmp_path)
+        # a snapshot of another spec than the manifest names for its component
+        other = tmp_path / "component_2" / "snapshot_0.fxw"
+        snap.write_bytes(other.read_bytes())
+        with pytest.raises(M.CheckpointError, match="differs from the manifest"):
+            F.SurrogateEnsemble.load(tmp_path)
 
     def test_prototype_diversity_at_adversarial_probes(self):
         # mean bounded loss at perturbed probes must differ somewhere across
@@ -201,3 +241,38 @@ class TestEnsemble:
                      M.ModelSpec("mlp", 5, 2, hidden=(8, 4), activation="tanh"),
                      M.ModelSpec("conv_tiny", 9, 4, channels=3)]:
             assert F.spec_from_string(F.spec_to_string(spec)) == spec
+
+
+class TestFingerprint:
+    PROTO = F.PrototypeConfig(spec=M.ModelSpec("linear", 2, 2),
+                              training="adversarial", adv_eps=0.08, seed=3)
+
+    def test_stable_across_calls_and_equal_to_build(self):
+        data = small_data()
+        first = F.fingerprint([self.PROTO], data, pretrain_epochs=2)
+        assert first == F.fingerprint([self.PROTO], small_data(),
+                                      pretrain_epochs=2)
+        assert len(first) == 64 and int(first, 16) >= 0
+        ens = F.build_ensemble([replace(self.PROTO, epochs=1)], data,
+                               pretrain_epochs=2)
+        assert ens.fingerprint == F.fingerprint(
+            [replace(self.PROTO, epochs=1)], data, pretrain_epochs=2)
+
+    @pytest.mark.parametrize("change", [
+        {"spec": M.ModelSpec("mlp", 2, 2, hidden=(4,))},
+        {"training": "normal"}, {"lr": 0.06}, {"epochs": 11}, {"seed": 4},
+        {"adv_eps": 0.09}, {"adv_steps": 6}, {"batch_size": 16},
+    ])
+    def test_changed_by_each_prototype_field(self, change):
+        data = small_data()
+        assert F.fingerprint([self.PROTO], data) != F.fingerprint(
+            [replace(self.PROTO, **change)], data)
+
+    def test_changed_by_data_and_pretraining(self):
+        data = small_data()
+        base = F.fingerprint([self.PROTO], data)
+        assert base != F.fingerprint([self.PROTO], small_data(seed=6))
+        assert base != F.fingerprint([self.PROTO], small_data(sep=5.0))
+        assert base != F.fingerprint([self.PROTO], data, pretrain_epochs=31)
+        assert base != F.fingerprint([self.PROTO], data, pretrain_lr=0.2)
+        assert base != F.fingerprint([self.PROTO, self.PROTO], data)

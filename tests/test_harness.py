@@ -345,7 +345,52 @@ def test_run_record(tmp_path):
         # bench.csv holds the last seed's per-example count; K is fixed
         assert entry["grad_calls_predicted"] == entry["grad_calls_observed"] \
             == 8 * bench[method]
+    # no saved ensembles: each seed trains its own
+    assert list(record["ensembles"]) == ["0", "1"]
+    for entry in record["ensembles"].values():
+        assert entry["source"] == "built" and len(entry["fingerprint"]) == 64
     # no attacks, no run record
     assert "run" not in H.run_experiment(
         small_config(tmp_path / "forge_only"), phases={"forge"})
     assert not (tmp_path / "forge_only" / "run.json").exists()
+    # after forge, the same config loads what forge saved
+    written = H.run_experiment(small_config(tmp_path / "forge_only"),
+                               phases={"bench"})
+    record = json.loads(written["run"].read_text(encoding="utf-8"))
+    manifest = (tmp_path / "forge_only" / "ensembles" / "seed0" / "surrogate"
+                / "manifest.txt").read_text(encoding="utf-8")
+    assert record["ensembles"] == {"0": {
+        "source": "loaded", "fingerprint": manifest.split(
+            "fingerprint = ")[1].split()[0]}}
+
+
+@pytest.mark.parametrize("targeted", [False, True])
+def test_saved_ensembles_are_reused_not_retrained(tmp_path, monkeypatch,
+                                                  targeted):
+    cfg = small_config(tmp_path / "fresh", seeds=(0, 1), targeted=targeted)
+    H.run_experiment(cfg)
+    reused = replace(cfg, out_dir=str(tmp_path / "reused"))
+    H.run_experiment(reused, phases={"forge"})
+    builds = []
+    real = F.build_ensemble
+    monkeypatch.setattr(F, "build_ensemble",
+                        lambda *a, **k: builds.append(1) or real(*a, **k))
+    written = H.run_experiment(reused, phases=H.ALL_PHASES - {"forge"})
+    assert builds == []
+    fresh, got = tmp_path / "fresh", tmp_path / "reused"
+    for rel in ("asr.csv", "asr_summary.csv", "bounds.csv", "bench.csv"):
+        assert strip_stamp(got / rel) == strip_stamp(fresh / rel), rel
+    for seed in cfg.seeds:
+        for method in cfg.methods:
+            for rel in (f"adv_{method}_seed{seed}.npy",
+                        f"traces/trace_{method}_seed{seed}.csv"):
+                assert (got / rel).read_bytes() == (fresh / rel).read_bytes()
+    want = json.loads((fresh / "run.json").read_text(encoding="utf-8"))
+    record = json.loads(written["run"].read_text(encoding="utf-8"))
+    for method, entry in record["methods"].items():
+        for key in ("examples", "grad_calls_predicted", "grad_calls_observed"):
+            assert entry[key] == want["methods"][method][key]
+    assert {s: e["source"] for s, e in record["ensembles"].items()} == \
+        {"0": "loaded", "1": "loaded"}
+    assert {s: e["fingerprint"] for s, e in record["ensembles"].items()} == \
+        {s: e["fingerprint"] for s, e in want["ensembles"].items()}
