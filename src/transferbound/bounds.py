@@ -168,21 +168,63 @@ def d_tv(s_losses: Sequence[np.ndarray], t_losses: Sequence[np.ndarray]) -> floa
     return max(abs(_smean(t) - _smean(s)) for s, t in zip(s_losses, t_losses))
 
 
+# coarse stride of the d_kl search; the search also keeps the last point
+KL_STRIDE = 16
+
+
+def _kl_objective(t: np.ndarray, s, mean_t: float) -> np.ndarray:
+    """t * E_T - log E_S exp(t * s) at each entry of t.  Each entry is its
+    own row of the generator, so any subset of a grid gets the same values
+    bit for bit."""
+    return t * mean_t - np.log(np.mean(np.exp(np.outer(t, s)), axis=1))
+
+
+def _kl_search(grid: np.ndarray, s, mean_t: float) -> float:
+    """Max of ``_kl_objective`` over a sorted grid, evaluating only part of it.
+
+    The objective is concave in t (a cumulant generating function is
+    convex), so its true values on the grid rise to one peak and fall.
+    The coarse pass evaluates every KL_STRIDE-th point and the last one;
+    the peak lies between the neighbours of the coarse argmax, and the
+    fine pass evaluates every grid point from one neighbour to the other.
+    Computed values carry rounding error of at most ``noise``.  A coarse
+    interval whose two ends both read more than 2 * noise below the
+    coarse max holds no point that can beat it (by concavity); every
+    other interval is evaluated too.  So the result is the full-grid max
+    bit for bit, and on a clear peak only the two intervals next to the
+    coarse argmax are evaluated.  A non-finite coarse value falls back to
+    the full grid.
+    """
+    n = grid.size
+    coarse = np.append(np.arange(0, n - 1, KL_STRIDE), n - 1)
+    vals = _kl_objective(grid[coarse], s, mean_t)
+    # a generous bound on the rounding of t*m, exp, the mean and log
+    noise = 8 * np.finfo(np.float64).eps * (
+        np.max(np.abs(grid)) * (abs(mean_t) + np.max(np.abs(s)))
+        + len(s) + 8)
+    if not (np.all(np.isfinite(vals)) and np.isfinite(noise)):
+        return float(_kl_objective(grid, s, mean_t).max())
+    fine = np.zeros(n, dtype=bool)
+    for j in np.flatnonzero(vals >= vals.max() - 2 * noise):
+        fine[coarse[max(j - 1, 0)] : coarse[min(j + 1, coarse.size - 1)] + 1] = True
+    return float(_kl_objective(grid[fine], s, mean_t).max())
+
+
 def d_kl(s_losses: Sequence[np.ndarray], t_losses: Sequence[np.ndarray],
          t_grid: Optional[np.ndarray] = None) -> float:
-    """Grid supremum of t * E_T[loss] - log E_S[exp(t * loss)].
+    """Grid supremum of t * E_T[loss] - log E_S[exp(t * loss)], equal bit
+    for bit to evaluating the whole grid (``d_phi_grid("kl", ...)``) but
+    found by a concave search over the sorted grid (``_kl_search``).
 
     Nonnegative because the grid contains t = 0.
     """
     _check_pairs(s_losses, t_losses)
-    t_grid = _check_grid(default_t_grid() if t_grid is None else t_grid)
+    t_grid = np.sort(_check_grid(default_t_grid() if t_grid is None else t_grid))
     if len(s_losses) == 0:
         return 0.0
     best = 0.0
     for s, t in zip(s_losses, t_losses):
-        gen = np.log(np.mean(np.exp(np.outer(t_grid, s)), axis=1))
-        vals = t_grid * _smean(t) - gen
-        best = max(best, float(vals.max()))
+        best = max(best, _kl_search(t_grid, s, _smean(t)))
     return best
 
 
@@ -207,23 +249,26 @@ def d_chi2(s_losses: Sequence[np.ndarray], t_losses: Sequence[np.ndarray]) -> fl
 
 def d_phi_grid(phi: str, s_losses, t_losses,
                t_grid: Optional[np.ndarray] = None) -> float:
-    """Generic grid evaluation of the variational objective (cross-check
-    path for the closed-form estimators)."""
+    """Generic evaluation of the variational objective at every grid point
+    (cross-check path for the closed-form tv and chi2 estimators and for
+    the kl search)."""
     if phi not in PHIS:
         raise ValueError(f"unknown phi {phi!r}")
     _check_pairs(s_losses, t_losses)
-    if phi == "kl":
-        return d_kl(s_losses, t_losses, t_grid)
     t_grid = _check_grid(default_t_grid() if t_grid is None else t_grid)
     if phi == "tv":
         t_grid = t_grid[(t_grid >= -1.0) & (t_grid <= 1.0)]
     best = 0.0
     for s, t in zip(s_losses, t_losses):
-        delta = _smean(t) - _smean(s)
-        if phi == "tv":
-            vals = t_grid * delta
+        if phi == "kl":
+            gen = np.log(np.mean(np.exp(np.outer(t_grid, s)), axis=1))
+            vals = t_grid * _smean(t) - gen
         else:
-            vals = t_grid * delta - (t_grid ** 2 / 4.0) * float(np.var(s))
+            delta = _smean(t) - _smean(s)
+            if phi == "tv":
+                vals = t_grid * delta
+            else:
+                vals = t_grid * delta - (t_grid ** 2 / 4.0) * float(np.var(s))
         best = max(best, float(vals.max()))
     return best
 
@@ -377,16 +422,18 @@ def sharpness(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
     projected gradient ascent with random restarts.
 
     The zero perturbation is always a candidate, so the result is >= 0.
-    Each ascent step is one ``models.vjp_stack`` call (a stacked forward and
-    backward per spec group) giving the risk and one gradient call per
-    member; the last point of a restart costs one more forward.
+    The members are grouped and stacked once (``models.member_stack``).
+    Each ascent step is one ``models.vjp_stack`` call on that stack (a
+    stacked forward and backward per spec group) giving the risk and one
+    gradient call per member; the last point of a restart costs one more
+    forward.
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
     if rho == 0:
         return 0.0
     kind = M.bounded_error(label)
-    members = list(ensemble.all_members())
+    members = M.member_stack(list(ensemble.all_members()))
     rng = np.random.default_rng(seed)
     d = x_hat.size
 

@@ -160,7 +160,7 @@ def _sgd_epochs(params: np.ndarray, cfg: PrototypeConfig, data: Dataset,
         if not np.all(np.isfinite(params)):
             raise DivergenceError(f"training diverged at epoch {epoch}")
         w = M.Weights(cfg.spec, params)
-        check, _ = M.batch_ce_value_and_weight_grad(w, X, y)
+        check = float(np.mean(M.loss_matrix([w], X, M.targeted_cross_entropy(y))))
         if not np.isfinite(check):
             raise DivergenceError(
                 f"training diverged at epoch {epoch}: loss={check!r}")

@@ -11,7 +11,9 @@ the members by spec, runs one stacked pass per group, and returns the
 logits in model order with their pullback.  ``vjp``, ``forward`` and
 ``input_gradient`` are its one-member case, and ``loss_matrix`` and
 ``predict_matrix`` reduce its logits; only the training helpers call the
-core directly.
+core directly.  The grouping is a ``MemberStack``; a caller that scores
+one model list many times builds it once with ``member_stack`` and passes
+it in place of the list.
 
 The input's shape picks the arithmetic.  A (B, d) batch runs one (B, d)
 matrix product per member, which may round differently from one-point
@@ -31,7 +33,7 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -334,21 +336,42 @@ def _forward_one(w: Weights, xb: np.ndarray):
     return logits[0], cache
 
 
-def _by_spec(models: Sequence[Weights]):
-    """(spec, member index, stacked (M, P) parameters) per spec, in order
-    of first appearance.  The index is a slice when the group's members are
-    one contiguous run of the list, which spares a scatter per use."""
+@dataclass
+class MemberStack:
+    """A model list grouped by spec, for scoring it many times: per group,
+    in order of first appearance, the spec, the members' positions in the
+    list and their stacked (M, P) parameters.  A position index is a slice
+    when the group's members are one contiguous run of the list, which
+    spares a scatter per use.  ``size`` is the length of the list."""
+
+    groups: tuple
+    size: int
+
+
+Models = Union[Sequence[Weights], MemberStack]
+
+
+def member_stack(models: Models) -> MemberStack:
+    """The ``MemberStack`` of a model list; a ``MemberStack`` is returned
+    as it is.  The members must agree on the input dim and class count."""
+    if isinstance(models, MemberStack):
+        return models
     if len(models) == 0:
         raise ValueError("need at least one model")
-    groups = {}
+    by_spec = {}
     for i, w in enumerate(models):
-        groups.setdefault(w.spec, []).append(i)
-    out = []
-    for spec, idx in groups.items():
+        by_spec.setdefault(w.spec, []).append(i)
+    spec0 = models[0].spec
+    if any((spec.input_dim, spec.num_classes)
+           != (spec0.input_dim, spec0.num_classes) for spec in by_spec):
+        raise ValueError("models disagree on the input dim or the number of classes")
+    groups = []
+    for spec, idx in by_spec.items():
         run = idx[-1] - idx[0] + 1 == len(idx)
-        out.append((spec, slice(idx[0], idx[-1] + 1) if run else idx,
-                    np.array([models[i].params for i in idx])))
-    return out
+        P = np.array([models[i].params for i in idx])
+        P.flags.writeable = False
+        groups.append((spec, slice(idx[0], idx[-1] + 1) if run else idx, P))
+    return MemberStack(tuple(groups), len(models))
 
 
 def _in_model_order(groups, blocks) -> np.ndarray:
@@ -374,23 +397,22 @@ def vjp(w: Weights, x: np.ndarray):
     return logits[0], lambda dlogits: pullback(np.asarray(dlogits)[None])[0]
 
 
-def vjp_stack(models: Sequence[Weights], x: np.ndarray):
+def vjp_stack(models: Models, x: np.ndarray):
     """The logits of every model at x, shape (len(models), *x.shape[:-1], k),
     and their pullback, a function from a cotangent of that shape to the
     members' input gradients, shape (len(models), *x.shape).
 
-    x is one point (d,), a (B, d) batch or (B, 1, d) rows.  One stacked
-    forward and backward per spec group.  A batch runs one (B, d) product
-    per member; rows run B one-point products per member, and each row's
-    logits and gradients equal a one-point call on it bitwise.  Each
-    pullback call counts one gradient call per member per row of x:
-    ``len(models) * B`` for B rows or a (B, d) batch, ``len(models)`` for
-    one point.
+    models is a model list or its ``MemberStack``.  x is one point (d,), a
+    (B, d) batch or (B, 1, d) rows.  One stacked forward and backward per
+    spec group.  A batch runs one (B, d) product per member; rows run B
+    one-point products per member, and each row's logits and gradients
+    equal a one-point call on it bitwise.  Each pullback call counts one
+    gradient call per member per row of x: ``len(models) * B`` for B rows
+    or a (B, d) batch, ``len(models)`` for one point.
     """
-    groups = _by_spec(models)
-    d, k = groups[0][0].input_dim, groups[0][0].num_classes
-    if any((spec.input_dim, spec.num_classes) != (d, k) for spec, _, _ in groups):
-        raise ValueError("models disagree on the input dim or the number of classes")
+    stack = member_stack(models)
+    groups = stack.groups
+    d = groups[0][0].input_dim
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3 and x.shape[1:] != (1, d):
         raise ValueError(f"input rows have shape {x.shape}, model expects (*, 1, {d})")
@@ -403,7 +425,7 @@ def vjp_stack(models: Sequence[Weights], x: np.ndarray):
         dx = _in_model_order(groups, [
             _backward_stack(spec, cache, dl[idx])
             for (spec, idx, _), (_, cache) in zip(groups, passes)])
-        GRAD_CALLS.add(len(models) * xb.shape[0])
+        GRAD_CALLS.add(stack.size * xb.shape[0])
         return dx[:, 0] if single else dx
 
     return (logits[:, 0] if single else logits), pullback
@@ -524,10 +546,10 @@ def loss(w: Weights, x: np.ndarray, kind: LossKind) -> float:
     return float(values) if np.ndim(values) == 0 else values
 
 
-def loss_matrix(models: Sequence[Weights], points: np.ndarray,
-                kind: LossKind) -> np.ndarray:
+def loss_matrix(models: Models, points: np.ndarray, kind: LossKind) -> np.ndarray:
     """Losses of every model at every (B, d) point, shape (len(models), B):
-    the logits of ``vjp_stack``, no gradient-call accounting."""
+    the logits of ``vjp_stack``, no gradient-call accounting.  models is a
+    model list or its ``MemberStack``."""
     if np.ndim(points) != 2:
         raise ValueError("points must be a (B, d) batch")
     logits = vjp_stack(models, points)[0]
@@ -535,9 +557,10 @@ def loss_matrix(models: Sequence[Weights], points: np.ndarray,
     return loss_from_logits(logits, kind)
 
 
-def predict_matrix(models: Sequence[Weights], X: np.ndarray) -> np.ndarray:
+def predict_matrix(models: Models, X: np.ndarray) -> np.ndarray:
     """Predicted class of every model at every (B, d) point, shape
-    (len(models), B): the argmax of ``vjp_stack``'s logits."""
+    (len(models), B): the argmax of ``vjp_stack``'s logits.  models is a
+    model list or its ``MemberStack``."""
     if np.ndim(X) != 2:
         raise ValueError("points must be a (B, d) batch")
     return np.argmax(vjp_stack(models, X)[0], axis=-1)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from transferbound import bounds as B
 from transferbound import forge as F
@@ -215,6 +217,85 @@ def test_discrepancy_monotone_in_candidates():
             assert B.d_tv(s[:k], t[:k]) <= B.d_tv(s[: k + 1], t[: k + 1]) + 1e-15
             assert B.d_kl(s[:k], t[:k]) <= B.d_kl(s[: k + 1], t[: k + 1]) + 1e-12
             assert B.d_chi2(s[:k], t[:k]) <= B.d_chi2(s[: k + 1], t[: k + 1]) + 1e-12
+
+
+LOSS_SHAPES = ("uniform", "beta", "constant", "binary", "near_zero", "near_one")
+
+
+def loss_vector(rng, shape, size):
+    if shape == "uniform":
+        return rng.uniform(0.0, 1.0, size)
+    if shape == "beta":
+        return rng.beta(rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0), size)
+    if shape == "constant":
+        return np.full(size, rng.uniform(0.0, 1.0))
+    if shape == "binary":
+        return rng.integers(0, 2, size).astype(np.float64)
+    if shape == "near_zero":
+        return rng.uniform(0.0, 1e-9, size)
+    return 1.0 - rng.uniform(0.0, 1e-9, size)
+
+
+@st.composite
+def kl_cases(draw):
+    """Candidate loss vectors and a t grid: the default grid, or an
+    unsorted random one of 1 to 81 points through 0, often shorter than
+    the search's 16-point stride or its 33-point fine pass.  A target
+    vector may copy its surrogate vector, where the objective is flat at
+    rounding level."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 60))
+    k_s, k_t = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    s_shape = draw(st.sampled_from(LOSS_SHAPES))
+    t_shape = draw(st.sampled_from(LOSS_SHAPES + ("copy",)))
+    s = [loss_vector(rng, s_shape, k_s) for _ in range(n)]
+    t = [a.copy() if t_shape == "copy" else loss_vector(rng, t_shape, k_t)
+         for a in s]
+    size = draw(st.one_of(st.none(), st.integers(0, 80)))
+    grid = None
+    if size is not None:
+        grid = np.append(rng.normal(0.0, draw(st.sampled_from([0.5, 10.0, 60.0])),
+                                    size), 0.0)
+        rng.shuffle(grid)
+    return s, t, grid
+
+
+@seed(20260)
+@settings(max_examples=150, deadline=None)
+@given(case=kl_cases())
+def test_kl_search_equals_full_grid_bitwise(case):
+    s, t, grid = case
+    assert B.d_kl(s, t, grid) == B.d_phi_grid("kl", s, t, grid)
+
+
+@pytest.mark.parametrize("size", [1, 3, 5, 7, 40])
+@pytest.mark.parametrize("value", [0.1, 0.3, 0.7, 0.9, 1 / 3])
+def test_kl_search_on_equal_constant_losses(value, size):
+    # the objective is 0 up to rounding on the whole grid, so its grid max
+    # is rounding noise that may sit far from the coarse argmax
+    s, t = [np.full(size, value)], [np.full(size, value)]
+    assert B.d_kl(s, t) == B.d_phi_grid("kl", s, t)
+
+
+def test_kl_search_evaluates_a_fraction_of_the_grid(monkeypatch):
+    rng = np.random.default_rng(4)
+    s = [rng.beta(2.0, 5.0, 40) for _ in range(60)]
+    t = [rng.beta(2.0, 4.0, 40) for _ in range(60)]
+    points = []
+    objective = B._kl_objective
+
+    def counted(grid, *args):
+        points.append(grid.size)
+        return objective(grid, *args)
+
+    monkeypatch.setattr(B, "_kl_objective", counted)
+    got = B.d_kl(s, t)
+    monkeypatch.undo()
+    assert got == B.d_phi_grid("kl", s, t)
+    # the coarse pass, then the 33 points from one neighbour of the
+    # coarse argmax to the other
+    coarse = len(range(0, B.default_t_grid().size - 1, B.KL_STRIDE)) + 1
+    assert sum(points) <= 60 * (coarse + 2 * B.KL_STRIDE + 1)
 
 
 def test_estimator_validation():
@@ -469,6 +550,25 @@ def test_sharpness_zero_weight_ensemble_breaks_on_first_step():
         got = B.sharpness(x, ens, 0, 0.1, steps=5, restarts=3, seed=2)
     assert got == frozen_sharpness(x, ens, 0, 0.1, 5, 3, 2) == 0.0
     assert tally.count == 3 * ens.size  # one step per restart, then the break
+
+
+def test_sharpness_stacks_its_members_once(quad_setup, monkeypatch):
+    ens, data = quad_setup
+    x, y = data.X_test[2], int(data.y_test[2])
+    builds = []
+    member_stack = M.member_stack
+
+    def counted(models):
+        if not isinstance(models, M.MemberStack):
+            builds.append(len(models))
+        return member_stack(models)
+
+    monkeypatch.setattr(M, "member_stack", counted)
+    with M.GRAD_CALLS.scope() as tally:
+        got = B.sharpness(x, ens, y, 0.1, steps=6, restarts=3, seed=2)
+    assert builds == [ens.size]
+    assert tally.count == 6 * 3 * ens.size
+    assert got == frozen_sharpness(x, ens, y, 0.1, 6, 3, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,18 @@ def test_forge_then_eval_as_separate_processes(tiny_config, tmp_path):
     assert "asr drap/heldout" in proc.stdout
 
 
+def test_module_entry_point_prints_no_runtime_warning():
+    # the package must not import transferbound.cli before ``-m`` runs it
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(transferbound.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "transferbound.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout
+    assert "Warning" not in proc.stderr
+
+
 @pytest.mark.parametrize("change", [
     ["--gamma", "0.05"],  # the adversarial prototypes' adv_eps
     ["--n", "3"],

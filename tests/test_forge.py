@@ -111,6 +111,25 @@ class TestFineTune:
             with pytest.raises(F.DivergenceError, match="epoch"):
                 F.fine_tune_collect(cfg, pre, data)
 
+    def test_epoch_check_takes_no_weight_gradient(self, monkeypatch):
+        data = small_data()
+        cfg = F.PrototypeConfig(spec=M.ModelSpec("mlp", 2, 2, hidden=(8,)),
+                                lr=0.05, epochs=3, seed=11)
+        pre = F.pretrain(cfg, data, epochs=2)
+        calls = []
+        value_and_grad = M.batch_ce_value_and_weight_grad
+
+        def counted(w, X, y):
+            calls.append(len(X))
+            return value_and_grad(w, X, y)
+
+        monkeypatch.setattr(M, "batch_ce_value_and_weight_grad", counted)
+        F.fine_tune_collect(cfg, pre, data)
+        batches = -(-len(data.X_train) // cfg.batch_size)
+        # one per SGD step; the per-epoch divergence check is a forward
+        assert len(calls) == cfg.epochs * batches
+        assert max(calls) == cfg.batch_size
+
     def test_adversarial_mode_changes_training(self):
         data = small_data()
         spec = M.ModelSpec("linear", 2, 2)

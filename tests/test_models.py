@@ -328,6 +328,28 @@ class TestStackedCore:
             assert logits[:, b, 0].tobytes() == one.tobytes()
             assert grads[:, b, 0].tobytes() == g.tobytes()
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_member_stack_scores_like_its_list(self, seed):
+        models, rng, d, k = self.every_arch(seed, 16)
+        stack = M.member_stack(models)
+        assert M.member_stack(stack) is stack
+        assert stack.size == len(models)
+        assert all(not P.flags.writeable for _, _, P in stack.groups)
+        X = rng.uniform(0, 1, (5, d))
+        kind = M.LossKind("bounded", rng.integers(0, k, (5, 1)))
+        for x in (X[0], X, X[:, None]):
+            want, want_pull = M.vjp_stack(models, x)
+            got, pull = M.vjp_stack(stack, x)
+            assert got.tobytes() == want.tobytes()
+            cot = M.dloss_dlogits(got, kind if x.ndim == 3 else M.bounded_error(0))
+            with M.GRAD_CALLS.scope() as tally:
+                grads = pull(cot)
+            assert tally.count == len(models) * (1 if x.ndim == 1 else 5)
+            assert grads.tobytes() == want_pull(cot).tobytes()
+        assert M.loss_matrix(stack, X, M.bounded_error(1)).tobytes() == \
+            M.loss_matrix(models, X, M.bounded_error(1)).tobytes()
+        assert np.array_equal(M.predict_matrix(stack, X), M.predict_matrix(models, X))
+
     def test_rows_must_be_one_point_each(self):
         models, rng, d, _ = self.every_arch(0, 3)
         with pytest.raises(ValueError, match="rows"):
@@ -342,11 +364,14 @@ class TestStackedCore:
             M.loss_matrix([], X, M.bounded_error(0))
         with pytest.raises(ValueError, match="at least one model"):
             M.vjp_stack([], X)
+        with pytest.raises(ValueError, match="at least one model"):
+            M.member_stack([])
         with pytest.raises(ValueError, match="batch"):
             M.loss_matrix(models, X[0], M.bounded_error(0))
         wider = M.init_weights(M.ModelSpec("linear", d, k + 1), rng)
         for score in (M.vjp_stack, M.predict_matrix,
-                      lambda ms, X: M.loss_matrix(ms, X, M.bounded_error(0))):
+                      lambda ms, X: M.loss_matrix(ms, X, M.bounded_error(0)),
+                      lambda ms, X: M.member_stack(ms)):
             with pytest.raises(ValueError, match="classes"):
                 score(models + [wider], X)
 
