@@ -305,6 +305,10 @@ def k_s(t: float, losses: np.ndarray, phi: str) -> float:
     return float(t * t / 4.0 * np.var(losses))
 
 
+# per-phi (c1, c2) defaults, each feasible for any loss in [0, 1]
+PHI_DEFAULTS = {"tv": (1.0, 0.0), "kl": (1.2564, 1.0), "chi2": (1.0, 0.25)}
+
+
 @dataclass
 class FeasibilityCheck:
     feasible: bool
@@ -472,9 +476,11 @@ def sharpness(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
 
 @dataclass
 class BoundConfig:
+    """Bound settings; c1 and c2 left unset take ``PHI_DEFAULTS[phi]``."""
+
     phi: str = "chi2"
-    c1: float = 1.0
-    c2: float = 0.25
+    c1: Optional[float] = None
+    c2: Optional[float] = None
     rho: float = 0.05
     delta: float = 0.05
     t_grid: Optional[np.ndarray] = None
@@ -482,6 +488,11 @@ class BoundConfig:
     def __post_init__(self):
         if self.phi not in PHIS:
             raise ValueError(f"unknown phi {self.phi!r}")
+        c1, c2 = PHI_DEFAULTS[self.phi]
+        self.c1 = c1 if self.c1 is None else self.c1
+        self.c2 = c2 if self.c2 is None else self.c2
+        if self.c1 <= 0:
+            raise ValueError("c1 must be > 0")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         if self.rho <= 0:

@@ -7,8 +7,9 @@ gradient-call accounting, eval produces attack-success tables, and all
 runs the full protocol.  Every command but forge and all reuses the
 ensembles forge saved under the same output directory.
 
-Options may come from flags or from a config file of `key = value`
-lines (UTF-8, `#` comments); flags win.  Exit codes: 0 success,
+Options (the keys of `KEYS`) may come from flags or from a config file
+of `key = value` lines (UTF-8, `#` comments); flags win.  What neither
+sets keeps its config dataclass's default.  Exit codes: 0 success,
 2 configuration error (saved ensembles that do not match the config
 included), 3 numeric failure.
 """
@@ -37,18 +38,61 @@ PHASES_BY_COMMAND = {
     "all": set(H.ALL_PHASES),
 }
 
-# per-divergence fallbacks for (c1, c2) when neither flag nor file sets them
-PHI_DEFAULTS = {"tv": (1.0, 0.0), "kl": (1.2564, 1.0), "chi2": (1.0, 0.25)}
+# the per-phi (c1, c2) defaults; BoundConfig owns them
+PHI_DEFAULTS = B.PHI_DEFAULTS
 
-_INT_KEYS = {"inner_t", "n_ls", "n", "components", "seed", "n_examples",
-             "bound_examples", "n_train", "n_test", "input_dim",
-             "num_classes", "pretrain_epochs"}
-_FLOAT_KEYS = {"gamma", "beta_x", "beta_eps", "mu", "r", "c1", "c2", "rho",
-               "delta", "separation", "proto_lr", "micro_step"}
-_STR_KEYS = {"method", "phi", "out", "dataset", "dataset_path"}
-_LIST_KEYS = {"seeds", "methods"}
-_BOOL_KEYS = {"targeted"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS | _BOOL_KEYS
+
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _items(raw: str) -> tuple:
+    return tuple(s.strip() for s in raw.split(",") if s.strip())
+
+
+# config key -> (config, field, type, flag help).  config is the
+# ExperimentConfig field holding the key's dataclass, or None for
+# ExperimentConfig itself.  A key with help is also the flag --<key>,
+# with `_` written `-` (but --inner-T); a tuple type lists the choices.
+KEYS = {
+    "gamma": ("attack", "gamma", float, "attack budget (sup norm)"),
+    "beta_x": ("attack", "beta_x", float, "outer step size"),
+    "beta_eps": ("attack", "beta_eps", float, "inner ascent step size"),
+    "inner_t": ("attack", "inner_T", int, "inner ascent steps"),
+    "n_ls": ("attack", "n_ls", int,
+             "component epochs before the inner loop starts"),
+    "mu": ("attack", "mu", float, "momentum decay"),
+    "n": (None, "snapshots", int, "snapshots per component"),
+    "components": (None, "components", int, "ensemble components"),
+    "method": ("attack", "method", A.METHODS, "attack method"),
+    "phi": ("bound", "phi", B.PHIS, "divergence family"),
+    "r": (None, "bound_r", float, "localization threshold"),
+    "c1": ("bound", "c1", float, "bound coefficient c1"),
+    "c2": ("bound", "c2", float, "bound coefficient c2"),
+    "rho": ("bound", "rho", float, "sharpness probe radius"),
+    "delta": ("bound", "delta", float, "confidence level"),
+    "seed": (None, "seeds", int, "experiment seed"),
+    "out": (None, "out_dir", str, "output directory"),
+    "dataset": (None, "dataset", H.DATASETS, "data source"),
+    "micro_step": ("attack", "micro_step", float, None),
+    "targeted": ("attack", "targeted", _bool, None),
+    "seeds": (None, "seeds", lambda raw: tuple(map(int, _items(raw))), None),
+    "methods": (None, "methods", _items, None),
+    "dataset_path": (None, "dataset_path", str, None),
+    "input_dim": (None, "input_dim", int, None),
+    "num_classes": (None, "num_classes", int, None),
+    "n_train": (None, "n_train", int, None),
+    "n_test": (None, "n_test", int, None),
+    "separation": (None, "separation", float, None),
+    "pretrain_epochs": (None, "pretrain_epochs", int, None),
+    "proto_lr": (None, "proto_lr", float, None),
+    "n_examples": (None, "n_examples", int, None),
+    "bound_examples": (None, "bound_examples", int, None),
+}
 
 
 class ConfigError(ValueError):
@@ -71,30 +115,16 @@ def parse_config_file(path) -> dict:
                               f"got {raw.strip()!r}")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value.strip()
     return out
 
 
 def _convert(key: str, raw: str):
+    kind = KEYS[key][2]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if key in _LIST_KEYS:
-            items = [s.strip() for s in raw.split(",") if s.strip()]
-            if key == "seeds":
-                return tuple(int(s) for s in items)
-            return tuple(items)
-        return raw
+        return raw if isinstance(kind, tuple) else kind(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
@@ -116,102 +146,41 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in helps.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="key = value file; flags override")
-        sp.add_argument("--gamma", type=float, help="attack budget (sup norm)")
-        sp.add_argument("--beta-x", dest="beta_x", type=float,
-                        help="outer step size")
-        sp.add_argument("--beta-eps", dest="beta_eps", type=float,
-                        help="inner ascent step size")
-        sp.add_argument("--inner-T", dest="inner_t", type=int,
-                        help="inner ascent steps")
-        sp.add_argument("--n-ls", dest="n_ls", type=int,
-                        help="component epochs before the inner loop starts")
-        sp.add_argument("--mu", type=float, help="momentum decay")
-        sp.add_argument("--n", type=int, help="snapshots per component")
-        sp.add_argument("--components", type=int, help="ensemble components")
-        sp.add_argument("--method", choices=A.METHODS, help="attack method")
-        sp.add_argument("--phi", choices=B.PHIS, help="divergence family")
-        sp.add_argument("--r", type=float, help="localization threshold")
-        sp.add_argument("--c1", type=float, help="bound coefficient c1")
-        sp.add_argument("--c2", type=float, help="bound coefficient c2")
-        sp.add_argument("--rho", type=float, help="sharpness probe radius")
-        sp.add_argument("--delta", type=float, help="confidence level")
-        sp.add_argument("--seed", type=int, help="experiment seed")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--dataset", choices=H.DATASETS, help="data source")
+        for key, (_, _, kind, flag_help) in KEYS.items():
+            if flag_help is None:
+                continue
+            flag = "inner-T" if key == "inner_t" else key.replace("_", "-")
+            how = {"choices": kind} if isinstance(kind, tuple) else {
+                "type": None if kind is str else kind}
+            sp.add_argument(f"--{flag}", dest=key, help=flag_help, **how)
     return parser
 
 
 def _experiment_config(args: argparse.Namespace) -> H.ExperimentConfig:
+    """The config the file and flags set; everything else is its default."""
     file_cfg = parse_config_file(args.config) if args.config else {}
-    values = {k: _convert(k, v) for k, v in file_cfg.items()}
+    flags = {k: v for k, v in vars(args).items()
+             if k in KEYS and v is not None}
+    values = {**{k: _convert(k, v) for k, v in file_cfg.items()}, **flags}
+    # seed precedence: the flag, then the file's seeds, then its seed
+    seed = values.pop("seed", None)
+    if seed is not None and ("seed" in flags or "seeds" not in values):
+        values["seeds"] = (seed,)
+    parts = {"attack": {}, "bound": {}, None: {"out_dir": "tb_out"}}
+    for key, value in values.items():
+        config, name = KEYS[key][:2]
+        parts[config][name] = value
+    exp = parts[None]
+    exp["attack"] = A.AttackConfig(**parts["attack"])
+    exp["bound"] = B.BoundConfig(**parts["bound"])
 
-    def pick(key, default):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        return values.get(key, default)
-
-    method = pick("method", "drap")
-    attack = A.AttackConfig(
-        gamma=pick("gamma", 4 / 255),
-        beta_x=pick("beta_x", 2 / 255),
-        beta_eps=pick("beta_eps", 0.1 / 255),
-        inner_T=pick("inner_t", 5),
-        n_ls=pick("n_ls", 5),
-        mu=pick("mu", 1.0),
-        micro_step=values.get("micro_step", 50.0),
-        targeted=values.get("targeted", False),
-        method=method,
-    )
-
-    phi = pick("phi", "chi2")
-    default_c1, default_c2 = PHI_DEFAULTS[phi]
-    bound = B.BoundConfig(
-        phi=phi,
-        c1=pick("c1", default_c1),
-        c2=pick("c2", default_c2),
-        rho=pick("rho", 0.05),
-        delta=pick("delta", 0.05),
-    )
-
-    if args.seed is not None:
-        seeds = (args.seed,)
-    elif "seeds" in values:
-        seeds = values["seeds"]
-    elif "seed" in values:
-        seeds = (values["seed"],)
-    else:
-        seeds = (0,)
-
+    method = exp["attack"].method
+    methods = exp.get("methods", A.METHODS)
     if args.command in ("attack", "bound"):
-        methods = (method,)
-    else:
-        methods = values.get("methods", A.METHODS)
-        if method not in methods:
-            methods = tuple(methods) + (method,)
-
-    return H.ExperimentConfig(
-        out_dir=pick("out", "tb_out"),
-        dataset=pick("dataset", "gaussian_mixture"),
-        dataset_path=values.get("dataset_path"),
-        input_dim=values.get("input_dim", 6),
-        num_classes=values.get("num_classes", 3),
-        n_train=values.get("n_train", 600),
-        n_test=values.get("n_test", 300),
-        separation=values.get("separation", 5.0),
-        components=pick("components", 4),
-        snapshots=pick("n", 4),
-        pretrain_epochs=values.get("pretrain_epochs", 15),
-        proto_lr=values.get("proto_lr", 0.05),
-        n_examples=values.get("n_examples", 6),
-        bound_examples=values.get("bound_examples", 4),
-        seeds=seeds,
-        methods=methods,
-        attack=attack,
-        bound=bound,
-        bound_r=pick("r", None),
-        targeted=values.get("targeted", False),
-    )
+        exp["methods"] = (method,)
+    elif method not in methods:
+        exp["methods"] = tuple(methods) + (method,)
+    return H.ExperimentConfig(**exp)
 
 
 def _summarize(written: dict) -> list:

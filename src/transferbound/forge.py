@@ -25,6 +25,10 @@ log = logging.getLogger(__name__)
 DATASET_KINDS = ("gaussian_mixture", "two_rings")
 TRAINING_MODES = ("normal", "adversarial")
 
+# pretraining defaults of build_ensemble; fingerprint must use the same ones
+PRETRAIN_EPOCHS = 30
+PRETRAIN_LR = 0.25
+
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
@@ -169,7 +173,8 @@ def _sgd_epochs(params: np.ndarray, cfg: PrototypeConfig, data: Dataset,
     return params, snapshots
 
 
-def pretrain(cfg: PrototypeConfig, data: Dataset, *, epochs: int = 30,
+def pretrain(cfg: PrototypeConfig, data: Dataset, *,
+             epochs: int = PRETRAIN_EPOCHS,
              lr: Optional[float] = None) -> M.Weights:
     """Train a prototype from random init (same regime as fine-tuning)."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF0]))
@@ -382,7 +387,8 @@ def spec_from_string(text: str) -> M.ModelSpec:
 
 
 def fingerprint(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
-                pretrain_epochs: int = 30, pretrain_lr: float = 0.25) -> str:
+                pretrain_epochs: int = PRETRAIN_EPOCHS,
+                pretrain_lr: float = PRETRAIN_LR) -> str:
     """SHA-256 hex digest of everything ``build_ensemble`` trains from.
 
     It covers the dataset arrays and class count, the ``repr`` of each
@@ -400,8 +406,8 @@ def fingerprint(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
 
 
 def build_ensemble(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
-                   pretrain_epochs: int = 30,
-                   pretrain_lr: float = 0.25) -> SurrogateEnsemble:
+                   pretrain_epochs: int = PRETRAIN_EPOCHS,
+                   pretrain_lr: float = PRETRAIN_LR) -> SurrogateEnsemble:
     """Pretrain each prototype, then fine-tune it into a snapshot component."""
     components, pres, seeds = [], [], []
     for cfg in prototypes:

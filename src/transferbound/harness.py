@@ -168,7 +168,6 @@ class ExperimentConfig:
     attack: A.AttackConfig = field(default_factory=A.AttackConfig)
     bound: B.BoundConfig = field(default_factory=B.BoundConfig)
     bound_r: Optional[float] = None  # None: adapt to each example's risk
-    targeted: bool = False
 
     def __post_init__(self):
         if not self.seeds:
@@ -271,8 +270,8 @@ def _method_config(cfg: ExperimentConfig, method: str, seed: int,
         # a late start longer than the run makes no sense; fall back to the
         # standard schedule (no late start on short runs, 5 epochs otherwise)
         n_ls = 0 if ensemble.snapshots_per_component <= 5 else 5
-    return replace(cfg.attack, method=method, targeted=cfg.targeted,
-                   seed=seed, n_iter=n_iter, n_ls=n_ls)
+    return replace(cfg.attack, method=method, seed=seed, n_iter=n_iter,
+                   n_ls=n_ls)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +377,7 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
         y = data.y_test[: cfg.n_examples].astype(int)
         y_t = (y + 1) % data.num_classes
 
-        labels = y_t if cfg.targeted else y
+        labels = y_t if cfg.attack.targeted else y
         states_by_method = {}
         for method in cfg.methods:
             acfg = _method_config(cfg, method, seed, surrogate)
@@ -414,7 +413,8 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
             tables = []
             for method in cfg.methods:
                 adv = states_by_method[method].x_hat
-                table = evaluate_asr(adv, y, targets, targeted=cfg.targeted,
+                table = evaluate_asr(adv, y, targets,
+                                     targeted=cfg.attack.targeted,
                                      target_labels=y_t, method=method)
                 tables.append(table)
                 for (meth, name), cell in sorted(table.rows.items()):

@@ -738,6 +738,23 @@ def test_bound_config_validation():
         B.BoundConfig(delta=0.0)
     with pytest.raises(ValueError):
         B.BoundConfig(rho=0.0)
+    for c1 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="c1 must be > 0"):
+            B.BoundConfig(phi="kl", c1=c1)
+
+
+@pytest.mark.parametrize("phi", B.PHIS)
+def test_bound_config_defaults_are_feasible(phi):
+    cfg = B.BoundConfig(phi=phi)
+    assert (cfg.c1, cfg.c2) == B.PHI_DEFAULTS[phi]
+    rng = np.random.default_rng(7)
+    for losses in ([0.0, 1.0], [0.0] * 9 + [1.0], [0.5] * 4, [0.0] * 3,
+                   [1.0] * 3, rng.uniform(size=50), rng.beta(0.2, 0.2, 50)):
+        check = B.feasibility(cfg.c1, cfg.c2, np.asarray(losses), phi)
+        assert check.feasible, (losses, check)
+    # an unset coefficient takes its phi default, a set one is kept
+    partial = B.BoundConfig(phi=phi, c2=0.75)
+    assert (partial.c1, partial.c2) == (B.PHI_DEFAULTS[phi][0], 0.75)
 
 
 def test_bound_report_renders_inf():

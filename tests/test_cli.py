@@ -1,5 +1,6 @@
 """Command-line interface: config files, flag overrides, exit codes."""
 
+import argparse
 import json
 import os
 import shutil
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import transferbound
+from transferbound import attacks as A
 from transferbound import bounds as B
 from transferbound import cli
 from transferbound import forge as F
@@ -85,6 +87,14 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         rc = cli.main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+
+def test_unknown_phi_in_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("phi = l2\n", encoding="utf-8")
+    rc = cli.main(["bound", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert "unknown phi 'l2'" in capsys.readouterr().err
 
 
 def test_cifar_without_path_exits_2(tiny_config, tmp_path, capsys):
@@ -348,3 +358,233 @@ def test_damaged_saved_ensembles_exit_2(tiny_config, tmp_path, capsys,
     err = capsys.readouterr().err
     assert str(out / "ensembles" / "seed0") in err and "re-run `forge`" in err
     assert len(count_builds) == builds
+
+
+def test_nonpositive_c1_exits_2_before_any_training(tiny_config, tmp_path,
+                                                     capsys, count_builds):
+    rc = cli.main(["bound", "--config", str(tiny_config), *SMALL_FLAGS,
+                   "--c1", "0", "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert "c1 must be > 0" in capsys.readouterr().err
+    assert count_builds == []
+
+
+# ---------------------------------------------------------------------------
+# the table-driven config against the code it replaced
+# ---------------------------------------------------------------------------
+#
+# Frozen copy of the replaced CLI code: its key sets, value conversion and
+# `_experiment_config`, the last returning its keyword arguments instead of
+# an ExperimentConfig, which no longer has a `targeted` field.
+
+PHI_DEFAULTS = {"tv": (1.0, 0.0), "kl": (1.2564, 1.0), "chi2": (1.0, 0.25)}
+
+_INT_KEYS = {"inner_t", "n_ls", "n", "components", "seed", "n_examples",
+             "bound_examples", "n_train", "n_test", "input_dim",
+             "num_classes", "pretrain_epochs"}
+_FLOAT_KEYS = {"gamma", "beta_x", "beta_eps", "mu", "r", "c1", "c2", "rho",
+               "delta", "separation", "proto_lr", "micro_step"}
+_STR_KEYS = {"method", "phi", "out", "dataset", "dataset_path"}
+_LIST_KEYS = {"seeds", "methods"}
+_BOOL_KEYS = {"targeted"}
+KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS | _BOOL_KEYS
+
+parse_config_file = cli.parse_config_file
+
+
+def _convert(key: str, raw: str):
+    try:
+        if key in _INT_KEYS:
+            return int(raw)
+        if key in _FLOAT_KEYS:
+            return float(raw)
+        if key in _BOOL_KEYS:
+            if raw.lower() in ("true", "1", "yes"):
+                return True
+            if raw.lower() in ("false", "0", "no"):
+                return False
+            raise ValueError(f"not a boolean: {raw!r}")
+        if key in _LIST_KEYS:
+            items = [s.strip() for s in raw.split(",") if s.strip()]
+            if key == "seeds":
+                return tuple(int(s) for s in items)
+            return tuple(items)
+        return raw
+    except ValueError as exc:
+        raise cli.ConfigError(f"bad value for {key}: {exc}") from exc
+
+
+def frozen_experiment_config(args: argparse.Namespace) -> dict:
+    file_cfg = parse_config_file(args.config) if args.config else {}
+    values = {k: _convert(k, v) for k, v in file_cfg.items()}
+
+    def pick(key, default):
+        flag = getattr(args, key, None)
+        if flag is not None:
+            return flag
+        return values.get(key, default)
+
+    method = pick("method", "drap")
+    attack = A.AttackConfig(
+        gamma=pick("gamma", 4 / 255),
+        beta_x=pick("beta_x", 2 / 255),
+        beta_eps=pick("beta_eps", 0.1 / 255),
+        inner_T=pick("inner_t", 5),
+        n_ls=pick("n_ls", 5),
+        mu=pick("mu", 1.0),
+        micro_step=values.get("micro_step", 50.0),
+        targeted=values.get("targeted", False),
+        method=method,
+    )
+
+    phi = pick("phi", "chi2")
+    default_c1, default_c2 = PHI_DEFAULTS[phi]
+    bound = B.BoundConfig(
+        phi=phi,
+        c1=pick("c1", default_c1),
+        c2=pick("c2", default_c2),
+        rho=pick("rho", 0.05),
+        delta=pick("delta", 0.05),
+    )
+
+    if args.seed is not None:
+        seeds = (args.seed,)
+    elif "seeds" in values:
+        seeds = values["seeds"]
+    elif "seed" in values:
+        seeds = (values["seed"],)
+    else:
+        seeds = (0,)
+
+    if args.command in ("attack", "bound"):
+        methods = (method,)
+    else:
+        methods = values.get("methods", A.METHODS)
+        if method not in methods:
+            methods = tuple(methods) + (method,)
+
+    return dict(
+        out_dir=pick("out", "tb_out"),
+        dataset=pick("dataset", "gaussian_mixture"),
+        dataset_path=values.get("dataset_path"),
+        input_dim=values.get("input_dim", 6),
+        num_classes=values.get("num_classes", 3),
+        n_train=values.get("n_train", 600),
+        n_test=values.get("n_test", 300),
+        separation=values.get("separation", 5.0),
+        components=pick("components", 4),
+        snapshots=pick("n", 4),
+        pretrain_epochs=values.get("pretrain_epochs", 15),
+        proto_lr=values.get("proto_lr", 0.05),
+        n_examples=values.get("n_examples", 6),
+        bound_examples=values.get("bound_examples", 4),
+        seeds=seeds,
+        methods=methods,
+        attack=attack,
+        bound=bound,
+        bound_r=pick("r", None),
+        targeted=values.get("targeted", False),
+    )
+
+
+# today's flags of every subcommand: flag -> (dest, type, choices)
+TODAYS_FLAGS = {
+    "--config": ("config", None, None),
+    "--gamma": ("gamma", float, None),
+    "--beta-x": ("beta_x", float, None),
+    "--beta-eps": ("beta_eps", float, None),
+    "--inner-T": ("inner_t", int, None),
+    "--n-ls": ("n_ls", int, None),
+    "--mu": ("mu", float, None),
+    "--n": ("n", int, None),
+    "--components": ("components", int, None),
+    "--method": ("method", None, A.METHODS),
+    "--phi": ("phi", None, B.PHIS),
+    "--r": ("r", float, None),
+    "--c1": ("c1", float, None),
+    "--c2": ("c2", float, None),
+    "--rho": ("rho", float, None),
+    "--delta": ("delta", float, None),
+    "--seed": ("seed", int, None),
+    "--out": ("out", None, None),
+    "--dataset": ("dataset", None, H.DATASETS),
+}
+
+COMMANDS = ("forge", "attack", "bound", "bench", "eval", "all")
+
+CONFIG_FILES = [
+    None,
+    "# nothing set\n",
+    TINY,
+    "seeds = 0,1\nmethods = ifgsm,rap\ntargeted = true\nphi = kl\n",
+    "seed = 3\nmethod = rap\nphi = tv\nc1 = 0.5\nmicro_step = 20\n",
+    # every key
+    "gamma = 0.1\nbeta_x = 0.03\nbeta_eps = 0.002\ninner_t = 3\nn_ls = 2\n"
+    "mu = 0.5\nn = 3\ncomponents = 2\nmethod = flat_rap\nphi = chi2\n"
+    "r = 0.3\nc1 = 0.8\nc2 = 0.4\nrho = 0.02\ndelta = 0.1\nseed = 9\n"
+    "seeds = 4, 5\nout = from_file\ndataset = cifar10\n"
+    "dataset_path = batch.bin\ninput_dim = 4\nnum_classes = 4\n"
+    "n_train = 100\nn_test = 50\nseparation = 3.5\npretrain_epochs = 7\n"
+    "proto_lr = 0.1\nn_examples = 5\nbound_examples = 2\n"
+    "micro_step = 10\ntargeted = yes\nmethods = flat_rap,drap\n",
+    "seed = 2\nseeds = 7\ntargeted = no\nmethods = drap\nmethod = mifgsm\n"
+    "phi = kl\nc2 = 1.5\n",
+]
+
+FLAG_SETS = [
+    [],
+    ["--seed", "7"],
+    ["--method", "ifgsm"],
+    ["--phi", "kl"],
+    ["--phi", "tv", "--c1", "0.9"],
+    ["--c2", "0.5", "--rho", "0.1", "--delta", "0.1", "--r", "0.4"],
+    ["--gamma", "0.1", "--beta-x", "0.05", "--beta-eps", "0.01",
+     "--inner-T", "3", "--n-ls", "2", "--mu", "0.9"],
+    ["--n", "3", "--components", "2", "--out", "elsewhere"],
+    ["--dataset", "two_rings", "--method", "flat_cwa"],
+    ["--gamma", "0.2", "--beta-x", "0.1", "--beta-eps", "0.02",
+     "--inner-T", "4", "--n-ls", "0", "--mu", "0.7", "--n", "5",
+     "--components", "3", "--method", "mifgsm", "--phi", "chi2",
+     "--r", "0.2", "--c1", "1.5", "--c2", "0.3", "--rho", "0.04",
+     "--delta", "0.2", "--seed", "11", "--out", "all_flags",
+     "--dataset", "gaussian_mixture"],
+]
+
+
+def test_keys_are_todays_config_keys():
+    assert set(cli.KEYS) == KNOWN_KEYS
+    assert cli.PHI_DEFAULTS is B.PHI_DEFAULTS
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_table_config_equals_the_frozen_one(tmp_path, command):
+    parser = cli.build_parser()
+    cases = 0
+    for i, text in enumerate(CONFIG_FILES):
+        config = []
+        if text is not None:
+            path = tmp_path / f"case{i}.cfg"
+            path.write_text(text, encoding="utf-8")
+            config = ["--config", str(path)]
+        for flags in FLAG_SETS:
+            args = parser.parse_args([command, *config, *flags])
+            want = frozen_experiment_config(args)
+            # the one `targeted` switch is now the attack's
+            assert want.pop("targeted") == want["attack"].targeted
+            want = H.ExperimentConfig(**want)
+            got = cli._experiment_config(args)
+            assert got == want, (text, flags)
+            assert H._config_lines(got) == H._config_lines(want), (text, flags)
+            cases += 1
+    assert cases * len(COMMANDS) >= 420
+
+
+def test_every_command_keeps_todays_flags():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == COMMANDS
+    for name, sp in sub.choices.items():
+        got = {flag: (a.dest, a.type, a.choices) for a in sp._actions
+               for flag in a.option_strings if flag not in ("-h", "--help")}
+        assert got == TODAYS_FLAGS, name

@@ -277,6 +277,13 @@ class TestFingerprint:
         assert ens.fingerprint == F.fingerprint(
             [replace(self.PROTO, epochs=1)], data, pretrain_epochs=2)
 
+    def test_defaults_equal_build_ensembles(self):
+        # the harness checks saved ensembles against fingerprint(...)
+        protos = [replace(self.PROTO, epochs=1)]
+        data = small_data(n_train=100, n_test=20)
+        assert F.fingerprint(protos, data) == \
+            F.build_ensemble(protos, data).fingerprint
+
     @pytest.mark.parametrize("change", [
         {"spec": M.ModelSpec("mlp", 2, 2, hidden=(4,))},
         {"training": "normal"}, {"lr": 0.06}, {"epochs": 11}, {"seed": 4},

@@ -146,7 +146,7 @@ def test_asr_table_validation_and_combine():
 # ---------------------------------------------------------------------------
 
 
-def small_config(out_dir, **overrides):
+def small_config(out_dir, targeted=False, **overrides):
     base = dict(
         out_dir=str(out_dir),
         input_dim=2, num_classes=2, n_train=200, n_test=60,
@@ -154,7 +154,8 @@ def small_config(out_dir, **overrides):
         n_examples=3, bound_examples=2, seeds=(0,),
         methods=("mifgsm", "drap"),
         attack=A.AttackConfig(gamma=0.08, beta_x=0.04, beta_eps=0.01,
-                              inner_T=2, n_ls=1, method="drap"),
+                              inner_T=2, n_ls=1, method="drap",
+                              targeted=targeted),
         bound=B.BoundConfig(phi="chi2", c1=1.0, c2=0.25, rho=0.05),
     )
     base.update(overrides)
@@ -288,7 +289,7 @@ def frozen_per_example_attacks(cfg, out):
             pretrain_epochs=cfg.pretrain_epochs)
         X = data.X_test[: cfg.n_examples]
         y = data.y_test[: cfg.n_examples].astype(int)
-        labels = (y + 1) % data.num_classes if cfg.targeted else y
+        labels = (y + 1) % data.num_classes if cfg.attack.targeted else y
         for method in cfg.methods:
             acfg = H._method_config(cfg, method, seed, surrogate)
             first = replace(acfg, record_trace=True)
