@@ -1,137 +1,16 @@
 """Flat-minima transfer attacks and transferability bound diagnostics."""
 
-from .models import (
-    GRAD_CALLS,
-    CheckpointError,
-    LossKind,
-    ModelSpec,
-    Weights,
-    bounded_error,
-    forward,
-    init_weights,
-    input_gradient,
-    load_weights,
-    loss,
-    loss_matrix,
-    neg_cross_entropy,
-    param_count,
-    save_weights,
-    targeted_cross_entropy,
-)
-from .forge import (
-    Dataset,
-    DivergenceError,
-    PrototypeConfig,
-    SurrogateEnsemble,
-    accuracy,
-    build_ensemble,
-    desk_prototypes,
-    make_dataset,
-)
-from .attacks import (
-    METHODS,
-    AttackConfig,
-    AttackState,
-    NumericError,
-    attack_loss_kind,
-    inner_max_global,
-    inner_max_per_model,
-    predict_ngrad,
-    run_attack,
-    trace_to_csv,
-    write_trace,
-)
-from .bounds import (
-    BoundConfig,
-    BoundReport,
-    CandidateSetXr,
-    FeasibilityCheck,
-    InfeasibleError,
-    LossProfile,
-    VarianceSplit,
-    assemble_bound,
-    bernoulli_undercoverage,
-    candidate_losses,
-    d_chi2,
-    d_kl,
-    d_tv,
-    default_t_grid,
-    eps_pac,
-    feasibility,
-    k_s,
-    profile,
-    sharpness,
-    variance_decomposition,
-)
-from .harness import (
-    AsrCell,
-    AsrTable,
-    ExperimentConfig,
-    evaluate_asr,
-    load_cifar10_binary,
-    run_experiment,
-)
+from .forge import build_ensemble, desk_prototypes, make_dataset
+from .attacks import AttackConfig, run_attack
+from .bounds import BoundConfig, assemble_bound, profile
 
 __all__ = [
-    "GRAD_CALLS",
-    "CheckpointError",
-    "LossKind",
-    "ModelSpec",
-    "Weights",
-    "bounded_error",
-    "forward",
-    "init_weights",
-    "input_gradient",
-    "load_weights",
-    "loss",
-    "loss_matrix",
-    "neg_cross_entropy",
-    "param_count",
-    "save_weights",
-    "targeted_cross_entropy",
-    "Dataset",
-    "DivergenceError",
-    "PrototypeConfig",
-    "SurrogateEnsemble",
-    "accuracy",
     "build_ensemble",
     "desk_prototypes",
     "make_dataset",
-    "METHODS",
     "AttackConfig",
-    "AttackState",
-    "NumericError",
-    "attack_loss_kind",
-    "inner_max_global",
-    "inner_max_per_model",
-    "predict_ngrad",
     "run_attack",
-    "trace_to_csv",
-    "write_trace",
     "BoundConfig",
-    "BoundReport",
-    "CandidateSetXr",
-    "FeasibilityCheck",
-    "InfeasibleError",
-    "LossProfile",
-    "VarianceSplit",
     "assemble_bound",
-    "bernoulli_undercoverage",
-    "candidate_losses",
-    "d_chi2",
-    "d_kl",
-    "d_tv",
-    "default_t_grid",
-    "eps_pac",
-    "feasibility",
-    "k_s",
     "profile",
-    "sharpness",
-    "variance_decomposition",
-    "AsrCell",
-    "AsrTable",
-    "ExperimentConfig",
-    "evaluate_asr",
-    "load_cifar10_binary",
-    "run_experiment",
 ]

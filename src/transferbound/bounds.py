@@ -3,12 +3,12 @@
 The machinery audits how far target-ensemble risk at an adversarial
 example can exceed its surrogate risk.  Risk is always the bounded loss
 (1 - probability of the attacked class), so every quantity lives in
-[0, 1] and the variational estimators below are well defined.  Every
-such loss over a model list (the profile at the adversarial example,
-candidate filtering, the per-candidate loss vectors, the sharpness risk)
-is one ``models.loss_matrix`` call: one stacked forward per spec group.
-Each sharpness ascent step is one ``models.vjp_stack`` call, a stacked
-forward and backward per spec group.
+[0, 1] and the variational estimators below are well defined.  Each model
+set is scored by one ``models.loss_matrix`` call per point set (a stacked
+forward per spec group): the profile scores all surrogate members at once,
+and candidate filtering keeps its surrogate loss columns, so
+``candidate_losses`` scores only the targets.  Each sharpness ascent step
+is one ``models.vjp_stack`` call, a stacked forward and backward per group.
 
 The discrepancy between surrogate and target is measured only over a
 candidate set of perturbed inputs whose surrogate risk stays below a
@@ -82,8 +82,8 @@ def profile(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
             target_models: Optional[Sequence[M.Weights]] = None) -> LossProfile:
     kind = M.bounded_error(label)
     point = x_hat[None]
-    comps = [M.loss_matrix(comp, point, kind)[:, 0]
-             for comp in ensemble.components]
+    comps = list(M.loss_matrix(list(ensemble.all_members()), point, kind)
+                 .reshape(ensemble.num_components, -1))
     target = None
     if target_models is not None:
         target = M.loss_matrix(target_models, point, kind)[:, 0]
@@ -97,40 +97,40 @@ def profile(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
 
 @dataclass
 class CandidateSetXr:
-    """Perturbed inputs with surrogate risk at most r (within the budget)."""
+    """Perturbed inputs with surrogate risk at most r (within the budget),
+    and the surrogate members' bounded losses there, one column per
+    candidate, as the filter pass scored them."""
 
     r: float
     candidates: list
+    losses: np.ndarray
 
     @classmethod
     def build(cls, pool: Sequence[np.ndarray], ensemble: SurrogateEnsemble,
               label: int, r: float, x: Optional[np.ndarray] = None,
               gamma: Optional[float] = None) -> "CandidateSetXr":
         if len(pool) == 0:
-            return cls(r=r, candidates=[])
+            return cls(r=r, candidates=[], losses=np.empty((ensemble.size, 0)))
         pts = np.asarray(pool, dtype=np.float64)
         if x is not None and gamma is not None:
             pts = pts[np.max(np.abs(pts - x), axis=1) <= gamma + 1e-12]
-        risk = M.loss_matrix(list(ensemble.all_members()), pts,
-                             M.bounded_error(label)).mean(axis=0)
-        return cls(r=r, candidates=list(pts[risk <= r]))
+        losses = M.loss_matrix(list(ensemble.all_members()), pts,
+                               M.bounded_error(label))
+        keep = losses.mean(axis=0) <= r
+        return cls(r=r, candidates=list(pts[keep]), losses=losses[:, keep])
 
 
-def candidate_losses(candidates: Sequence[np.ndarray],
-                     ensemble: SurrogateEnsemble,
-                     target_models: Sequence[M.Weights],
-                     label: int):
-    """Per-candidate surrogate and target bounded-loss vectors."""
+def candidate_losses(cands: CandidateSetXr,
+                     target_models: Sequence[M.Weights], label: int):
+    """Per-candidate surrogate and target bounded-loss vectors; only the
+    targets are scored here."""
     if len(target_models) == 0:
         raise ValueError("target model set must be nonempty")
-    kind = M.bounded_error(label)
-    if len(candidates) == 0:
+    if len(cands.candidates) == 0:
         return [], []
-    pts = np.stack(candidates)
-    s_mat = M.loss_matrix(list(ensemble.all_members()), pts, kind)
-    t_mat = M.loss_matrix(list(target_models), pts, kind)
-    return [s_mat[:, c] for c in range(pts.shape[0])], \
-           [t_mat[:, c] for c in range(pts.shape[0])]
+    t_mat = M.loss_matrix(list(target_models), np.stack(cands.candidates),
+                          M.bounded_error(label))
+    return list(cands.losses.T), list(t_mat.T)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +483,6 @@ class BoundConfig:
     c2: Optional[float] = None
     rho: float = 0.05
     delta: float = 0.05
-    t_grid: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.phi not in PHIS:
@@ -527,12 +526,14 @@ class BoundReport:
         ])
 
 
+# random points drawn around x into each candidate pool, next to x_hat
+N_CANDIDATES = 64
+
+
 def assemble_bound(x_hat: np.ndarray, x: np.ndarray, gamma: float,
                    ensemble: SurrogateEnsemble,
                    target_models: Sequence[M.Weights], label: int,
-                   cfg: BoundConfig, r: float,
-                   candidates: Optional[CandidateSetXr] = None,
-                   n_candidates: int = 64, seed: int = 0,
+                   cfg: BoundConfig, r: float, seed: int = 0,
                    sharpness_steps: int = 20,
                    sharpness_restarts: int = 3) -> BoundReport:
     """Evaluate every term of the transfer bound at one adversarial example.
@@ -554,20 +555,16 @@ def assemble_bound(x_hat: np.ndarray, x: np.ndarray, gamma: float,
             f"(c1={cfg.c1:g}, c2={cfg.c2:g}) is infeasible: {feas.condition} "
             f"(threshold {feas.threshold:g})")
 
-    if candidates is None:
-        rng = np.random.default_rng(seed)
-        pool = [x_hat]
-        for _ in range(n_candidates):
-            z = x + rng.uniform(-gamma, gamma, size=x.size)
-            pool.append(np.clip(z, 0.0, 1.0))
-        candidates = CandidateSetXr.build(pool, ensemble, label, r,
-                                          x=x, gamma=gamma)
+    rng = np.random.default_rng(seed)
+    pool = [x_hat]
+    for _ in range(N_CANDIDATES):
+        z = x + rng.uniform(-gamma, gamma, size=x.size)
+        pool.append(np.clip(z, 0.0, 1.0))
+    candidates = CandidateSetXr.build(pool, ensemble, label, r,
+                                      x=x, gamma=gamma)
 
-    s_losses, t_losses = candidate_losses(candidates.candidates, ensemble,
-                                          target_models, label)
-    grid = cfg.t_grid if cfg.t_grid is not None else default_t_grid()
-    grid = np.unique(np.concatenate([np.asarray(grid, dtype=np.float64),
-                                     [0.0, cfg.c1, -cfg.c1]]))
+    s_losses, t_losses = candidate_losses(candidates, target_models, label)
+    grid = np.unique(np.concatenate([default_t_grid(), [0.0, cfg.c1, -cfg.c1]]))
     if cfg.phi == "tv":
         d_hat = d_tv(s_losses, t_losses)
     elif cfg.phi == "kl":

@@ -141,8 +141,9 @@ def _pgd_batch(w: M.Weights, X: np.ndarray, y: np.ndarray,
     step = 2.5 * eps / max(steps, 1)
     lo, hi = np.clip(X - eps, 0, 1), np.clip(X + eps, 0, 1)
     Xa = X.copy()
+    kind = M.targeted_cross_entropy(y)
     for _ in range(steps):
-        g = M.batch_ce_input_gradients(w, Xa, y)
+        g = M.batch_ce_input_gradients(w, Xa, kind)
         Xa = np.clip(Xa + step * np.sign(g), lo, hi)
     return Xa
 

@@ -174,6 +174,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be nonempty")
         if self.n_examples < 1:
             raise ValueError("n_examples must be >= 1")
+        if self.bound_examples < 0:
+            raise ValueError("bound_examples must be >= 0")
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}")
         if self.dataset == "cifar10" and not self.dataset_path:
@@ -303,8 +305,6 @@ def _config_lines(cfg: ExperimentConfig) -> list:
                 pairs.append(f"attack.{sub} = {getattr(value, sub)!r}")
         elif f == "bound":
             for sub in sorted(B.BoundConfig.__dataclass_fields__):
-                if sub == "t_grid":
-                    continue
                 pairs.append(f"bound.{sub} = {getattr(value, sub)!r}")
         else:
             pairs.append(f"{f} = {value!r}")
@@ -337,6 +337,9 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
     unknown = phases - ALL_PHASES
     if unknown:
         raise ValueError(f"unknown phases {sorted(unknown)}")
+    if "bounds" in phases and cfg.components * cfg.snapshots < 2:
+        raise ValueError(f"bounds need components * n >= 2 (K >= 2 snapshots), "
+                         f"got components = {cfg.components}, n = {cfg.snapshots}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     need_attacks = bool(phases & {"attack", "asr", "bounds", "bench"})

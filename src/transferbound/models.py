@@ -11,9 +11,10 @@ the members by spec, runs one stacked pass per group, and returns the
 logits in model order with their pullback.  ``vjp``, ``forward`` and
 ``input_gradient`` are its one-member case, and ``loss_matrix`` and
 ``predict_matrix`` reduce its logits; only the training helpers call the
-core directly.  The grouping is a ``MemberStack``; a caller that scores
-one model list many times builds it once with ``member_stack`` and passes
-it in place of the list.
+core directly, and their cross-entropy goes through the same ``LossKind``
+("ce") as every other loss.  The grouping is a ``MemberStack``; a caller
+that scores one model list many times builds it once with
+``member_stack`` and passes it in place of the list.
 
 The input's shape picks the arithmetic.  A (B, d) batch runs one (B, d)
 matrix product per member, which may round differently from one-point
@@ -508,9 +509,9 @@ def _label_entries(a: np.ndarray, label):
     return a.reshape(-1), at
 
 
-def loss_from_logits(logits: np.ndarray, kind: LossKind) -> np.ndarray:
+def loss_from_logits(logits: np.ndarray, kind: LossKind, lse=None) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
-    lse = _logsumexp(z)
+    lse = _logsumexp(z) if lse is None else lse
     view, at = _label_entries(z, kind.label)
     zy = view[at]
     if kind.variant == "neg_ce":
@@ -520,12 +521,13 @@ def loss_from_logits(logits: np.ndarray, kind: LossKind) -> np.ndarray:
     return 1.0 - np.exp(zy - lse)
 
 
-def dloss_dlogits(logits: np.ndarray, kind: LossKind) -> np.ndarray:
+def dloss_dlogits(logits: np.ndarray, kind: LossKind, lse=None) -> np.ndarray:
     """d loss / d logits; the cotangent fed into a ``vjp`` pullback.  Only
     the label entries are shifted, with no one-hot array: 1 - p is
-    1 + (-p) and p - 1 is p + (-1) in IEEE arithmetic."""
+    1 + (-p) and p - 1 is p + (-1) in IEEE arithmetic.  A caller that also
+    takes the loss passes both functions the same ``_logsumexp(logits)``."""
     z = np.asarray(logits, dtype=np.float64)
-    p = np.exp(z - _logsumexp(z)[..., None])
+    p = np.exp(z - (_logsumexp(z) if lse is None else lse)[..., None])
     if kind.variant == "neg_ce":
         g, shift = -p, 1.0
     elif kind.variant == "ce":
@@ -591,25 +593,22 @@ def batch_ce_value_and_weight_grad(w: Weights, X: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (Xb.shape[0],):
         raise ValueError("labels must match the batch size")
-    if y.min() < 0 or y.max() >= w.spec.num_classes:
-        raise ValueError("label out of range")
+    kind = targeted_cross_entropy(y)
+    _check_label(kind, w.spec.num_classes)
     logits, cache = _forward_one(w, Xb)
     lse = _logsumexp(logits)
-    zy = logits[np.arange(len(y)), y]
-    value = float(np.mean(lse - zy))
-    p = np.exp(logits - lse[:, None])
-    p[np.arange(len(y)), y] -= 1.0
-    return value, _backward_stack(w.spec, cache, (p / len(y))[None], weights=True)
+    value = float(np.mean(loss_from_logits(logits, kind, lse)))
+    dlogits = dloss_dlogits(logits, kind, lse) / len(y)
+    return value, _backward_stack(w.spec, cache, dlogits[None], weights=True)
 
 
-def batch_ce_input_gradients(w: Weights, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-example input gradients of cross-entropy (training PGD plumbing)."""
+def batch_ce_input_gradients(w: Weights, X: np.ndarray, kind: LossKind) -> np.ndarray:
+    """Per-example input gradients of a cross-entropy kind,
+    ``targeted_cross_entropy(y)`` with one label per row (training PGD
+    plumbing, which builds the kind once per batch for all its steps)."""
     Xb, _ = _as_batch(X, w.spec.input_dim)
-    y = np.asarray(y, dtype=np.int64)
     logits, cache = _forward_one(w, Xb)
-    p = np.exp(logits - _logsumexp(logits)[:, None])
-    p[np.arange(len(y)), y] -= 1.0
-    return _backward_stack(w.spec, cache, p[None])[0]
+    return _backward_stack(w.spec, cache, dloss_dlogits(logits, kind)[None])[0]
 
 
 # ---------------------------------------------------------------------------

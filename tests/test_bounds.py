@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from transferbound import attacks as A
 from transferbound import bounds as B
 from transferbound import forge as F
 from transferbound import models as M
@@ -645,11 +646,95 @@ def test_candidate_set_takes_one_forward_per_spec_group(tiny_setup, monkeypatch)
 def test_candidate_set_empty_pool_and_pool_outside_ball(tiny_setup):
     ens, data = tiny_setup
     x, y = data.X_test[3], int(data.y_test[3])
-    assert B.CandidateSetXr.build([], ens, y, r=1.0).candidates == []
+    empty = B.CandidateSetXr.build([], ens, y, r=1.0)
+    assert empty.candidates == [] and empty.losses.shape == (ens.size, 0)
+    assert B.candidate_losses(empty, ens.pretrained, y) == ([], [])
     far = [np.clip(x + s * 0.5, 0, 1) for s in (-1.0, 1.0)]
     assert all(np.max(np.abs(c - x)) > 0.1 for c in far)
     assert B.CandidateSetXr.build(far, ens, y, r=1.0, x=x,
                                   gamma=0.1).candidates == []
+
+
+# ---------------------------------------------------------------------------
+# one scoring pass per model set, against the code it replaced
+# ---------------------------------------------------------------------------
+#
+# Frozen copies of the replaced code: ``profile`` with one ``loss_matrix``
+# call per component, ``CandidateSetXr.build`` without its loss columns, and
+# ``candidate_losses`` re-scoring the candidates on the surrogate members.
+
+
+def frozen_profile(x_hat, ensemble, label, target_models=None):
+    kind = M.bounded_error(label)
+    point = x_hat[None]
+    comps = [M.loss_matrix(comp, point, kind)[:, 0]
+             for comp in ensemble.components]
+    target = None
+    if target_models is not None:
+        target = M.loss_matrix(target_models, point, kind)[:, 0]
+    return B.LossProfile(comps, target)
+
+
+def frozen_candidates(pool, ensemble, label, r, x=None, gamma=None):
+    if len(pool) == 0:
+        return []
+    pts = np.asarray(pool, dtype=np.float64)
+    if x is not None and gamma is not None:
+        pts = pts[np.max(np.abs(pts - x), axis=1) <= gamma + 1e-12]
+    risk = M.loss_matrix(list(ensemble.all_members()), pts,
+                         M.bounded_error(label)).mean(axis=0)
+    return list(pts[risk <= r])
+
+
+def frozen_candidate_losses(candidates, ensemble, target_models, label):
+    if len(target_models) == 0:
+        raise ValueError("target model set must be nonempty")
+    kind = M.bounded_error(label)
+    if len(candidates) == 0:
+        return [], []
+    pts = np.stack(candidates)
+    s_mat = M.loss_matrix(list(ensemble.all_members()), pts, kind)
+    t_mat = M.loss_matrix(list(target_models), pts, kind)
+    return [s_mat[:, c] for c in range(pts.shape[0])], \
+           [t_mat[:, c] for c in range(pts.shape[0])]
+
+
+def bits(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("point", ["benign", "mifgsm"])
+@pytest.mark.parametrize("setup", ["tiny_setup", "quad_setup"])
+def test_one_pass_scoring_equals_per_component_code_bitwise(request, setup,
+                                                             point):
+    ens, data = request.getfixturevalue(setup)
+    targets, gamma = ens.pretrained, 0.1
+    for idx in (0, 1):
+        x, y = data.X_test[idx], int(data.y_test[idx])
+        x_hat = x
+        if point == "mifgsm":
+            cfg = A.AttackConfig(gamma=gamma, beta_x=0.02, method="mifgsm",
+                                 seed=idx, record_trace=False)
+            x_hat = A.run_attack(x, y, ens, cfg).x_hat
+        prof = B.profile(x_hat, ens, y, targets)
+        want = frozen_profile(x_hat, ens, y, targets)
+        assert bits(prof.losses_by_component) == bits(want.losses_by_component)
+        assert bits([prof.target_losses]) == bits([want.target_losses])
+
+        rng = np.random.default_rng(idx)
+        pool = [x_hat] + [np.clip(x + rng.uniform(-gamma, gamma, size=x.size),
+                                  0.0, 1.0) for _ in range(B.N_CANDIDATES)]
+        kept = set()
+        for r in (prof.surrogate_risk + 0.05, 1.0):
+            cands = B.CandidateSetXr.build(pool, ens, y, r, x=x, gamma=gamma)
+            old = frozen_candidates(pool, ens, y, r, x=x, gamma=gamma)
+            assert bits(cands.candidates) == bits(old)
+            kept.add(len(old))
+            got = B.candidate_losses(cands, targets, y)
+            for new, frozen in zip(got, frozen_candidate_losses(old, ens,
+                                                                targets, y)):
+                assert bits(new) == bits(frozen)
+        assert min(kept) > 0
 
 
 # ---------------------------------------------------------------------------

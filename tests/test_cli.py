@@ -369,6 +369,28 @@ def test_nonpositive_c1_exits_2_before_any_training(tiny_config, tmp_path,
     assert count_builds == []
 
 
+def test_bounds_with_one_snapshot_exit_2_before_any_training(
+        tiny_config, tmp_path, capsys, count_builds):
+    out = tmp_path / "o"
+    rc = cli.main(["all", "--config", str(tiny_config), "--components", "1",
+                   "--n", "1", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "components = 1" in err and "n = 1" in err
+    assert count_builds == []
+    assert not (out / "ensembles").exists()
+    assert list(out.glob("adv_*.npy")) == []
+
+
+def test_negative_bound_examples_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY + "bound_examples = -1\n", encoding="utf-8")
+    rc = cli.main(["bound", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert "bound_examples must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "bounds.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # the table-driven config against the code it replaced
 # ---------------------------------------------------------------------------

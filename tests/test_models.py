@@ -385,6 +385,35 @@ def central_difference(f, x, h=1e-4):
     return g
 
 
+# Frozen copies of the hand-written softmax cross-entropy that training used
+# before it went through ``LossKind("ce")``.
+
+
+def frozen_batch_ce_value_and_weight_grad(w, X, y):
+    Xb, _ = M._as_batch(X, w.spec.input_dim)
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape != (Xb.shape[0],):
+        raise ValueError("labels must match the batch size")
+    if y.min() < 0 or y.max() >= w.spec.num_classes:
+        raise ValueError("label out of range")
+    logits, cache = M._forward_one(w, Xb)
+    lse = M._logsumexp(logits)
+    zy = logits[np.arange(len(y)), y]
+    value = float(np.mean(lse - zy))
+    p = np.exp(logits - lse[:, None])
+    p[np.arange(len(y)), y] -= 1.0
+    return value, M._backward_stack(w.spec, cache, (p / len(y))[None], weights=True)
+
+
+def frozen_batch_ce_input_gradients(w, X, y):
+    Xb, _ = M._as_batch(X, w.spec.input_dim)
+    y = np.asarray(y, dtype=np.int64)
+    logits, cache = M._forward_one(w, Xb)
+    p = np.exp(logits - M._logsumexp(logits)[:, None])
+    p[np.arange(len(y)), y] -= 1.0
+    return M._backward_stack(w.spec, cache, p[None])[0]
+
+
 class TestGradients:
     def test_hand_logistic_gradient(self):
         # two-class linear model: CE(y=0) = log(1 + exp(z1 - z0)), so
@@ -450,6 +479,22 @@ class TestGradients:
         losses = [M.loss(w, X[i], M.targeted_cross_entropy(int(y[i]))) for i in range(9)]
         assert abs(value - np.mean(losses)) < 1e-12
         assert np.max(np.abs(g - per)) < 1e-12
+
+    @pytest.mark.parametrize("batch", [1, 32])
+    @pytest.mark.parametrize("arch", ["linear", "mlp", "conv_tiny"])
+    def test_batch_ce_equals_hand_written_softmax_bitwise(self, arch, batch):
+        rng = np.random.default_rng(35 + batch)
+        for _ in range(4):
+            spec = random_spec(rng, arch=arch)
+            w = M.init_weights(spec, rng)
+            X = rng.uniform(0, 1, (batch, spec.input_dim))
+            y = rng.integers(0, spec.num_classes, batch)
+            value, g = M.batch_ce_value_and_weight_grad(w, X, y)
+            want_value, want_g = frozen_batch_ce_value_and_weight_grad(w, X, y)
+            assert (value, g.tobytes()) == (want_value, want_g.tobytes())
+            kind = M.targeted_cross_entropy(y)
+            assert (M.batch_ce_input_gradients(w, X, kind).tobytes()
+                    == frozen_batch_ce_input_gradients(w, X, y).tobytes())
 
     def test_relu_subgradient_at_zero_is_zero(self):
         # single hidden unit with preactivation exactly 0 at this input:
