@@ -13,14 +13,13 @@ reverse ascent runs from the late start on, and the update rule.  Each
 evaluation of the objective on a step's model batch, its gradient or its
 traced value, is one ``models.vjp_stack`` call.
 
-One call attacks a (B, d) batch of examples, one label per row, or one
-(d,) example; the loop's arithmetic is the same for both, per row.  The
-rows share the schedule and run through the loop together, but are
-otherwise independent: the objectives evaluate each row as its own point
-(``vjp_stack`` on (B, 1, d) rows; one (d,) example is one point), and the
+One call attacks a (B, d) batch of examples, one label per row; one (d,)
+example is a one-row batch.  The rows share the schedule and run through
+the loop together, but are otherwise independent: the objectives evaluate
+each row as its own point (``vjp_stack`` on (B, 1, d) rows), and the
 momentum, its norm floors and the projection act per row.  So every
-row's adversarial example and trace equal those of a one-example run on
-it, bitwise.
+row's adversarial example equals that of a one-example run on it,
+bitwise.  The trace follows row 0 alone, as one-point objective values.
 
 Query accounting: one unit is one input-gradient computation on one model
 at one example.  Every run predicts its own total from the cost model up
@@ -100,8 +99,8 @@ class AttackConfig:
 
 @dataclass
 class TraceRow:
-    """One step: the objective before and after it (one value per example
-    of a batched run) and the gradient calls per example so far."""
+    """One step of row 0: the objective at its iterate before and after
+    the step, and the gradient calls per example so far."""
 
     iter: int
     component: int
@@ -113,12 +112,13 @@ class TraceRow:
 
 @dataclass
 class AttackState:
-    """A run on one example (x of shape (d,), an int label) or on a batch
-    (x of shape (B, d), a (B,) label array).  A batched run's gradient-call
-    counts are totals over its examples; ``example`` splits it."""
+    """A run on a batch (x of shape (B, d), a (B,) label array), or one
+    example of it (x of shape (d,), an int label).  A batched run's
+    gradient-call counts are totals over its examples, and its trace is
+    row 0's; ``example`` splits it."""
 
     x: np.ndarray
-    label: int
+    label: int | np.ndarray
     targeted: bool
     method: str
     x_hat: np.ndarray = None
@@ -130,16 +130,15 @@ class AttackState:
 
     def example(self, i: int) -> "AttackState":
         """Example i of a batched run as a one-example state, with the run's
-        gradient-call counts divided by the batch size."""
+        gradient-call counts divided by the batch size; row 0 keeps the
+        trace, every other row has none."""
         B = len(self.x)
-        trace = None if self.trace is None else [
-            replace(row, loss_pre=float(row.loss_pre[i]),
-                    loss_post=float(row.loss_post[i])) for row in self.trace]
         return AttackState(
             x=self.x[i], label=int(self.label[i]), targeted=self.targeted,
             method=self.method, x_hat=self.x_hat[i], m=self.m[i],
             grad_calls=self.grad_calls // B,
-            predicted_grad_calls=self.predicted_grad_calls // B, trace=trace,
+            predicted_grad_calls=self.predicted_grad_calls // B,
+            trace=self.trace if i == 0 else None,
             iterates=None if self.iterates is None
             else [it[i] for it in self.iterates])
 
@@ -204,15 +203,13 @@ def _objective_grad(batch, z, kind, fused) -> np.ndarray:
     return g[..., 0, :]
 
 
-def _objective(batch, z, kind, fused):
-    """Value of the step objective at each point (forwards only, no
-    gradient calls).  The loss average takes one contiguous mean per
-    point, as ``np.mean`` of that point's member losses does."""
-    logits = M.vjp_stack(batch, z[..., None, :])[0]
+def _objective(batch, z, kind, fused) -> float:
+    """Value of the step objective at one point z (d,): forwards only, no
+    gradient calls."""
+    logits = M.vjp_stack(batch, z[None])[0]
     if fused:
-        return M.loss_from_logits(logits.mean(axis=0), kind)[..., 0][()]
-    losses = M.loss_from_logits(logits, kind)[..., 0]
-    return np.ascontiguousarray(losses.T).mean(axis=-1)
+        return float(M.loss_from_logits(logits.mean(axis=0), kind)[0])
+    return float(M.loss_from_logits(logits, kind)[:, 0].mean())
 
 
 def _ascend(x_hat, batch, kind, fused, cfg) -> np.ndarray:
@@ -319,8 +316,8 @@ _PLANS = {
 
 
 def _start(x, label, method, cfg) -> AttackState:
-    """The state of a run on one example (d,) with one label, or on a
-    (B, d) batch with a (B,) label array."""
+    """The state of a run on a (B, d) batch with a (B,) label array; one
+    example (d,) with one label is a one-row batch."""
     x, label = np.asarray(x, dtype=np.float64), np.asarray(label)
     if x.ndim not in (1, 2) or len(x) == 0:
         raise ValueError("attacks take one example (d,) or a (B, d) batch")
@@ -331,8 +328,9 @@ def _start(x, label, method, cfg) -> AttackState:
         raise ValueError("labels must be class indices")
     if x.min() < 0.0 or x.max() > 1.0:
         raise ValueError("benign input must lie in [0,1]^d")
-    state = AttackState(x=x, label=int(label) if x.ndim == 1 else label,
-                        targeted=cfg.targeted, method=method)
+    x = np.atleast_2d(x)
+    state = AttackState(x=x, label=label.reshape(-1), targeted=cfg.targeted,
+                        method=method)
     state.x_hat = project(x.copy(), x, cfg.gamma)
     state.m = np.zeros_like(x)
     state.trace = [] if cfg.record_trace else None
@@ -349,7 +347,6 @@ def _finish(state, tally, predicted):
             f"cost model predicts {predicted}")
     if not np.all(np.isfinite(state.x_hat)):
         raise NumericError("non-finite adversarial example")
-    return state
 
 
 def _schedule(method, plan, ensemble, models, cfg):
@@ -424,8 +421,9 @@ def _cwa_step(state, batch, kind, cfg) -> np.ndarray:
 
 def run_attack(x, label, ensemble, cfg: AttackConfig,
                models: Optional[Sequence[M.Weights]] = None) -> AttackState:
-    """Run cfg.method on one example (x of shape (d,), an int label) or on
-    a (B, d) batch with one label per row, as an instance of the step loop.
+    """Run cfg.method on a (B, d) batch with one label per row, or on one
+    example (x of shape (d,), an int label), as an instance of the step
+    loop.
 
     Each step takes a model batch from the method's plan, optionally
     shifts the iterate by a reverse (flatness) ascent of the objective
@@ -437,7 +435,8 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
     The B examples of a batch share the schedule and every step; each
     row's result equals a one-example run on it bitwise
     (``AttackState.example``).  A batched run's gradient calls total B
-    times the per-example cost model.
+    times the per-example cost model, and its trace is row 0's.  One
+    example runs as a one-row batch and returns that row's state.
     """
     method = cfg.method
     plan = _PLANS[method]
@@ -449,17 +448,17 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
         plan = replace(plan, models="list")
     predicted, steps = _schedule(method, plan, ensemble, models, cfg)
     state = _start(x, label, method, cfg)
-    batched = state.x.ndim == 2
-    B = len(state.x) if batched else 1
-    kind = attack_loss_kind(cfg.targeted,
-                            state.label[:, None] if batched else state.label)
+    B = len(state.x)
+    kind = attack_loss_kind(cfg.targeted, state.label[:, None])
+    # the trace follows row 0, as a one-point objective with its own label
+    kind0 = attack_loss_kind(cfg.targeted, int(state.label[0]))
     # the objectives index the label's logit column without a check
     pool = models if plan.models == "list" else ensemble.all_members()
     M._check_label(kind, min(w.spec.num_classes for w in pool))
     with M.GRAD_CALLS.scope() as tally:
         for step, comp, snap, batch, late in steps:
             if state.trace is not None:
-                loss_pre = _objective(batch, state.x_hat, kind, plan.fused)
+                loss_pre = _objective(batch, state.x_hat[0], kind0, plan.fused)
             if plan.update == "cwa":
                 state.x_hat = _cwa_step(state, batch, kind, cfg)
             else:
@@ -475,10 +474,12 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
             if state.iterates is not None:
                 state.iterates.append(state.x_hat.copy())
             if state.trace is not None:
-                loss_post = _objective(batch, state.x_hat, kind, plan.fused)
+                loss_post = _objective(batch, state.x_hat[0], kind0,
+                                       plan.fused)
                 state.trace.append(TraceRow(step, comp, snap, loss_pre,
                                             loss_post, tally.count // B))
-    return _finish(state, tally, B * predicted)
+    _finish(state, tally, B * predicted)
+    return state if np.ndim(x) == 2 else state.example(0)
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,17 @@ def feasibility(c1: float, c2: float, losses: np.ndarray,
                             "chi2 needs c2 >= (c1/4) * Var/E of surrogate loss")
 
 
+def require_feasible(cfg: "BoundConfig", losses) -> FeasibilityCheck:
+    """``feasibility`` of cfg's (c1, c2) at these losses, raising
+    InfeasibleError when it fails."""
+    feas = feasibility(cfg.c1, cfg.c2, losses, cfg.phi)
+    if not feas.feasible:
+        raise InfeasibleError(
+            f"(c1={cfg.c1:g}, c2={cfg.c2:g}) is infeasible: {feas.condition} "
+            f"(threshold {feas.threshold:g})")
+    return feas
+
+
 def bernoulli_undercoverage(p: float, q: float) -> float:
     """KL(Bernoulli(p) || Bernoulli(q)): the floor any kl discrepancy
     estimate must respect when the target puts mass p on a region the
@@ -549,11 +560,7 @@ def assemble_bound(x_hat: np.ndarray, x: np.ndarray, gamma: float,
         raise ValueError("target model set must be nonempty")
     prof = profile(x_hat, ensemble, label, target_models)
     losses_here = prof.all_losses
-    feas = feasibility(cfg.c1, cfg.c2, losses_here, cfg.phi)
-    if not feas.feasible:
-        raise InfeasibleError(
-            f"(c1={cfg.c1:g}, c2={cfg.c2:g}) is infeasible: {feas.condition} "
-            f"(threshold {feas.threshold:g})")
+    feas = require_feasible(cfg, losses_here)
 
     rng = np.random.default_rng(seed)
     pool = [x_hat]

@@ -278,17 +278,17 @@ class SurrogateEnsemble:
             yield from comp
 
     def save(self, root) -> None:
-        if self.fingerprint is None:
+        if None in (self.fingerprint, self.pretrained, self.component_seeds):
             raise ValueError("only an ensemble from build_ensemble (which "
-                             "records its fingerprint) can be saved")
+                             "records its fingerprint, prototypes and their "
+                             "seeds) can be saved")
         os.makedirs(root, exist_ok=True)
         for i, comp in enumerate(self.components):
             cdir = os.path.join(root, f"component_{i}")
             os.makedirs(cdir, exist_ok=True)
             for j, w in enumerate(comp):
                 M.save_weights(w, os.path.join(cdir, f"snapshot_{j}.fxw"))
-            if self.pretrained is not None:
-                M.save_weights(self.pretrained[i], os.path.join(cdir, "pretrained.fxw"))
+            M.save_weights(self.pretrained[i], os.path.join(cdir, "pretrained.fxw"))
         lines = [
             f"I = {self.num_components}",
             f"n = {self.snapshots_per_component}",
@@ -297,8 +297,7 @@ class SurrogateEnsemble:
         ]
         for i, comp in enumerate(self.components):
             lines.append(f"component_{i}_spec = {spec_to_string(comp[0].spec)}")
-            if self.component_seeds is not None:
-                lines.append(f"component_{i}_seed = {self.component_seeds[i]}")
+            lines.append(f"component_{i}_seed = {self.component_seeds[i]}")
         with open(os.path.join(root, "manifest.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -318,16 +317,15 @@ class SurrogateEnsemble:
             if line:
                 key, _, value = line.partition("=")
                 kv[key.strip()] = value.strip()
-        missing = [k for k in ("I", "n", "fingerprint") if not kv.get(k)]
+        missing = [k for k in ("I", "n", "seed", "fingerprint") if not kv.get(k)]
         if missing:
             raise M.CheckpointError(f"{manifest}: no {', '.join(missing)}")
         try:
             I, n = int(kv["I"]), int(kv["n"])
             specs = [spec_from_string(kv[f"component_{i}_spec"])
                      for i in range(I)]
-            seeds = [int(kv[f"component_{i}_seed"]) for i in range(I)
-                     if f"component_{i}_seed" in kv]
-            seed = int(kv.get("seed", 0))
+            seeds = [int(kv[f"component_{i}_seed"]) for i in range(I)]
+            seed = int(kv["seed"])
         except (KeyError, ValueError) as exc:
             raise M.CheckpointError(f"{manifest}: malformed: {exc!r}") from exc
         if I < 1 or n < 1:
@@ -348,16 +346,9 @@ class SurrogateEnsemble:
             cdir = os.path.join(root, f"component_{i}")
             components.append([read(os.path.join(cdir, f"snapshot_{j}.fxw"), spec)
                                for j in range(n)])
-            ppath = os.path.join(cdir, "pretrained.fxw")
-            if os.path.exists(ppath):
-                pretrained.append(read(ppath, spec))
-        return cls(
-            components,
-            seed=seed,
-            pretrained=pretrained if len(pretrained) == I else None,
-            component_seeds=seeds if len(seeds) == I else None,
-            fingerprint=kv["fingerprint"],
-        )
+            pretrained.append(read(os.path.join(cdir, "pretrained.fxw"), spec))
+        return cls(components, seed=seed, pretrained=pretrained,
+                   component_seeds=seeds, fingerprint=kv["fingerprint"])
 
 
 def spec_to_string(spec: M.ModelSpec) -> str:

@@ -172,8 +172,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
-        if self.n_examples < 1:
-            raise ValueError("n_examples must be >= 1")
+        if not 1 <= self.n_examples <= self.n_test:
+            raise ValueError(f"n_examples must be in [1, n_test = {self.n_test}], "
+                             f"got {self.n_examples}")
         if self.bound_examples < 0:
             raise ValueError("bound_examples must be >= 0")
         if self.dataset not in DATASETS:
@@ -340,6 +341,9 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
     if "bounds" in phases and cfg.components * cfg.snapshots < 2:
         raise ValueError(f"bounds need components * n >= 2 (K >= 2 snapshots), "
                          f"got components = {cfg.components}, n = {cfg.snapshots}")
+    if "bounds" in phases:
+        # exact for tv and kl; for chi2 only c2 >= 0, the rest needs losses
+        B.require_feasible(cfg.bound, [])
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     need_attacks = bool(phases & {"attack", "asr", "bounds", "bench"})
@@ -358,9 +362,6 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
     for seed in cfg.seeds:
         t0 = time.perf_counter()
         data = _dataset_for(cfg, seed)
-        if data.X_test.shape[0] < cfg.n_examples:
-            raise ValueError(f"test split holds {data.X_test.shape[0]} "
-                             f"examples, need {cfg.n_examples}")
         root = out / "ensembles" / f"seed{seed}"
         surrogate, target_ens, source = _ensembles(
             cfg, data, seed, root, reuse="forge" not in phases)

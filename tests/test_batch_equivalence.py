@@ -1,12 +1,13 @@
 """A batched ``run_attack`` equals one-example runs on its rows, bitwise.
 
 One call on a (B, d) batch runs every example through the same step loop;
-each row's ``x_hat``, iterates and trace must equal those of a run on that
-example alone, and the run's gradient calls must total B times the
-per-example cost model.  Cases cover every method and the list forms of
-ifgsm/mifgsm on both fixtures, with mixed labels, untargeted and targeted,
-under the trajectory schedule (seed 0) and the random one (seed 1, which
-also sets momentum decay 0.9 and CWA micro-step 0.05).  ``rap_members``
+each row's ``x_hat`` and iterates must equal those of a run on that
+example alone, row 0's trace must equal that run's trace, and the run's
+gradient calls must total B times the per-example cost model.  Cases
+cover every method and the list forms of ifgsm/mifgsm on both fixtures,
+with mixed labels, untargeted and targeted, under the trajectory
+schedule (seed 0) and the random one (seed 1, which also sets momentum
+decay 0.9 and CWA micro-step 0.05).  ``rap_members``
 attacks every ensemble member at once, a list long enough (16 models on
 the quad fixture) for ``np.mean`` to sum the traced losses pairwise.
 """
@@ -62,7 +63,10 @@ def test_rows_equal_one_example_runs(request, setup, form, seed, targeted):
         assert batched.x_hat[i].tobytes() == one.x_hat.tobytes(), i
         assert [a.tobytes() for a in row.iterates] == \
             [b.tobytes() for b in one.iterates], i
-        assert A.trace_to_csv(row, cfg) == A.trace_to_csv(one, cfg), i
+        if i == 0:
+            assert A.trace_to_csv(row, cfg) == A.trace_to_csv(one, cfg)
+        else:
+            assert row.trace is None, i
         assert row.grad_calls == one.grad_calls == per_example
         assert row.label == one.label
     # the trace's grad_calls column counts per example, not per run
@@ -70,17 +74,26 @@ def test_rows_equal_one_example_runs(request, setup, form, seed, targeted):
         [r.grad_calls for r in singles[0].trace]
 
 
-def test_one_row_batch_equals_one_example(quad_setup):
+@pytest.mark.parametrize("method", A.METHODS)
+def test_one_row_batch_equals_one_example(quad_setup, method):
     ens, data = quad_setup
     cfg = A.AttackConfig(gamma=0.1, beta_x=0.02, beta_eps=0.004, inner_T=2,
-                         n_ls=1, method="drap")
+                         n_ls=1, method=method, keep_iterates=True,
+                         n_iter=5 if method == "rap" else None)
     x, y = data.X_test[3], int(data.y_test[3])
     batched = A.run_attack(x[None], np.array([y]), ens, cfg)
     one = A.run_attack(x, y, ens, cfg)
     assert batched.x_hat.shape == (1, x.size) and one.x_hat.shape == x.shape
-    assert batched.x_hat[0].tobytes() == one.x_hat.tobytes()
-    assert batched.grad_calls == one.grad_calls
-    assert isinstance(one.label, int) and isinstance(one.trace[0].loss_pre, float)
+    row = batched.example(0)
+    assert row.x_hat.tobytes() == one.x_hat.tobytes()
+    assert row.m.tobytes() == one.m.tobytes()
+    assert [a.tobytes() for a in row.iterates] == \
+        [b.tobytes() for b in one.iterates]
+    assert A.trace_to_csv(row, cfg) == A.trace_to_csv(one, cfg)
+    assert row.grad_calls == one.grad_calls == batched.grad_calls
+    assert row.predicted_grad_calls == one.predicted_grad_calls
+    assert isinstance(one.label, int) and isinstance(row.label, int)
+    assert isinstance(one.trace[0].loss_pre, float)
 
 
 @pytest.mark.parametrize("d", [2, 6, 20, 33])

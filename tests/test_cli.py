@@ -104,13 +104,26 @@ def test_cifar_without_path_exits_2(tiny_config, tmp_path, capsys):
     assert "dataset_path" in capsys.readouterr().err
 
 
-def test_infeasible_bound_exits_2(tiny_config, tmp_path, capsys):
+def test_infeasible_bound_exits_2(tiny_config, tmp_path, capsys, count_builds):
     rc = cli.main(["bound", "--config", str(tiny_config),
                    "--method", "drap", "--n", "2", "--components", "2",
                    "--phi", "kl", "--c2", "0.0",
                    "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
     assert "infeasible" in capsys.readouterr().err
+    assert count_builds == []  # rejected before any training
+    assert not (tmp_path / "o").exists()
+
+
+def test_more_examples_than_the_test_split_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "many.cfg"
+    cfg.write_text(TINY.replace("n_examples = 2", "n_examples = 41"),
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    rc = cli.main(["eval", "--config", str(cfg), "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert "n_test = 40" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_divergent_training_exits_3(tiny_config, tmp_path, capsys):
@@ -344,8 +357,13 @@ def _deleted_snapshot(root):
     (root / "surrogate" / "component_0" / "snapshot_1.fxw").unlink()
 
 
+def _deleted_pretrained(root):
+    (root / "surrogate" / "component_1" / "pretrained.fxw").unlink()
+
+
 @pytest.mark.parametrize("damage", [_no_fingerprint, _no_target_dir,
-                                    _truncated_snapshot, _deleted_snapshot])
+                                    _truncated_snapshot, _deleted_snapshot,
+                                    _deleted_pretrained])
 def test_damaged_saved_ensembles_exit_2(tiny_config, tmp_path, capsys,
                                         count_builds, damage):
     out = tmp_path / "out"

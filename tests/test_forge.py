@@ -208,7 +208,28 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="fingerprint"):
             F.SurrogateEnsemble(ens.components).save(tmp_path / "ens")
 
-    @pytest.mark.parametrize("key", ["I", "n", "fingerprint"])
+    def test_save_needs_prototypes_and_their_seeds(self, tmp_path):
+        ens, _ = self.build(n=1)
+        for missing in ("pretrained", "component_seeds"):
+            with pytest.raises(ValueError, match="prototypes"):
+                replace(ens, **{missing: None}).save(tmp_path / "ens")
+        assert not (tmp_path / "ens").exists()
+
+    def test_load_rejects_a_partial_prototype_set(self, tmp_path):
+        ens, _ = self.build(n=1)
+        ens.save(tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        text = manifest.read_text()
+        manifest.write_text(text.replace("component_2_seed", "# dropped"))
+        with pytest.raises(M.CheckpointError, match="component_2_seed"):
+            F.SurrogateEnsemble.load(tmp_path)
+        manifest.write_text(text)
+        (tmp_path / "component_3" / "pretrained.fxw").unlink()
+        with pytest.raises(M.CheckpointError,
+                           match=r"component_3.pretrained\.fxw: missing"):
+            F.SurrogateEnsemble.load(tmp_path)
+
+    @pytest.mark.parametrize("key", ["I", "n", "seed", "fingerprint"])
     def test_load_rejects_manifest_without(self, tmp_path, key):
         ens, _ = self.build(n=1)
         ens.save(tmp_path)
