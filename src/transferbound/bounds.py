@@ -7,8 +7,10 @@ example can exceed its surrogate risk.  Risk is always the bounded loss
 set is scored by one ``models.loss_matrix`` call per point set (a stacked
 forward per spec group): the profile scores all surrogate members at once,
 and candidate filtering keeps its surrogate loss columns, so
-``candidate_losses`` scores only the targets.  Each sharpness ascent step
-is one ``models.vjp_stack`` call, a stacked forward and backward per group.
+``candidate_losses`` scores only the targets.  Sharpness runs its restarts
+as rows: one ``models.vjp_stack`` call per step for all restarts (a
+stacked forward and backward per group), and one final forward for the
+rows that never stopped.
 
 The discrepancy between surrogate and target is measured only over a
 candidate set of perturbed inputs whose surrogate risk stays below a
@@ -37,6 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import models as M
+from .attacks import _l2_rows
 from .forge import SurrogateEnsemble
 
 log = logging.getLogger(__name__)
@@ -213,8 +216,9 @@ def _kl_search(grid: np.ndarray, s, mean_t: float) -> float:
 def d_kl(s_losses: Sequence[np.ndarray], t_losses: Sequence[np.ndarray],
          t_grid: Optional[np.ndarray] = None) -> float:
     """Grid supremum of t * E_T[loss] - log E_S[exp(t * loss)], equal bit
-    for bit to evaluating the whole grid (``d_phi_grid("kl", ...)``) but
-    found by a concave search over the sorted grid (``_kl_search``).
+    for bit to evaluating the whole grid (the full-grid oracle in
+    ``tests/test_bounds.py``) but found by a concave search over the
+    sorted grid (``_kl_search``).
 
     Nonnegative because the grid contains t = 0.
     """
@@ -244,32 +248,6 @@ def d_chi2(s_losses: Sequence[np.ndarray], t_losses: Sequence[np.ndarray]) -> fl
                 return math.inf
             continue
         best = max(best, delta * delta / var)
-    return best
-
-
-def d_phi_grid(phi: str, s_losses, t_losses,
-               t_grid: Optional[np.ndarray] = None) -> float:
-    """Generic evaluation of the variational objective at every grid point
-    (cross-check path for the closed-form tv and chi2 estimators and for
-    the kl search)."""
-    if phi not in PHIS:
-        raise ValueError(f"unknown phi {phi!r}")
-    _check_pairs(s_losses, t_losses)
-    t_grid = _check_grid(default_t_grid() if t_grid is None else t_grid)
-    if phi == "tv":
-        t_grid = t_grid[(t_grid >= -1.0) & (t_grid <= 1.0)]
-    best = 0.0
-    for s, t in zip(s_losses, t_losses):
-        if phi == "kl":
-            gen = np.log(np.mean(np.exp(np.outer(t_grid, s)), axis=1))
-            vals = t_grid * _smean(t) - gen
-        else:
-            delta = _smean(t) - _smean(s)
-            if phi == "tv":
-                vals = t_grid * delta
-            else:
-                vals = t_grid * delta - (t_grid ** 2 / 4.0) * float(np.var(s))
-        best = max(best, float(vals.max()))
     return best
 
 
@@ -438,10 +416,12 @@ def sharpness(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
 
     The zero perturbation is always a candidate, so the result is >= 0.
     The members are grouped and stacked once (``models.member_stack``).
-    Each ascent step is one ``models.vjp_stack`` call on that stack (a
-    stacked forward and backward per spec group) giving the risk and one
-    gradient call per member; the last point of a restart costs one more
-    forward.
+    The restarts run in lockstep as (R, 1, d) rows: one
+    ``models.vjp_stack`` call per step for all restarts gives each row's
+    risk and one gradient call per member per row, from one softmax.  A
+    row stops, and leaves the pullback, when its gradient vanishes.  Then
+    one final forward for the rows that never stopped scores their last
+    points.  Each row equals a one-restart run bit for bit.
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
@@ -451,32 +431,42 @@ def sharpness(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
     members = M.member_stack(list(ensemble.all_members()))
     rng = np.random.default_rng(seed)
     d = x_hat.size
-
-    def risk(z):
-        return float(np.mean(M.loss_matrix(members, z[None], kind)))
-
-    base = risk(x_hat)
+    base = float(np.mean(M.loss_matrix(members, x_hat[None], kind)))
     best = base
-    for restart in range(restarts):
-        if restart == 0:
-            eps = np.zeros_like(x_hat)
-        else:
-            u = rng.normal(size=d)
-            u /= np.linalg.norm(u)
-            eps = u * rho * rng.uniform() ** (1.0 / d)
-        for _ in range(steps):
-            logits, pullback = M.vjp_stack(members, (x_hat + eps)[None])
-            best = max(best, float(np.mean(M.loss_from_logits(logits, kind))))
-            g = np.mean(pullback(M.dloss_dlogits(logits, kind))[:, 0], axis=0)
-            norm = float(np.linalg.norm(g))
-            if norm < 1e-15:
-                break
-            eps = eps + 2.0 * rho / steps * g / norm
-            scale = float(np.linalg.norm(eps))
-            if scale > rho:
-                eps = eps * (rho / scale)
-        else:
-            best = max(best, risk(x_hat + eps))
+    # row 0 starts at x_hat; the others at a uniform draw from the ball
+    eps = np.zeros((restarts, d))
+    for i in range(1, restarts):
+        u = rng.normal(size=d)
+        u /= np.linalg.norm(u)
+        eps[i] = u * rho * rng.uniform() ** (1.0 / d)
+
+    def fold(best, logits, lse=None):
+        # each row's risk is a member mean over one contiguous run, as for a
+        # one-point loss column; Python's max keeps best at a NaN risk
+        losses = M.loss_from_logits(logits, kind, lse)[..., 0]
+        for v in np.ascontiguousarray(losses.T).mean(axis=1):
+            best = max(best, float(v))
+        return best
+
+    live = np.arange(restarts)
+    for _ in range(steps):
+        if live.size == 0:
+            break
+        logits, pullback = M.vjp_stack(members, (x_hat + eps[live])[:, None])
+        lse = M._logsumexp(logits)
+        best = fold(best, logits, lse)
+        g = np.mean(pullback(M.dloss_dlogits(logits, kind, lse))[:, :, 0], axis=0)
+        norm = _l2_rows(g)
+        # not `norm >= 1e-15`: a NaN norm keeps its row moving
+        moving = ~(norm[:, 0] < 1e-15)
+        live, g, norm = live[moving], g[moving], norm[moving]
+        moved = eps[live] + 2.0 * rho / steps * g / norm
+        scale = _l2_rows(moved)[:, 0]
+        out = scale > rho
+        moved[out] = moved[out] * (rho / scale[out])[:, None]
+        eps[live] = moved
+    if live.size:
+        best = fold(best, M.vjp_stack(members, (x_hat + eps[live])[:, None])[0])
     return best - base
 
 

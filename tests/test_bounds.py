@@ -126,6 +126,31 @@ def test_feasibility_chi2_degenerate_losses():
 # ---------------------------------------------------------------------------
 
 
+def d_phi_grid(phi: str, s_losses, t_losses, t_grid=None) -> float:
+    """Generic evaluation of the variational objective at every grid point:
+    the oracle for the closed-form tv and chi2 estimators and for the kl
+    search."""
+    if phi not in B.PHIS:
+        raise ValueError(f"unknown phi {phi!r}")
+    B._check_pairs(s_losses, t_losses)
+    t_grid = B._check_grid(B.default_t_grid() if t_grid is None else t_grid)
+    if phi == "tv":
+        t_grid = t_grid[(t_grid >= -1.0) & (t_grid <= 1.0)]
+    best = 0.0
+    for s, t in zip(s_losses, t_losses):
+        if phi == "kl":
+            gen = np.log(np.mean(np.exp(np.outer(t_grid, s)), axis=1))
+            vals = t_grid * B._smean(t) - gen
+        else:
+            delta = B._smean(t) - B._smean(s)
+            if phi == "tv":
+                vals = t_grid * delta
+            else:
+                vals = t_grid * delta - (t_grid ** 2 / 4.0) * float(np.var(s))
+        best = max(best, float(vals.max()))
+    return best
+
+
 def test_default_t_grid_shape():
     g = B.default_t_grid()
     assert g.size == 2001
@@ -139,7 +164,7 @@ def test_chi2_closed_form_example():
     val = B.d_chi2(s, t)
     assert val == pytest.approx(1.0, abs=1e-12)
     # optimizer sits at t* = 2*gap/var = 10; a dense grid agrees
-    grid_val = B.d_phi_grid("chi2", s, t, dense_grid(-20, 20, 0.005))
+    grid_val = d_phi_grid("chi2", s, t, dense_grid(-20, 20, 0.005))
     assert grid_val == pytest.approx(1.0, abs=1e-4)
 
 
@@ -153,7 +178,7 @@ def test_chi2_matches_grid_random():
         t_arr = s_arr + rng.uniform(-0.3, 0.3)
         s, t = [s_arr], [t_arr]
         exact = B.d_chi2(s, t)
-        approx = B.d_phi_grid("chi2", s, t, grid)
+        approx = d_phi_grid("chi2", s, t, grid)
         assert approx <= exact + 1e-9
         assert exact - approx <= 1e-3 * max(1.0, exact)
 
@@ -172,7 +197,7 @@ def test_tv_exact_and_grid_agree():
     want = max(abs(b.mean() - a.mean()) for a, b in zip(s, t))
     assert exact == pytest.approx(want, abs=1e-15)
     grid = np.unique(np.concatenate([np.linspace(-1, 1, 401), [0.0]]))
-    assert B.d_phi_grid("tv", s, t, grid) == pytest.approx(exact, abs=1e-12)
+    assert d_phi_grid("tv", s, t, grid) == pytest.approx(exact, abs=1e-12)
 
 
 def test_kl_bernoulli_population_identity():
@@ -266,7 +291,7 @@ def kl_cases(draw):
 @given(case=kl_cases())
 def test_kl_search_equals_full_grid_bitwise(case):
     s, t, grid = case
-    assert B.d_kl(s, t, grid) == B.d_phi_grid("kl", s, t, grid)
+    assert B.d_kl(s, t, grid) == d_phi_grid("kl", s, t, grid)
 
 
 @pytest.mark.parametrize("size", [1, 3, 5, 7, 40])
@@ -275,7 +300,7 @@ def test_kl_search_on_equal_constant_losses(value, size):
     # the objective is 0 up to rounding on the whole grid, so its grid max
     # is rounding noise that may sit far from the coarse argmax
     s, t = [np.full(size, value)], [np.full(size, value)]
-    assert B.d_kl(s, t) == B.d_phi_grid("kl", s, t)
+    assert B.d_kl(s, t) == d_phi_grid("kl", s, t)
 
 
 def test_kl_search_evaluates_a_fraction_of_the_grid(monkeypatch):
@@ -292,7 +317,7 @@ def test_kl_search_evaluates_a_fraction_of_the_grid(monkeypatch):
     monkeypatch.setattr(B, "_kl_objective", counted)
     got = B.d_kl(s, t)
     monkeypatch.undo()
-    assert got == B.d_phi_grid("kl", s, t)
+    assert got == d_phi_grid("kl", s, t)
     # the coarse pass, then the 33 points from one neighbour of the
     # coarse argmax to the other
     coarse = len(range(0, B.default_t_grid().size - 1, B.KL_STRIDE)) + 1
@@ -307,7 +332,7 @@ def test_estimator_validation():
     with pytest.raises(ValueError):
         B.d_kl([np.array([0.1])], [np.array([0.2])], np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        B.d_phi_grid("wasserstein", [], [])
+        d_phi_grid("wasserstein", [], [])
     assert B.d_tv([], []) == 0.0
     assert B.d_kl([], []) == 0.0
 
@@ -508,6 +533,20 @@ def frozen_sharpness(x_hat, ensemble, label, rho, steps=20, restarts=3, seed=0):
     return best - base
 
 
+def frozen_restart_starts(x_hat, ensemble, label, rho, restarts, seed):
+    """What sharpness without steps scores: the risk gain at the best
+    restart start, the starts drawn as the per-restart loop drew them."""
+    members, kind = list(ensemble.all_members()), M.bounded_error(label)
+    rng = np.random.default_rng(seed)
+    risks = [per_model_risk(members, x_hat, kind)]
+    for _ in range(restarts - 1):
+        u = rng.normal(size=x_hat.size)
+        u /= np.linalg.norm(u)
+        risks.append(per_model_risk(
+            members, x_hat + u * rho * rng.uniform() ** (1.0 / x_hat.size), kind))
+    return max(risks) - risks[0]
+
+
 @pytest.mark.parametrize("setup", ["tiny_setup", "quad_setup"])
 @pytest.mark.parametrize("seed", range(4))
 def test_sharpness_equals_per_member_oracle(request, setup, seed):
@@ -531,15 +570,7 @@ def test_sharpness_without_steps_scores_the_restart_starts(quad_setup):
     with M.GRAD_CALLS.scope() as tally:
         got = B.sharpness(x, ens, y, 0.2, steps=0, restarts=3, seed=5)
     assert tally.count == 0
-    members, kind = list(ens.all_members()), M.bounded_error(y)
-    rng = np.random.default_rng(5)
-    risks = [per_model_risk(members, x, kind)]
-    for _ in range(2):
-        u = rng.normal(size=x.size)
-        u /= np.linalg.norm(u)
-        risks.append(per_model_risk(
-            members, x + u * 0.2 * rng.uniform() ** (1.0 / x.size), kind))
-    assert got == max(risks) - risks[0]
+    assert got == frozen_restart_starts(x, ens, y, 0.2, 3, 5)
 
 
 def test_sharpness_zero_weight_ensemble_breaks_on_first_step():
@@ -570,6 +601,92 @@ def test_sharpness_stacks_its_members_once(quad_setup, monkeypatch):
     assert builds == [ens.size]
     assert tally.count == 6 * 3 * ens.size
     assert got == frozen_sharpness(x, ens, y, 0.1, 6, 3, 2)
+
+
+def test_sharpness_runs_all_restarts_in_one_call_per_step(quad_setup, monkeypatch):
+    ens, data = quad_setup
+    x, y = data.X_test[2], int(data.y_test[2])
+    shapes = []
+    vjp_stack = M.vjp_stack
+
+    def counted(models, z):
+        shapes.append(np.shape(z))
+        return vjp_stack(models, z)
+
+    monkeypatch.setattr(M, "vjp_stack", counted)
+    with M.GRAD_CALLS.scope() as tally:
+        got = B.sharpness(x, ens, y, 0.1, steps=6, restarts=3, seed=2)
+    monkeypatch.undo()
+    # the base risk, one call per step for the 3 restarts as rows, and the
+    # final forward, where the per-restart loop made 3 * 6 + 3 + 1 calls
+    assert shapes == [(1, x.size)] + [(3, 1, x.size)] * 7
+    assert tally.count == 6 * 3 * ens.size
+    assert got == frozen_sharpness(x, ens, y, 0.1, 6, 3, 2)
+
+
+def test_sharpness_rows_stop_at_different_steps():
+    # one ReLU unit whose pre-activation x[0] - x_hat[0] is exactly 0 at
+    # x_hat, where its gradient is 0: the unperturbed restart stops on its
+    # first step, and a restart drawn with eps[0] > 0 keeps climbing
+    x = np.array([0.2, 0.5, 0.7])
+    spec = M.ModelSpec("mlp", 3, 2, hidden=(1,))
+    w = M.Weights(spec, np.array([1.0, 0.0, 0.0, -x[0], -1.0, 1.0, 0.0, 0.0]))
+    ens = F.SurrogateEnsemble(components=[[w, w], [w, w]])
+    tallies = set()
+    for seed in range(6):
+        with M.GRAD_CALLS.scope() as tally:
+            got = B.sharpness(x, ens, 0, 0.1, steps=5, restarts=3, seed=seed)
+        with M.GRAD_CALLS.scope() as frozen_tally:
+            want = frozen_sharpness(x, ens, 0, 0.1, 5, 3, seed)
+        assert got == want
+        assert tally.count == frozen_tally.count
+        tallies.add(tally.count)
+    # some seed's rows stopped at different steps
+    assert tallies - {3 * ens.size, 3 * 5 * ens.size}
+
+
+def test_sharpness_nan_risk_leaves_the_best_as_it_is():
+    # the ReLU member's logits overflow to inf for any x[0] > x_hat[0],
+    # where the risk is NaN and so is the gradient, which keeps that row
+    # moving; rows with x[0] <= x_hat[0] climb the linear member's risk.
+    # A NaN row shares every call with a climbing row, and must not hide
+    # the climbing row's risk.
+    x = np.array([0.3, 0.5])
+    spec = M.ModelSpec("mlp", 2, 2, hidden=(1,))
+    blow = M.Weights(spec, np.array([1e10, 0.0, -(1e10 * x[0]),
+                                     1e308, 1e308, 0.0, 0.0]))
+    ens = F.SurrogateEnsemble(components=[[blow], [linear_pair([2.0, 1.0])]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(per_model_risk(list(ens.all_members()),
+                                         x + [0.01, 0.0], M.bounded_error(0)))
+        for seed in range(6):
+            with M.GRAD_CALLS.scope() as tally:
+                got = B.sharpness(x, ens, 0, 0.1, steps=5, restarts=3, seed=seed)
+            with M.GRAD_CALLS.scope() as frozen_tally:
+                want = frozen_sharpness(x, ens, 0, 0.1, 5, 3, seed)
+            assert got == want > 0.0
+            assert tally.count == frozen_tally.count
+
+
+@seed(20261)
+@settings(max_examples=100, deadline=None)
+@given(steps=st.integers(0, 6), restarts=st.integers(0, 4),
+       rho=st.floats(0.0, 0.5), rng_seed=st.integers(0, 2**32 - 1),
+       i=st.integers(0, 9))
+def test_sharpness_rows_equal_the_per_restart_loop(quad_setup, steps, restarts,
+                                                   rho, rng_seed, i):
+    ens, data = quad_setup
+    x, y = data.X_test[i], int(data.y_test[i])
+    with M.GRAD_CALLS.scope() as tally:
+        got = B.sharpness(x, ens, y, rho, steps=steps, restarts=restarts,
+                          seed=rng_seed)
+    with M.GRAD_CALLS.scope() as frozen_tally:
+        if steps:
+            want = frozen_sharpness(x, ens, y, rho, steps, restarts, rng_seed)
+        else:
+            want = frozen_restart_starts(x, ens, y, rho, restarts, rng_seed)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert tally.count == frozen_tally.count
 
 
 # ---------------------------------------------------------------------------
