@@ -5,12 +5,12 @@ example can exceed its surrogate risk.  Risk is always the bounded loss
 (1 - probability of the attacked class), so every quantity lives in
 [0, 1] and the variational estimators below are well defined.  Each model
 set is scored by one ``models.loss_matrix`` call per point set (a stacked
-forward per spec group): the profile scores all surrogate members at once,
-and candidate filtering keeps its surrogate loss columns, so
-``candidate_losses`` scores only the targets.  Sharpness runs its restarts
-as rows: one ``models.vjp_stack`` call per step for all restarts (a
-stacked forward and backward per group), and one final forward for the
-rows that never stopped.
+forward per spec group); the surrogates are ``ensemble.stack``, grouped
+when the ensemble was made.  The profile scores all of them at once, and
+candidate filtering keeps their loss columns, so ``candidate_losses``
+scores only the targets.  Sharpness runs its restarts as rows: one
+``models.vjp_stack`` call per step for all restarts, and one final
+forward for the rows that never stopped.
 
 The discrepancy between surrogate and target is measured only over a
 candidate set of perturbed inputs whose surrogate risk stays below a
@@ -85,7 +85,7 @@ def profile(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
             target_models: Optional[Sequence[M.Weights]] = None) -> LossProfile:
     kind = M.bounded_error(label)
     point = x_hat[None]
-    comps = list(M.loss_matrix(list(ensemble.all_members()), point, kind)
+    comps = list(M.loss_matrix(ensemble.stack, point, kind)
                  .reshape(ensemble.num_components, -1))
     target = None
     if target_models is not None:
@@ -104,7 +104,6 @@ class CandidateSetXr:
     and the surrogate members' bounded losses there, one column per
     candidate, as the filter pass scored them."""
 
-    r: float
     candidates: list
     losses: np.ndarray
 
@@ -113,14 +112,13 @@ class CandidateSetXr:
               label: int, r: float, x: Optional[np.ndarray] = None,
               gamma: Optional[float] = None) -> "CandidateSetXr":
         if len(pool) == 0:
-            return cls(r=r, candidates=[], losses=np.empty((ensemble.size, 0)))
+            return cls(candidates=[], losses=np.empty((ensemble.size, 0)))
         pts = np.asarray(pool, dtype=np.float64)
         if x is not None and gamma is not None:
             pts = pts[np.max(np.abs(pts - x), axis=1) <= gamma + 1e-12]
-        losses = M.loss_matrix(list(ensemble.all_members()), pts,
-                               M.bounded_error(label))
+        losses = M.loss_matrix(ensemble.stack, pts, M.bounded_error(label))
         keep = losses.mean(axis=0) <= r
-        return cls(r=r, candidates=list(pts[keep]), losses=losses[:, keep])
+        return cls(candidates=list(pts[keep]), losses=losses[:, keep])
 
 
 def candidate_losses(cands: CandidateSetXr,
@@ -415,8 +413,8 @@ def sharpness(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
     projected gradient ascent with random restarts.
 
     The zero perturbation is always a candidate, so the result is >= 0.
-    The members are grouped and stacked once (``models.member_stack``).
-    The restarts run in lockstep as (R, 1, d) rows: one
+    Every pass scores ``ensemble.stack``, grouped when the ensemble was
+    made.  The restarts run in lockstep as (R, 1, d) rows: one
     ``models.vjp_stack`` call per step for all restarts gives each row's
     risk and one gradient call per member per row, from one softmax.  A
     row stops, and leaves the pullback, when its gradient vanishes.  Then
@@ -428,10 +426,9 @@ def sharpness(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
     if rho == 0:
         return 0.0
     kind = M.bounded_error(label)
-    members = M.member_stack(list(ensemble.all_members()))
     rng = np.random.default_rng(seed)
     d = x_hat.size
-    base = float(np.mean(M.loss_matrix(members, x_hat[None], kind)))
+    base = float(np.mean(M.loss_matrix(ensemble.stack, x_hat[None], kind)))
     best = base
     # row 0 starts at x_hat; the others at a uniform draw from the ball
     eps = np.zeros((restarts, d))
@@ -452,7 +449,7 @@ def sharpness(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
     for _ in range(steps):
         if live.size == 0:
             break
-        logits, pullback = M.vjp_stack(members, (x_hat + eps[live])[:, None])
+        logits, pullback = M.vjp_stack(ensemble.stack, (x_hat + eps[live])[:, None])
         lse = M._logsumexp(logits)
         best = fold(best, logits, lse)
         g = np.mean(pullback(M.dloss_dlogits(logits, kind, lse))[:, :, 0], axis=0)
@@ -466,7 +463,7 @@ def sharpness(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
         moved[out] = moved[out] * (rho / scale[out])[:, None]
         eps[live] = moved
     if live.size:
-        best = fold(best, M.vjp_stack(members, (x_hat + eps[live])[:, None])[0])
+        best = fold(best, M.vjp_stack(ensemble.stack, (x_hat + eps[live])[:, None])[0])
     return best - base
 
 
@@ -561,10 +558,10 @@ def assemble_bound(x_hat: np.ndarray, x: np.ndarray, gamma: float,
                                       x=x, gamma=gamma)
 
     s_losses, t_losses = candidate_losses(candidates, target_models, label)
-    grid = np.unique(np.concatenate([default_t_grid(), [0.0, cfg.c1, -cfg.c1]]))
     if cfg.phi == "tv":
         d_hat = d_tv(s_losses, t_losses)
     elif cfg.phi == "kl":
+        grid = np.unique(np.concatenate([default_t_grid(), [0.0, cfg.c1, -cfg.c1]]))
         d_hat = d_kl(s_losses, t_losses, grid)
     else:
         d_hat = d_chi2(s_losses, t_losses)

@@ -29,13 +29,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-PHASES_BY_COMMAND = {
-    "forge": {"forge"},
-    "attack": {"attack"},
-    "bound": {"bounds"},
-    "bench": {"bench"},
-    "eval": {"attack", "asr"},
-    "all": set(H.ALL_PHASES),
+# command -> (the phases it runs, its help, whether it runs --method alone;
+# the other commands add --method to the configured methods)
+COMMANDS = {
+    "forge": ({"forge"}, "train and save surrogate/target ensembles", False),
+    "attack": ({"attack"}, "run one attack method; save traces and examples", True),
+    "bound": ({"bounds"}, "evaluate bound diagnostics for the chosen method", True),
+    "bench": ({"bench"}, "report predicted vs observed gradient calls", False),
+    "eval": ({"attack", "asr"}, "run attacks and write attack-success tables", False),
+    "all": (set(H.ALL_PHASES),
+            "full protocol: forge, attack, eval, bound, bench", False),
 }
 
 # the per-phi (c1, c2) defaults; BoundConfig owns them
@@ -135,15 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Flat-minima transfer attacks and transferability "
                     "bound diagnostics on desk-scale ensembles.")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "forge": "train and save surrogate/target ensembles",
-        "attack": "run one attack method; save traces and examples",
-        "bound": "evaluate bound diagnostics for the chosen method",
-        "bench": "report predicted vs observed gradient calls",
-        "eval": "run attacks and write attack-success tables",
-        "all": "full protocol: forge, attack, eval, bound, bench",
-    }
-    for name, help_text in helps.items():
+    for name, (_, help_text, _) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="key = value file; flags override")
         for key, (_, _, kind, flag_help) in KEYS.items():
@@ -176,7 +171,7 @@ def _experiment_config(args: argparse.Namespace) -> H.ExperimentConfig:
 
     method = exp["attack"].method
     methods = exp.get("methods", A.METHODS)
-    if args.command in ("attack", "bound"):
+    if COMMANDS[args.command][2]:
         exp["methods"] = (method,)
     elif method not in methods:
         exp["methods"] = tuple(methods) + (method,)
@@ -204,7 +199,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _experiment_config(args)
-        written = H.run_experiment(cfg, phases=PHASES_BY_COMMAND[args.command])
+        written = H.run_experiment(cfg, phases=COMMANDS[args.command][0])
     except (ConfigError, B.InfeasibleError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -219,13 +219,15 @@ def accuracy(w: M.Weights, X: np.ndarray, y: np.ndarray) -> float:
 
 @dataclass
 class SurrogateEnsemble:
-    """I components x n snapshots, plus the prototypes they came from."""
+    """I components x n snapshots, plus the prototypes they came from, and
+    ``stack``, the ``models.MemberStack`` of all members, built once here."""
 
     components: list
     seed: int = 0
     pretrained: Optional[list] = None
     component_seeds: Optional[list] = None
     fingerprint: Optional[str] = None  # what trained it (``fingerprint``)
+    stack: M.MemberStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.components or not all(self.components):
@@ -233,6 +235,7 @@ class SurrogateEnsemble:
         n = len(self.components[0])
         if any(len(c) != n for c in self.components):
             raise ValueError("all components must hold the same snapshot count")
+        self.stack = M.member_stack(list(self.all_members()))
 
     @property
     def num_components(self) -> int:

@@ -345,7 +345,6 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
         # exact for tv and kl; for chi2 only c2 >= 0, the rest needs losses
         B.require_feasible(cfg.bound, [])
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     need_attacks = bool(phases & {"attack", "asr", "bounds", "bench"})
 
     written = {}
@@ -365,6 +364,8 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
         root = out / "ensembles" / f"seed{seed}"
         surrogate, target_ens, source = _ensembles(
             cfg, data, seed, root, reuse="forge" not in phases)
+        # nothing is written before the first seed's data and ensembles exist
+        out.mkdir(parents=True, exist_ok=True)
         targets = {"heldout": list(target_ens.all_members())}
         sources[str(seed)] = {"source": source,
                               "fingerprint": surrogate.fingerprint}

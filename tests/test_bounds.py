@@ -584,9 +584,10 @@ def test_sharpness_zero_weight_ensemble_breaks_on_first_step():
     assert tally.count == 3 * ens.size  # one step per restart, then the break
 
 
-def test_sharpness_stacks_its_members_once(quad_setup, monkeypatch):
-    ens, data = quad_setup
-    x, y = data.X_test[2], int(data.y_test[2])
+@pytest.fixture()
+def list_groupings(monkeypatch):
+    """Sizes of the model lists ``models.member_stack`` groups during the
+    test; a ``MemberStack`` passed in is returned as it is, not counted."""
     builds = []
     member_stack = M.member_stack
 
@@ -596,11 +597,34 @@ def test_sharpness_stacks_its_members_once(quad_setup, monkeypatch):
         return member_stack(models)
 
     monkeypatch.setattr(M, "member_stack", counted)
+    return builds
+
+
+def test_sharpness_stacks_its_members_once(quad_setup, list_groupings):
+    ens, data = quad_setup
+    x, y = data.X_test[2], int(data.y_test[2])
     with M.GRAD_CALLS.scope() as tally:
         got = B.sharpness(x, ens, y, 0.1, steps=6, restarts=3, seed=2)
-    assert builds == [ens.size]
+    # it scores the stack the ensemble was made with
+    assert list_groupings == []
     assert tally.count == 6 * 3 * ens.size
     assert got == frozen_sharpness(x, ens, y, 0.1, 6, 3, 2)
+
+
+@pytest.mark.parametrize("phi", B.PHIS)
+def test_one_bound_groups_only_the_target_list(quad_setup, list_groupings, phi):
+    ens, data = quad_setup
+    x, y = data.X_test[2], int(data.y_test[2])
+    x_hat = np.clip(x + 0.05, 0.0, 1.0)
+    targets = ens.pretrained
+    r = B.profile(x_hat, ens, y).surrogate_risk + 0.05
+    rep = B.assemble_bound(x_hat, x, 0.1, ens, targets, y, B.BoundConfig(phi=phi),
+                           r, seed=3, sharpness_steps=4)
+    assert rep.num_candidates > 0
+    # the targets once in the profile and once for the candidates; the
+    # surrogate set never, its stack was built with the ensemble
+    assert list_groupings == [len(targets)] * 2
+    assert ens.size != len(targets)
 
 
 def test_sharpness_runs_all_restarts_in_one_call_per_step(quad_setup, monkeypatch):

@@ -126,6 +126,22 @@ def test_more_examples_than_the_test_split_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("dataset = two_rings\ninput_dim = 1\n", "two_rings needs input_dim >= 2"),
+    ("dataset = two_rings\nnum_classes = 3\n", "two_rings is a binary problem"),
+    ("proto_lr = -0.1\n", "learning rate must be >= 0"),
+], ids=["two_rings_in_1d", "two_rings_with_3_classes", "negative_proto_lr"])
+def test_bad_data_or_prototype_settings_exit_2_before_any_output(
+        tmp_path, capsys, extra, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY + extra, encoding="utf-8")
+    out = tmp_path / "o"
+    rc = cli.main(["eval", "--config", str(cfg), "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_divergent_training_exits_3(tiny_config, tmp_path, capsys):
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text(TINY + "proto_lr = inf\n", encoding="utf-8")

@@ -177,6 +177,19 @@ class TestEnsemble:
         for a, b in zip(draws_a, draws_b):
             assert a.params.tobytes() == b.params.tobytes()
 
+    def test_members_are_stacked_once_when_the_ensemble_is_made(self):
+        ens, data = self.build(n=2)
+        members = list(ens.all_members())
+        assert ens.stack.size == ens.size
+        kind = M.bounded_error(1)
+        assert M.loss_matrix(ens.stack, data.X_test, kind).tobytes() == \
+            M.loss_matrix(members, data.X_test, kind).tobytes()
+        wider = M.init_weights(M.ModelSpec("linear", 3, 2), np.random.default_rng(0))
+        more = M.init_weights(M.ModelSpec("linear", 2, 3), np.random.default_rng(0))
+        for odd in (wider, more):
+            with pytest.raises(ValueError, match="input dim or the number of classes"):
+                F.SurrogateEnsemble([members[:2], [members[2], odd]])
+
     def test_uniform_snapshot_count_enforced(self):
         ens, _ = self.build()
         bad = [list(c) for c in ens.components]
