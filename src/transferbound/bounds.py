@@ -6,9 +6,10 @@ example can exceed its surrogate risk.  Risk is always the bounded loss
 [0, 1] and the variational estimators below are well defined.  Each model
 set is scored by one ``models.loss_matrix`` call per point set (a stacked
 forward per spec group); the surrogates are ``ensemble.stack``, grouped
-when the ensemble was made.  The profile scores all of them at once, and
-candidate filtering keeps their loss columns, so ``candidate_losses``
-scores only the targets.  Sharpness runs its restarts as rows: one
+when the ensemble was made, and ``assemble_bound`` groups the target list
+once.  The profile scores all of them at once, and candidate filtering
+keeps their loss columns, so ``candidate_losses`` scores only the
+targets.  Sharpness runs its restarts as rows: one
 ``models.vjp_stack`` call per step for all restarts, and one final
 forward for the rows that never stopped.
 
@@ -21,6 +22,13 @@ growing r can only grow the estimate.  Three divergences are supported:
   kl    sup over candidates and a t-grid of t*E_T - log E_S exp(t*loss)
   chi2  sup over candidates of (mean gap)^2 / Var_S, the closed-form
         optimum of t*gap - t^2/4 * Var_S
+
+Each estimator scores all candidates in one pass: the candidates'
+surrogate and target loss vectors become one (C, n_s) and one (C, n_t)
+row matrix per sample-size pair, each sorted once along its rows, and
+kl's grid search runs over every (candidate, t) pair at once.  Every
+candidate's value equals scoring it alone bit for bit, and the supremum
+is folded in candidate order as a loop over candidates would.
 
 The mean-removed generator k_s(t) controls which coefficient pairs
 (c1, c2) make the localized bound valid: the condition is
@@ -82,7 +90,7 @@ class LossProfile:
 
 
 def profile(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
-            target_models: Optional[Sequence[M.Weights]] = None) -> LossProfile:
+            target_models: Optional[M.Models] = None) -> LossProfile:
     kind = M.bounded_error(label)
     point = x_hat[None]
     comps = list(M.loss_matrix(ensemble.stack, point, kind)
@@ -121,15 +129,14 @@ class CandidateSetXr:
         return cls(candidates=list(pts[keep]), losses=losses[:, keep])
 
 
-def candidate_losses(cands: CandidateSetXr,
-                     target_models: Sequence[M.Weights], label: int):
+def candidate_losses(cands: CandidateSetXr, target_models: M.Models,
+                     label: int):
     """Per-candidate surrogate and target bounded-loss vectors; only the
-    targets are scored here."""
-    if len(target_models) == 0:
-        raise ValueError("target model set must be nonempty")
+    targets, a model list or its ``MemberStack``, are scored here."""
+    targets = M.member_stack(target_models)
     if len(cands.candidates) == 0:
         return [], []
-    t_mat = M.loss_matrix(list(target_models), np.stack(cands.candidates),
+    t_mat = M.loss_matrix(targets, np.stack(cands.candidates),
                           M.bounded_error(label))
     return list(cands.losses.T), list(t_mat.T)
 
@@ -155,33 +162,67 @@ def _check_grid(t_grid: np.ndarray) -> np.ndarray:
     return t_grid
 
 
-def _smean(values: np.ndarray) -> float:
-    """Mean over sorted samples: invariant under permutation of the input,
-    so profiles that agree as multisets produce exactly equal means."""
-    return float(np.mean(np.sort(np.asarray(values, dtype=np.float64))))
+def _smean(values: np.ndarray) -> np.ndarray:
+    """Mean over sorted samples along the last axis: invariant under
+    permutation of the samples, so profiles that agree as multisets
+    produce exactly equal means.  Each row of a (C, n) matrix gets the
+    mean of that row alone, bit for bit."""
+    return np.mean(np.sort(np.asarray(values, dtype=np.float64), axis=-1), axis=-1)
+
+
+def _per_candidate(s_losses, t_losses, score) -> list:
+    """``score(S, T)`` of every candidate, in candidate order, as Python
+    floats.  Candidates are grouped by their (surrogate, target) sample
+    sizes, and each group is scored once, on its (C, n_s) and (C, n_t)
+    row matrices; the loss lists of one bound make one group."""
+    _check_pairs(s_losses, t_losses)
+    by_size = {}
+    for i, (s, t) in enumerate(zip(s_losses, t_losses)):
+        by_size.setdefault((len(s), len(t)), []).append(i)
+    out = np.empty(len(s_losses))
+    for idx in by_size.values():
+        S = np.array([s_losses[i] for i in idx], dtype=np.float64)
+        T = np.array([t_losses[i] for i in idx], dtype=np.float64)
+        out[idx] = score(S, T)
+    return out.tolist()
 
 
 def d_tv(s_losses: Sequence[np.ndarray], t_losses: Sequence[np.ndarray]) -> float:
     """Exact total-variation discrepancy: sup of |mean gap| over candidates."""
-    _check_pairs(s_losses, t_losses)
-    if len(s_losses) == 0:
-        return 0.0
-    return max(abs(_smean(t) - _smean(s)) for s, t in zip(s_losses, t_losses))
+    gaps = _per_candidate(s_losses, t_losses,
+                          lambda S, T: np.abs(_smean(T) - _smean(S)))
+    return max(gaps) if gaps else 0.0
 
 
 # coarse stride of the d_kl search; the search also keeps the last point
 KL_STRIDE = 16
+# (candidate, t, sample) elements the d_kl search evaluates at once
+KL_CHUNK = 2 ** 14
 
 
-def _kl_objective(t: np.ndarray, s, mean_t: float) -> np.ndarray:
-    """t * E_T - log E_S exp(t * s) at each entry of t.  Each entry is its
-    own row of the generator, so any subset of a grid gets the same values
-    bit for bit."""
-    return t * mean_t - np.log(np.mean(np.exp(np.outer(t, s)), axis=1))
+def _kl_objective(t: np.ndarray, s: np.ndarray, mean_t) -> np.ndarray:
+    """t * E_T - log E_S exp(t * s) at each entry of t, with the samples s
+    along their last axis and t and mean_t matching s's other axes.  Each
+    entry is its own row of the generator, so any subset of a grid, for
+    any set of candidates, gets the same values bit for bit."""
+    e = t[..., None] * s
+    return t * mean_t - np.log(np.mean(np.exp(e, out=e), axis=-1))
 
 
-def _kl_search(grid: np.ndarray, s, mean_t: float) -> float:
-    """Max of ``_kl_objective`` over a sorted grid, evaluating only part of it.
+def _kl_pairs(t: np.ndarray, cand: np.ndarray, S: np.ndarray,
+              mean_t: np.ndarray) -> np.ndarray:
+    """``_kl_objective`` at the flat pairs (t[i], candidate cand[i]) of the
+    rows S, KL_CHUNK elements at a time."""
+    step = max(1, KL_CHUNK // S.shape[1])
+    return np.concatenate([
+        _kl_objective(t[i : i + step], S[cand[i : i + step]],
+                      mean_t[cand[i : i + step]])
+        for i in range(0, cand.size, step)])
+
+
+def _kl_search(grid: np.ndarray, S: np.ndarray, mean_t: np.ndarray) -> np.ndarray:
+    """Max of ``_kl_objective`` over a sorted grid for each candidate (row
+    of S, with its target mean), evaluating only part of the grid.
 
     The objective is concave in t (a cumulant generating function is
     convex), so its true values on the grid rise to one peak and fall.
@@ -195,20 +236,39 @@ def _kl_search(grid: np.ndarray, s, mean_t: float) -> float:
     bit for bit, and on a clear peak only the two intervals next to the
     coarse argmax are evaluated.  A non-finite coarse value falls back to
     the full grid.
+
+    Both passes run over all candidates at once: the coarse pass over
+    every (candidate, coarse point) pair, the fine pass over each
+    candidate's own points, gathered flat and reduced per candidate.
     """
-    n = grid.size
+    C, n = S.shape[0], grid.size
     coarse = np.append(np.arange(0, n - 1, KL_STRIDE), n - 1)
-    vals = _kl_objective(grid[coarse], s, mean_t)
+    cand = np.repeat(np.arange(C), coarse.size)
+    vals = _kl_pairs(np.tile(grid[coarse], C), cand, S, mean_t).reshape(C, -1)
     # a generous bound on the rounding of t*m, exp, the mean and log
     noise = 8 * np.finfo(np.float64).eps * (
-        np.max(np.abs(grid)) * (abs(mean_t) + np.max(np.abs(s)))
-        + len(s) + 8)
-    if not (np.all(np.isfinite(vals)) and np.isfinite(noise)):
-        return float(_kl_objective(grid, s, mean_t).max())
-    fine = np.zeros(n, dtype=bool)
-    for j in np.flatnonzero(vals >= vals.max() - 2 * noise):
-        fine[coarse[max(j - 1, 0)] : coarse[min(j + 1, coarse.size - 1)] + 1] = True
-    return float(_kl_objective(grid[fine], s, mean_t).max())
+        np.max(np.abs(grid)) * (np.abs(mean_t) + np.max(np.abs(S), axis=1))
+        + S.shape[1] + 8)
+    # a candidate with a non-finite coarse value or noise takes the full grid
+    finite = np.isfinite(vals).all(axis=1) & np.isfinite(noise)
+    near = np.ones_like(vals, dtype=bool)
+    top = vals[finite].max(axis=1) - 2 * noise[finite]
+    near[finite] = vals[finite] >= top[:, None]
+    # coarse point j covers the segments on both sides of it; a run of
+    # covered segments is one interval of grid points
+    if coarse.size == 1:
+        covered, seg_lo, seg_hi = near, coarse, coarse
+    else:
+        covered, seg_lo, seg_hi = near[:, :-1] | near[:, 1:], coarse[:-1], coarse[1:]
+    edge = np.diff(covered.astype(np.int8), axis=1, prepend=0, append=0)
+    run_cand, first = np.nonzero(edge == 1)
+    last = np.nonzero(edge == -1)[1] - 1
+    lo, size = seg_lo[first], seg_hi[last] - seg_lo[first] + 1
+    start = np.cumsum(size) - size
+    idx = np.arange(size.sum()) - np.repeat(start - lo, size)
+    fine = _kl_pairs(grid[idx], np.repeat(run_cand, size), S, mean_t)
+    # every candidate has a run, and its runs are consecutive
+    return np.maximum.reduceat(fine, start[np.diff(run_cand, prepend=-1) != 0])
 
 
 def d_kl(s_losses: Sequence[np.ndarray], t_losses: Sequence[np.ndarray],
@@ -216,18 +276,27 @@ def d_kl(s_losses: Sequence[np.ndarray], t_losses: Sequence[np.ndarray],
     """Grid supremum of t * E_T[loss] - log E_S[exp(t * loss)], equal bit
     for bit to evaluating the whole grid (the full-grid oracle in
     ``tests/test_bounds.py``) but found by a concave search over the
-    sorted grid (``_kl_search``).
+    sorted grid (``_kl_search``) for all candidates at once.
 
     Nonnegative because the grid contains t = 0.
     """
-    _check_pairs(s_losses, t_losses)
     t_grid = np.sort(_check_grid(default_t_grid() if t_grid is None else t_grid))
-    if len(s_losses) == 0:
-        return 0.0
-    best = 0.0
-    for s, t in zip(s_losses, t_losses):
-        best = max(best, _kl_search(t_grid, s, _smean(t)))
-    return best
+    sups = _per_candidate(s_losses, t_losses,
+                          lambda S, T: _kl_search(t_grid, S, _smean(T)))
+    # Python's max in candidate order, as the loop folded: NaN never wins
+    return max([0.0, *sups])
+
+
+def _chi2_scores(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """gap^2 / Var_S per candidate; a degenerate spread scores +inf with a
+    nonzero gap and 0 without one."""
+    delta = _smean(T) - _smean(S)
+    var = np.var(S, axis=1)
+    # not `var >= VAR_FLOOR`: a NaN variance scores NaN, which the fold skips
+    spread = ~(var < VAR_FLOOR)
+    out = np.where(delta != 0.0, math.inf, 0.0)
+    out[spread] = delta[spread] * delta[spread] / var[spread]
+    return out
 
 
 def d_chi2(s_losses: Sequence[np.ndarray], t_losses: Sequence[np.ndarray]) -> float:
@@ -236,17 +305,7 @@ def d_chi2(s_losses: Sequence[np.ndarray], t_losses: Sequence[np.ndarray]) -> fl
     Degenerate surrogate spread (variance below 1e-12) with a nonzero mean
     gap yields +inf; with a zero gap the candidate contributes 0.
     """
-    _check_pairs(s_losses, t_losses)
-    best = 0.0
-    for s, t in zip(s_losses, t_losses):
-        delta = _smean(t) - _smean(s)
-        var = float(np.var(s))
-        if var < VAR_FLOOR:
-            if delta != 0.0:
-                return math.inf
-            continue
-        best = max(best, delta * delta / var)
-    return best
+    return max([0.0, *_per_candidate(s_losses, t_losses, _chi2_scores)])
 
 
 def _check_pairs(s_losses, t_losses):
@@ -530,7 +589,7 @@ N_CANDIDATES = 64
 
 def assemble_bound(x_hat: np.ndarray, x: np.ndarray, gamma: float,
                    ensemble: SurrogateEnsemble,
-                   target_models: Sequence[M.Weights], label: int,
+                   target_models: M.Models, label: int,
                    cfg: BoundConfig, r: float, seed: int = 0,
                    sharpness_steps: int = 20,
                    sharpness_restarts: int = 3) -> BoundReport:
@@ -538,26 +597,26 @@ def assemble_bound(x_hat: np.ndarray, x: np.ndarray, gamma: float,
 
     assembled = (risk + sharpness) + d_hat / c1 + c2 * r + eps_pac
 
-    Raises InfeasibleError when (c1, c2) violates the validity condition
-    for the chosen phi.  The realized target risk is recorded alongside
-    and soft-checked against the assembled value (a warning, not an
-    error: the certificate holds with probability 1 - delta).
+    The targets are a model list or its ``MemberStack``; a list is
+    grouped once here.  Raises InfeasibleError when (c1, c2) violates the
+    validity condition for the chosen phi.  The realized target risk is
+    recorded alongside and soft-checked against the assembled value (a
+    warning, not an error: the certificate holds with probability
+    1 - delta).
     """
-    if len(target_models) == 0:
-        raise ValueError("target model set must be nonempty")
-    prof = profile(x_hat, ensemble, label, target_models)
+    targets = M.member_stack(target_models)
+    prof = profile(x_hat, ensemble, label, targets)
     losses_here = prof.all_losses
     feas = require_feasible(cfg, losses_here)
 
+    # one (N, d) draw gives the numbers of N draws of d, in their order
     rng = np.random.default_rng(seed)
-    pool = [x_hat]
-    for _ in range(N_CANDIDATES):
-        z = x + rng.uniform(-gamma, gamma, size=x.size)
-        pool.append(np.clip(z, 0.0, 1.0))
+    draws = rng.uniform(-gamma, gamma, size=(N_CANDIDATES, x.size))
+    pool = np.vstack([x_hat[None], np.clip(x + draws, 0.0, 1.0)])
     candidates = CandidateSetXr.build(pool, ensemble, label, r,
                                       x=x, gamma=gamma)
 
-    s_losses, t_losses = candidate_losses(candidates, target_models, label)
+    s_losses, t_losses = candidate_losses(candidates, targets, label)
     if cfg.phi == "tv":
         d_hat = d_tv(s_losses, t_losses)
     elif cfg.phi == "kl":

@@ -441,7 +441,7 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
                     B.profile(x_hat, surrogate, lbl).surrogate_risk + 0.05)
                 rep = B.assemble_bound(
                     x_hat, X[idx], cfg.attack.gamma, surrogate,
-                    targets["heldout"], lbl, cfg.bound, r,
+                    target_ens.stack, lbl, cfg.bound, r,
                     seed=1000 * seed + idx)
                 bound_lines.append(f"# seed={seed} example={idx} "
                                    f"method={cfg.attack.method}")

@@ -14,7 +14,8 @@ logits in model order with their pullback.  ``vjp``, ``forward`` and
 core directly, and their cross-entropy goes through the same ``LossKind``
 ("ce") as every other loss.  The grouping is a ``MemberStack``; a caller
 that scores one model list many times builds it once with
-``member_stack`` and passes it in place of the list.
+``member_stack`` and passes it in place of the list, and the stack slices
+each group's layer views once per input layout.
 
 The input's shape picks the arithmetic.  A (B, d) batch runs one (B, d)
 matrix product per member, which may round differently from one-point
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -246,13 +247,13 @@ def _as_batch(x: np.ndarray, d: int):
     return x, False
 
 
-def _forward_stack(spec: ModelSpec, P: np.ndarray, xb: np.ndarray):
+def _forward_stack(spec: ModelSpec, layers, xb: np.ndarray):
     """The one forward pass: logits (M, *xb.shape[:-1], k) of a (M, P)
-    parameter stack at a (B, d) batch or at (B, 1, d) rows, and its cache.
-    Matmuls run per member, and on rows per member and row, so each row
-    of a (B, 1, d) input equals a one-point call bitwise; a (B, d) batch
-    is one (B, d) product per member and may round differently."""
-    layers = _layers(spec, P, xb.ndim - 2)
+    parameter stack, given as its ``_layers`` views for xb, at a (B, d)
+    batch or at (B, 1, d) rows, and its cache.  Matmuls run per member,
+    and on rows per member and row, so each row of a (B, 1, d) input
+    equals a one-point call bitwise; a (B, d) batch is one (B, d) product
+    per member and may round differently."""
     cache = {"x": xb, "layers": layers}
     if spec.arch == "linear":
         (W, b), = layers
@@ -273,7 +274,7 @@ def _forward_stack(spec: ModelSpec, P: np.ndarray, xb: np.ndarray):
     ksz, d = spec.kernel_size, spec.input_dim
     pad = (ksz - 1) // 2
     xpad = np.pad(xb, [(0, 0)] * (xb.ndim - 1) + [(pad, pad + ksz - 1 - pad)])
-    a = np.broadcast_to(cb[..., None], (P.shape[0],) + xb.shape[:-1]
+    a = np.broadcast_to(cb[..., None], (K.shape[0],) + xb.shape[:-1]
                         + (spec.channels, d)).copy()
     for j in range(ksz):
         a += K[..., None, :, j, None] * xpad[..., None, j : j + d]
@@ -333,7 +334,8 @@ def _flat(grads) -> np.ndarray:
 
 def _forward_one(w: Weights, xb: np.ndarray):
     """The core on the one-member stack ``w.params[None]``."""
-    logits, cache = _forward_stack(w.spec, w.params[None], xb)
+    logits, cache = _forward_stack(
+        w.spec, _layers(w.spec, w.params[None], xb.ndim - 2), xb)
     return logits[0], cache
 
 
@@ -347,6 +349,18 @@ class MemberStack:
 
     groups: tuple
     size: int
+    _views: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def layers(self, lead: int) -> list:
+        """Each group's ``_layers`` views for inputs with ``lead`` axes
+        before their (rows, features) matrix, built on first use and kept:
+        the parameters are read-only, so the views never go stale."""
+        views = self._views.get(lead)
+        if views is None:
+            views = self._views[lead] = [_layers(spec, P, lead)
+                                         for spec, _, P in self.groups]
+        return views
 
 
 Models = Union[Sequence[Weights], MemberStack]
@@ -418,7 +432,8 @@ def vjp_stack(models: Models, x: np.ndarray):
     if x.ndim == 3 and x.shape[1:] != (1, d):
         raise ValueError(f"input rows have shape {x.shape}, model expects (*, 1, {d})")
     xb, single = (x, False) if x.ndim == 3 else _as_batch(x, d)
-    passes = [_forward_stack(spec, P, xb) for spec, _, P in groups]
+    passes = [_forward_stack(spec, layers, xb) for (spec, _, _), layers
+              in zip(groups, stack.layers(xb.ndim - 2))]
     logits = _in_model_order(groups, [z for z, _ in passes])
 
     def pullback(dlogits: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ re-derived by bisection.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,9 +311,10 @@ def test_kl_search_evaluates_a_fraction_of_the_grid(monkeypatch):
     points = []
     objective = B._kl_objective
 
-    def counted(grid, *args):
-        points.append(grid.size)
-        return objective(grid, *args)
+    def counted(grid, s, mean_t):
+        # one (candidate, t) pair per entry of the broadcast t and mean_t
+        points.append(np.broadcast(grid, mean_t).size)
+        return objective(grid, s, mean_t)
 
     monkeypatch.setattr(B, "_kl_objective", counted)
     got = B.d_kl(s, t)
@@ -321,7 +323,131 @@ def test_kl_search_evaluates_a_fraction_of_the_grid(monkeypatch):
     # the coarse pass, then the 33 points from one neighbour of the
     # coarse argmax to the other
     coarse = len(range(0, B.default_t_grid().size - 1, B.KL_STRIDE)) + 1
-    assert sum(points) <= 60 * (coarse + 2 * B.KL_STRIDE + 1)
+    assert 60 * coarse < sum(points) <= 60 * (coarse + 2 * B.KL_STRIDE + 1)
+
+
+# ---------------------------------------------------------------------------
+# the estimators before they scored candidate rows: frozen oracle
+# ---------------------------------------------------------------------------
+# The per-candidate loops ``d_tv``, ``d_chi2`` and ``d_kl`` ran before they
+# grouped the candidates into row matrices, kept verbatim.
+
+
+def frozen_smean(values):
+    return float(np.mean(np.sort(np.asarray(values, dtype=np.float64))))
+
+
+def frozen_d_tv(s_losses, t_losses):
+    B._check_pairs(s_losses, t_losses)
+    if len(s_losses) == 0:
+        return 0.0
+    return max(abs(frozen_smean(t) - frozen_smean(s))
+               for s, t in zip(s_losses, t_losses))
+
+
+def frozen_kl_objective(t, s, mean_t):
+    return t * mean_t - np.log(np.mean(np.exp(np.outer(t, s)), axis=1))
+
+
+def frozen_kl_search(grid, s, mean_t):
+    n = grid.size
+    coarse = np.append(np.arange(0, n - 1, B.KL_STRIDE), n - 1)
+    vals = frozen_kl_objective(grid[coarse], s, mean_t)
+    noise = 8 * np.finfo(np.float64).eps * (
+        np.max(np.abs(grid)) * (abs(mean_t) + np.max(np.abs(s)))
+        + len(s) + 8)
+    if not (np.all(np.isfinite(vals)) and np.isfinite(noise)):
+        return float(frozen_kl_objective(grid, s, mean_t).max())
+    fine = np.zeros(n, dtype=bool)
+    for j in np.flatnonzero(vals >= vals.max() - 2 * noise):
+        fine[coarse[max(j - 1, 0)] : coarse[min(j + 1, coarse.size - 1)] + 1] = True
+    return float(frozen_kl_objective(grid[fine], s, mean_t).max())
+
+
+def frozen_d_kl(s_losses, t_losses, t_grid=None):
+    B._check_pairs(s_losses, t_losses)
+    t_grid = np.sort(B._check_grid(B.default_t_grid() if t_grid is None else t_grid))
+    if len(s_losses) == 0:
+        return 0.0
+    best = 0.0
+    for s, t in zip(s_losses, t_losses):
+        best = max(best, frozen_kl_search(t_grid, s, frozen_smean(t)))
+    return best
+
+
+def frozen_d_chi2(s_losses, t_losses):
+    B._check_pairs(s_losses, t_losses)
+    best = 0.0
+    for s, t in zip(s_losses, t_losses):
+        delta = frozen_smean(t) - frozen_smean(s)
+        var = float(np.var(s))
+        if var < B.VAR_FLOOR:
+            if delta != 0.0:
+                return math.inf
+            continue
+        best = max(best, delta * delta / var)
+    return best
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@st.composite
+def candidate_lists(draw):
+    """Surrogate and target loss lists for up to 70 candidates: one
+    (n_s, n_t) size for all, or up to three sizes mixed in any order.
+    Some surrogate rows may have zero variance, with or without a mean gap
+    to their target row, and some entries may be NaN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 70))
+    sizes = [(draw(st.integers(1, 45)), draw(st.integers(1, 45)))
+             for _ in range(draw(st.integers(1, 3)))]
+    s_shape = draw(st.sampled_from(LOSS_SHAPES))
+    t_shape = draw(st.sampled_from(LOSS_SHAPES + ("copy",)))
+    flat = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    nan = draw(st.sampled_from([0.0, 0.05]))
+    s_losses, t_losses = [], []
+    for k_s, k_t in (sizes[i] for i in rng.integers(0, len(sizes), n)):
+        s = loss_vector(rng, s_shape, k_s)
+        if rng.uniform() < flat:
+            s = np.full(k_s, s[0])
+        if t_shape == "copy" or rng.uniform() < flat / 2:
+            # equal means when the sizes agree: a flat row with no gap
+            t = np.resize(s, k_t)
+        else:
+            t = loss_vector(rng, t_shape, k_t)
+        for v in (s, t):
+            v[rng.uniform(size=v.size) < nan] = np.nan
+        s_losses.append(s)
+        t_losses.append(t)
+    return s_losses, t_losses
+
+
+@seed(20261)
+@settings(max_examples=150, deadline=None)
+@given(case=candidate_lists())
+def test_row_estimators_equal_the_per_candidate_loops(case):
+    s, t = case
+    assert same_float(B.d_tv(s, t), frozen_d_tv(s, t))
+    assert same_float(B.d_chi2(s, t), frozen_d_chi2(s, t))
+    assert same_float(B.d_kl(s, t), frozen_d_kl(s, t))
+
+
+def test_kl_search_memory_stays_flat():
+    rng = np.random.default_rng(8)
+    s = [rng.beta(2.0, 5.0, 40) for _ in range(65)]
+    t = [rng.beta(2.0, 4.0, 40) for _ in range(65)]
+    grid = B.default_t_grid()
+    tracemalloc.start()
+    try:
+        got = B.d_kl(s, t, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == frozen_d_kl(s, t, grid)
+    # the passes run KL_CHUNK elements at a time, not (65, points, 40)
+    assert peak < 1 << 20
 
 
 def test_estimator_validation():
@@ -621,10 +747,36 @@ def test_one_bound_groups_only_the_target_list(quad_setup, list_groupings, phi):
     rep = B.assemble_bound(x_hat, x, 0.1, ens, targets, y, B.BoundConfig(phi=phi),
                            r, seed=3, sharpness_steps=4)
     assert rep.num_candidates > 0
-    # the targets once in the profile and once for the candidates; the
+    # the targets once per bound, for the profile and the candidates; the
     # surrogate set never, its stack was built with the ensemble
-    assert list_groupings == [len(targets)] * 2
+    assert list_groupings == [len(targets)]
     assert ens.size != len(targets)
+
+
+def test_candidate_pool_is_one_draw_equal_to_the_per_point_draws(quad_setup,
+                                                                 monkeypatch):
+    ens, data = quad_setup
+    x, y = data.X_test[4], int(data.y_test[4])
+    x_hat, gamma = np.clip(x - 0.03, 0.0, 1.0), 0.1
+    pools = []
+    build = B.CandidateSetXr.build
+
+    def spy(pool, *args, **kwargs):
+        pools.append(pool)
+        return build(pool, *args, **kwargs)
+
+    monkeypatch.setattr(B.CandidateSetXr, "build", spy)
+    r = B.profile(x_hat, ens, y).surrogate_risk + 0.05
+    for seed in range(20):
+        B.assemble_bound(x_hat, x, gamma, ens, ens.pretrained, y,
+                         B.BoundConfig(phi="tv"), r, seed=seed,
+                         sharpness_steps=1)
+        # the pool drawn one point at a time, as before the (N, d) draw
+        rng = np.random.default_rng(seed)
+        want = [x_hat] + [np.clip(x + rng.uniform(-gamma, gamma, size=x.size),
+                                  0.0, 1.0) for _ in range(B.N_CANDIDATES)]
+        assert len(pools[-1]) == B.N_CANDIDATES + 1
+        assert np.asarray(pools[-1]).tobytes() == np.array(want).tobytes()
 
 
 def test_sharpness_runs_all_restarts_in_one_call_per_step(quad_setup, monkeypatch):

@@ -350,6 +350,27 @@ class TestStackedCore:
             M.loss_matrix(models, X, M.bounded_error(1)).tobytes()
         assert np.array_equal(M.predict_matrix(stack, X), M.predict_matrix(models, X))
 
+    def test_stack_slices_its_layer_views_once_per_lead_count(self, monkeypatch):
+        models, rng, d, _ = self.every_arch(0, 9)
+        stack = M.member_stack(models)
+        X = rng.uniform(0, 1, (4, d))
+        inputs = (X[0], X, X[:, None])
+        want = [M.vjp_stack(models, x)[0].tobytes() for x in inputs]
+        layers, sliced = M._layers, []
+
+        def counted(spec, P, lead):
+            sliced.append((spec, lead))
+            return layers(spec, P, lead)
+
+        monkeypatch.setattr(M, "_layers", counted)
+        for _ in range(3):
+            assert [M.vjp_stack(stack, x)[0].tobytes() for x in inputs] == want
+        # one slicing per group and lead count: 0 for a point or a batch,
+        # 1 for rows
+        specs = [spec for spec, _, _ in stack.groups]
+        assert len(sliced) == len(set(sliced)) == 2 * len(specs)
+        assert set(sliced) == {(spec, lead) for spec in specs for lead in (0, 1)}
+
     def test_rows_must_be_one_point_each(self):
         models, rng, d, _ = self.every_arch(0, 3)
         with pytest.raises(ValueError, match="rows"):
