@@ -10,8 +10,9 @@ loss can get near the current iterate before the outer step commits.
 Every method is one instance of a single step loop (``run_attack``); the
 per-method plan picks the models of each step, the objective, whether a
 reverse ascent runs from the late start on, and the update rule.  Each
-evaluation of the objective on a step's model batch, its gradient or its
-traced value, is one ``models.vjp_stack`` call.
+step groups its model batch into one ``models.MemberStack`` (a fixed list
+is grouped once per run), and each evaluation of the objective on it, its
+gradient or its traced value, is one ``models.vjp_stack`` call.
 
 One call attacks a (B, d) batch of examples, one label per row; one (d,)
 example is a one-row batch.  The rows share the schedule and run through
@@ -185,43 +186,43 @@ def attack_loss_kind(targeted: bool, label) -> M.LossKind:
     return M.neg_cross_entropy(label)
 
 
-def _objective_grad(batch, z, kind, fused) -> np.ndarray:
-    """Input gradient of the step objective on a model batch at one point
-    (d,) or at each row of a (B, d) batch: the loss of the averaged logits,
-    or the average of the per-model losses (a single model's own gradient
-    for a batch of one).  One ``vjp_stack`` call on the points as rows, one
-    gradient call per model per row; the member gradients are summed in
-    model order."""
-    logits, pullback = M.vjp_stack(batch, z[..., None, :])
+def _objective_grad(stack, z, kind, fused) -> np.ndarray:
+    """Input gradient of the step objective on a model batch's
+    ``MemberStack`` at one point (d,) or at each row of a (B, d) batch:
+    the loss of the averaged logits, or the average of the per-model
+    losses (a single model's own gradient for a batch of one).  One
+    ``vjp_stack`` call on the points as rows, one gradient call per model
+    per row; the member gradients are summed in model order."""
+    logits, pullback = M.vjp_stack(stack, z[..., None, :])
     if fused:
-        dl = M.dloss_dlogits(logits.mean(axis=0), kind) / len(batch)
+        dl = M.dloss_dlogits(logits.mean(axis=0), kind) / stack.size
         g = pullback(np.broadcast_to(dl, logits.shape)).sum(axis=0)
     else:
-        g = pullback(M.dloss_dlogits(logits, kind)).sum(axis=0) / len(batch)
+        g = pullback(M.dloss_dlogits(logits, kind)).sum(axis=0) / stack.size
     if not np.isfinite(g).all():
         raise NumericError("non-finite gradient of the step objective")
     return g[..., 0, :]
 
 
-def _objective(batch, z, kind, fused) -> float:
-    """Value of the step objective at one point z (d,): forwards only, no
-    gradient calls."""
-    logits = M.vjp_stack(batch, z[None])[0]
+def _objective(stack, z, kind, fused) -> float:
+    """Value of the step objective on a ``MemberStack`` at one point z
+    (d,): forwards only, no gradient calls."""
+    logits = M.vjp_stack(stack, z[None])[0]
     if fused:
         return float(M.loss_from_logits(logits.mean(axis=0), kind)[0])
     return float(M.loss_from_logits(logits, kind)[:, 0].mean())
 
 
-def _ascend(x_hat, batch, kind, fused, cfg) -> np.ndarray:
-    """inner_T sign-ascent steps of the objective from x_hat (one point or
-    a batch of rows); returns eps.
+def _ascend(x_hat, stack, kind, fused, cfg) -> np.ndarray:
+    """inner_T sign-ascent steps of the objective on a ``MemberStack`` from
+    x_hat (one point or a batch of rows); returns eps.
 
     No projection is applied: ||eps||_inf <= inner_T * beta_eps holds by
     construction.
     """
     eps = np.zeros_like(x_hat)
     for t in range(cfg.inner_T):
-        g = _objective_grad(batch, x_hat + eps, kind, fused)
+        g = _objective_grad(stack, x_hat + eps, kind, fused)
         eps = eps + cfg.beta_eps * np.sign(g)
     return eps
 
@@ -229,16 +230,14 @@ def _ascend(x_hat, batch, kind, fused, cfg) -> np.ndarray:
 def inner_max_per_model(x_hat: np.ndarray, w: M.Weights, kind: M.LossKind,
                         cfg: AttackConfig) -> np.ndarray:
     """T sign-ascent steps on one model; consumes exactly T gradient calls."""
-    return _ascend(x_hat, [w], kind, False, cfg)
+    return _ascend(x_hat, M.member_stack([w]), kind, False, cfg)
 
 
 def inner_max_global(x_hat: np.ndarray, batch: Sequence[M.Weights],
                      kind: M.LossKind, cfg: AttackConfig) -> np.ndarray:
     """T sign-ascent steps on the fused (logit-averaged) objective;
     consumes inner_T * len(batch) gradient calls."""
-    if len(batch) == 0:
-        raise ValueError("empty model batch")
-    return _ascend(x_hat, batch, kind, True, cfg)
+    return _ascend(x_hat, M.member_stack(batch), kind, True, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +353,6 @@ def _schedule(method, plan, ensemble, models, cfg):
     steps as (step, component, snapshot, batch, late) tuples; component and
     snapshot are -1 where a step does not use a single one."""
     if plan.models == "list":
-        if len(models) == 0:
-            raise ValueError("empty model batch")
         if cfg.n_iter is None:
             raise ValueError("this method needs an explicit n_iter")
         if cfg.n_iter < 1:
@@ -402,15 +399,15 @@ def _schedule(method, plan, ensemble, models, cfg):
     return predicted, (step(j, i) for j in range(n) for i in range(I))
 
 
-def _cwa_step(state, batch, kind, cfg) -> np.ndarray:
-    """One fused ascent step of radius beta_eps from the iterate, then
-    L2-normalized momentum micro-updates of scale micro_step through the
-    batch; returns the iterate moved by a sign step along the net
-    displacement."""
-    g = _objective_grad(batch, state.x_hat, kind, True)
+def _cwa_step(state, batch, stack, kind, cfg) -> np.ndarray:
+    """One fused ascent step of radius beta_eps from the iterate on the
+    batch's stack, then L2-normalized momentum micro-updates of scale
+    micro_step through the batch, one member at a time; returns the
+    iterate moved by a sign step along the net displacement."""
+    g = _objective_grad(stack, state.x_hat, kind, True)
     cur = project(state.x_hat + cfg.beta_eps * np.sign(g), state.x, cfg.gamma)
     for w in batch:
-        g = _objective_grad([w], cur, kind, False)
+        g = _objective_grad(M.member_stack([w]), cur, kind, False)
         state.m = _momentum(state.m, g, cfg.mu, _l2_rows(g))
         cur = project(cur - cfg.micro_step * state.m, state.x, cfg.gamma)
         if state.iterates is not None:
@@ -446,6 +443,8 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
             raise ValueError("rap needs a model batch (or ensemble prototypes)")
     elif method in ("ifgsm", "mifgsm") and models is not None:
         plan = replace(plan, models="list")
+    # a fixed model list is grouped once per run, any other batch per step
+    fixed = M.member_stack(models) if plan.models == "list" else None
     predicted, steps = _schedule(method, plan, ensemble, models, cfg)
     state = _start(x, label, method, cfg)
     B = len(state.x)
@@ -453,19 +452,19 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
     # the trace follows row 0, as a one-point objective with its own label
     kind0 = attack_loss_kind(cfg.targeted, int(state.label[0]))
     # the objectives index the label's logit column without a check
-    pool = models if plan.models == "list" else ensemble.all_members()
-    M._check_label(kind, min(w.spec.num_classes for w in pool))
+    M._check_label(kind, (fixed or ensemble.stack).groups[0][0].num_classes)
     with M.GRAD_CALLS.scope() as tally:
         for step, comp, snap, batch, late in steps:
+            stack = fixed or M.member_stack(batch)
             if state.trace is not None:
-                loss_pre = _objective(batch, state.x_hat[0], kind0, plan.fused)
+                loss_pre = _objective(stack, state.x_hat[0], kind0, plan.fused)
             if plan.update == "cwa":
-                state.x_hat = _cwa_step(state, batch, kind, cfg)
+                state.x_hat = _cwa_step(state, batch, stack, kind, cfg)
             else:
                 z = state.x_hat
                 if plan.reverse and late and cfg.inner_T > 0:
-                    z = z + _ascend(z, batch, kind, plan.fused, cfg)
-                d = _objective_grad(batch, z, kind, plan.fused)
+                    z = z + _ascend(z, stack, kind, plan.fused, cfg)
+                d = _objective_grad(stack, z, kind, plan.fused)
                 if plan.update == "momentum":
                     state.m = momentum_step(state.m, d, cfg.mu)
                     d = state.m
@@ -474,7 +473,7 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
             if state.iterates is not None:
                 state.iterates.append(state.x_hat.copy())
             if state.trace is not None:
-                loss_post = _objective(batch, state.x_hat[0], kind0,
+                loss_post = _objective(stack, state.x_hat[0], kind0,
                                        plan.fused)
                 state.trace.append(TraceRow(step, comp, snap, loss_pre,
                                             loss_post, tally.count // B))

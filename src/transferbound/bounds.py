@@ -4,12 +4,14 @@ The machinery audits how far target-ensemble risk at an adversarial
 example can exceed its surrogate risk.  Risk is always the bounded loss
 (1 - probability of the attacked class), so every quantity lives in
 [0, 1] and the variational estimators below are well defined.  Each model
-set is scored by one ``models.loss_matrix`` call per point set (a stacked
-forward per spec group); the surrogates are ``ensemble.stack``, grouped
-when the ensemble was made, and ``assemble_bound`` groups the target list
-once.  The profile scores all of them at once, and candidate filtering
-keeps their loss columns, so ``candidate_losses`` scores only the
-targets.  Sharpness runs its restarts as rows: one
+set is scored as a ``models.MemberStack``, by one ``models.loss_matrix``
+call per point set (a stacked forward per spec group).  The surrogates
+are ``ensemble.stack``, grouped when the ensemble was made;
+``assemble_bound`` groups the target list it is given, once, and passes
+that stack to ``profile`` and ``candidate_losses``, which take a stack
+only.  The profile scores all surrogates at once, and candidate
+filtering keeps their loss columns, so ``candidate_losses`` scores only
+the targets.  Sharpness runs its restarts as rows: one
 ``models.vjp_stack`` call per step for all restarts, and one final
 forward for the rows that never stopped.
 
@@ -90,7 +92,7 @@ class LossProfile:
 
 
 def profile(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
-            target_models: Optional[M.Models] = None) -> LossProfile:
+            target_models: Optional[M.MemberStack] = None) -> LossProfile:
     kind = M.bounded_error(label)
     point = x_hat[None]
     comps = list(M.loss_matrix(ensemble.stack, point, kind)
@@ -129,11 +131,10 @@ class CandidateSetXr:
         return cls(candidates=list(pts[keep]), losses=losses[:, keep])
 
 
-def candidate_losses(cands: CandidateSetXr, target_models: M.Models,
+def candidate_losses(cands: CandidateSetXr, targets: M.MemberStack,
                      label: int):
     """Per-candidate surrogate and target bounded-loss vectors; only the
-    targets, a model list or its ``MemberStack``, are scored here."""
-    targets = M.member_stack(target_models)
+    target stack is scored here."""
     if len(cands.candidates) == 0:
         return [], []
     t_mat = M.loss_matrix(targets, np.stack(cands.candidates),
@@ -589,7 +590,7 @@ N_CANDIDATES = 64
 
 def assemble_bound(x_hat: np.ndarray, x: np.ndarray, gamma: float,
                    ensemble: SurrogateEnsemble,
-                   target_models: M.Models, label: int,
+                   target_models: Sequence[M.Weights], label: int,
                    cfg: BoundConfig, r: float, seed: int = 0,
                    sharpness_steps: int = 20,
                    sharpness_restarts: int = 3) -> BoundReport:
@@ -597,12 +598,12 @@ def assemble_bound(x_hat: np.ndarray, x: np.ndarray, gamma: float,
 
     assembled = (risk + sharpness) + d_hat / c1 + c2 * r + eps_pac
 
-    The targets are a model list or its ``MemberStack``; a list is
-    grouped once here.  Raises InfeasibleError when (c1, c2) violates the
-    validity condition for the chosen phi.  The realized target risk is
-    recorded alongside and soft-checked against the assembled value (a
-    warning, not an error: the certificate holds with probability
-    1 - delta).
+    The target list is grouped once here, and its profile and candidate
+    losses share that stack.  Raises InfeasibleError when (c1, c2)
+    violates the validity condition for the chosen phi.  The realized
+    target risk is recorded alongside and soft-checked against the
+    assembled value (a warning, not an error: the certificate holds with
+    probability 1 - delta).
     """
     targets = M.member_stack(target_models)
     prof = profile(x_hat, ensemble, label, targets)

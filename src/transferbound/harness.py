@@ -114,7 +114,8 @@ def evaluate_asr(x_hat, labels, target_sets: Mapping[str, Sequence[M.Weights]],
 
     Untargeted success is argmax != y; targeted success is argmax == the
     intended class.  The rate averages over every (example, model) pair
-    in a set; each set costs one stacked forward per spec group.
+    in a set.  Each set is grouped into a ``models.MemberStack`` here and
+    costs one stacked forward per spec group.
     """
     x_hat = np.asarray(x_hat, dtype=np.float64)
     labels = np.asarray(labels)
@@ -132,7 +133,7 @@ def evaluate_asr(x_hat, labels, target_sets: Mapping[str, Sequence[M.Weights]],
     for name, models in target_sets.items():
         if len(models) == 0:
             raise ValueError(f"target set {name!r} is empty")
-        pred = M.predict_matrix(models, x_hat)
+        pred = M.predict_matrix(M.member_stack(models), x_hat)
         if targeted:
             hits = int(np.sum(pred == target_labels))
         else:
@@ -441,7 +442,7 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
                     B.profile(x_hat, surrogate, lbl).surrogate_risk + 0.05)
                 rep = B.assemble_bound(
                     x_hat, X[idx], cfg.attack.gamma, surrogate,
-                    target_ens.stack, lbl, cfg.bound, r,
+                    targets["heldout"], lbl, cfg.bound, r,
                     seed=1000 * seed + idx)
                 bound_lines.append(f"# seed={seed} example={idx} "
                                    f"method={cfg.attack.method}")

@@ -6,16 +6,16 @@ small 1-D convolutional net -- all exposed through the same flat-parameter
 interface so ensembles can mix them freely.
 
 One forward/backward core runs on a (M, P) stack of one spec's parameter
-vectors.  ``vjp_stack`` is the one entry point for a model list: it groups
-the members by spec, runs one stacked pass per group, and returns the
-logits in model order with their pullback.  ``vjp``, ``forward`` and
+vectors.  The scorers take a model set only as its ``MemberStack``, which
+``member_stack`` groups by spec once, where the set is made (an ensemble
+when it is built, an attack per step, a bound or an ASR table per target
+list), and which slices each group's layer views once per input layout.
+``vjp_stack`` runs one stacked pass per group and returns the logits in
+model order with their pullback.  ``vjp``, ``forward`` and
 ``input_gradient`` are its one-member case, and ``loss_matrix`` and
 ``predict_matrix`` reduce its logits; only the training helpers call the
 core directly, and their cross-entropy goes through the same ``LossKind``
-("ce") as every other loss.  The grouping is a ``MemberStack``; a caller
-that scores one model list many times builds it once with
-``member_stack`` and passes it in place of the list, and the stack slices
-each group's layer views once per input layout.
+("ce") as every other loss.
 
 The input's shape picks the arithmetic.  A (B, d) batch runs one (B, d)
 matrix product per member, which may round differently from one-point
@@ -24,7 +24,7 @@ per member, each bitwise equal to a one-point call; the attacks evaluate
 their batches of examples this way.  A loss may carry one label per row.
 
 Gradient bookkeeping: a pullback call adds one gradient call per member
-per input row to the global counter, ``len(models) * B`` for a (B, d)
+per input row to the global counter, ``stack.size * B`` for a (B, d)
 batch or B rows, so an ``input_gradient`` at one point counts one.  That
 count is the unit in which attack query budgets are measured.  Weight
 gradients used for training do not touch the counter.
@@ -35,7 +35,7 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -363,14 +363,9 @@ class MemberStack:
         return views
 
 
-Models = Union[Sequence[Weights], MemberStack]
-
-
-def member_stack(models: Models) -> MemberStack:
-    """The ``MemberStack`` of a model list; a ``MemberStack`` is returned
-    as it is.  The members must agree on the input dim and class count."""
-    if isinstance(models, MemberStack):
-        return models
+def member_stack(models: Sequence[Weights]) -> MemberStack:
+    """The ``MemberStack`` of a model list.  The members must agree on the
+    input dim and class count."""
     if len(models) == 0:
         raise ValueError("need at least one model")
     by_spec = {}
@@ -408,24 +403,24 @@ def forward(w: Weights, x: np.ndarray) -> np.ndarray:
 def vjp(w: Weights, x: np.ndarray):
     """Logits at x and their pullback, a function from a logit cotangent to
     the input gradient: the one-member case of ``vjp_stack``."""
-    logits, pullback = vjp_stack([w], x)
+    logits, pullback = vjp_stack(member_stack([w]), x)
     return logits[0], lambda dlogits: pullback(np.asarray(dlogits)[None])[0]
 
 
-def vjp_stack(models: Models, x: np.ndarray):
-    """The logits of every model at x, shape (len(models), *x.shape[:-1], k),
-    and their pullback, a function from a cotangent of that shape to the
-    members' input gradients, shape (len(models), *x.shape).
+def vjp_stack(stack: MemberStack, x: np.ndarray):
+    """The logits of every member of a ``MemberStack`` at x, shape
+    (stack.size, *x.shape[:-1], k), and their pullback, a function from a
+    cotangent of that shape to the members' input gradients, shape
+    (stack.size, *x.shape).
 
-    models is a model list or its ``MemberStack``.  x is one point (d,), a
-    (B, d) batch or (B, 1, d) rows.  One stacked forward and backward per
-    spec group.  A batch runs one (B, d) product per member; rows run B
-    one-point products per member, and each row's logits and gradients
-    equal a one-point call on it bitwise.  Each pullback call counts one
-    gradient call per member per row of x: ``len(models) * B`` for B rows
-    or a (B, d) batch, ``len(models)`` for one point.
+    x is one point (d,), a (B, d) batch or (B, 1, d) rows.  One stacked
+    forward and backward per spec group.  A batch runs one (B, d) product
+    per member; rows run B one-point products per member, and each row's
+    logits and gradients equal a one-point call on it bitwise.  Each
+    pullback call counts one gradient call per member per row of x:
+    ``stack.size * B`` for B rows or a (B, d) batch, ``stack.size`` for
+    one point.
     """
-    stack = member_stack(models)
     groups = stack.groups
     d = groups[0][0].input_dim
     x = np.asarray(x, dtype=np.float64)
@@ -563,24 +558,23 @@ def loss(w: Weights, x: np.ndarray, kind: LossKind) -> float:
     return float(values) if np.ndim(values) == 0 else values
 
 
-def loss_matrix(models: Models, points: np.ndarray, kind: LossKind) -> np.ndarray:
-    """Losses of every model at every (B, d) point, shape (len(models), B):
-    the logits of ``vjp_stack``, no gradient-call accounting.  models is a
-    model list or its ``MemberStack``."""
+def loss_matrix(stack: MemberStack, points: np.ndarray, kind: LossKind) -> np.ndarray:
+    """Losses of every member of a ``MemberStack`` at every (B, d) point,
+    shape (stack.size, B): the logits of ``vjp_stack``, no gradient-call
+    accounting."""
     if np.ndim(points) != 2:
         raise ValueError("points must be a (B, d) batch")
-    logits = vjp_stack(models, points)[0]
+    logits = vjp_stack(stack, points)[0]
     _check_label(kind, logits.shape[-1])
     return loss_from_logits(logits, kind)
 
 
-def predict_matrix(models: Models, X: np.ndarray) -> np.ndarray:
-    """Predicted class of every model at every (B, d) point, shape
-    (len(models), B): the argmax of ``vjp_stack``'s logits.  models is a
-    model list or its ``MemberStack``."""
+def predict_matrix(stack: MemberStack, X: np.ndarray) -> np.ndarray:
+    """Predicted class of every member of a ``MemberStack`` at every (B, d)
+    point, shape (stack.size, B): the argmax of ``vjp_stack``'s logits."""
     if np.ndim(X) != 2:
         raise ValueError("points must be a (B, d) batch")
-    return np.argmax(vjp_stack(models, X)[0], axis=-1)
+    return np.argmax(vjp_stack(stack, X)[0], axis=-1)
 
 
 def input_gradient(w: Weights, x: np.ndarray, kind: LossKind) -> np.ndarray:
@@ -682,14 +676,17 @@ def load_weights(path) -> Weights:
     if arch_tag not in archs or act_tag not in acts:
         raise CheckpointError(f"{path}: unknown architecture or activation tag")
     arch = archs[arch_tag]
-    spec = ModelSpec(
-        arch=arch,
-        input_dim=int(d),
-        num_classes=int(k),
-        hidden=extra if arch == "mlp" else (),
-        channels=extra[0] if arch == "conv_tiny" else 0,
-        activation=acts[act_tag],
-    )
+    try:
+        spec = ModelSpec(
+            arch=arch,
+            input_dim=int(d),
+            num_classes=int(k),
+            hidden=extra if arch == "mlp" else (),
+            channels=extra[0] if arch == "conv_tiny" and extra else 0,
+            activation=acts[act_tag],
+        )
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: bad spec header: {exc}") from exc
     if off + 8 > len(blob):
         raise CheckpointError(f"{path}: truncated header")
     (count,) = struct.unpack_from("<Q", blob, off)

@@ -38,3 +38,18 @@ def tiny_setup():
 @pytest.fixture(scope="session")
 def quad_setup():
     return build_quad_setup()
+
+
+@pytest.fixture()
+def list_groupings(monkeypatch):
+    """Sizes of the model lists ``models.member_stack`` groups during the
+    test."""
+    builds = []
+    member_stack = M.member_stack
+
+    def counted(models):
+        builds.append(len(models))
+        return member_stack(models)
+
+    monkeypatch.setattr(M, "member_stack", counted)
+    return builds

@@ -99,7 +99,7 @@ class TestInnerMax:
         ens, data = tiny_setup
         w = ens.components[1][2]
         kind = M.neg_cross_entropy(0)
-        fused = A._objective_grad([w], data.X_test[3], kind, True)
+        fused = A._objective_grad(M.member_stack([w]), data.X_test[3], kind, True)
         direct = M.input_gradient(w, data.X_test[3], kind)
         assert np.max(np.abs(fused - direct)) < 1e-14
 
@@ -149,15 +149,16 @@ class TestObjectiveGradient:
         kinds = [M.neg_cross_entropy(y),
                  M.targeted_cross_entropy((y + 1) % data.num_classes)]
         for batch in batches:
+            stack = M.member_stack(batch)
             for z in points:
                 for kind in kinds:
                     for fused in (False, True):
                         with M.GRAD_CALLS.scope() as tally:
-                            got = A._objective_grad(batch, z, kind, fused)
+                            got = A._objective_grad(stack, z, kind, fused)
                         assert tally.count == len(batch)
                         want = frozen_objective_grad(batch, z, kind, fused)
                         assert np.array_equal(got, want)
-                    assert A._objective(batch, z, kind, True) == \
+                    assert A._objective(stack, z, kind, True) == \
                         frozen_fused_loss_and_grad(batch, z, kind)[0]
 
 
@@ -466,10 +467,10 @@ class TestTrace:
                 counts["outside"] += 1
             return forward(*args)
 
-        def counted_vjp_stack(models, z):
-            call = [0, len(models), None]
+        def counted_vjp_stack(stack, z):
+            call = [0, stack.size, None]
             calls.append(call)
-            logits, pullback = vjp_stack(models, z)
+            logits, pullback = vjp_stack(stack, z)
             call[2] = False
 
             def counted_pullback(dlogits):
@@ -500,6 +501,34 @@ class TestTrace:
         A.run_attack(x, y, ens, small_cfg(method=method, n_iter=n_iter))
         assert sum(f for f, _, _ in calls) > untraced
         assert not all(pulled for _, _, pulled in calls)
+
+
+@pytest.mark.parametrize("method", A.METHODS)
+def test_each_model_set_is_grouped_once(quad_setup, list_groupings,
+                                        monkeypatch, method):
+    ens, data = quad_setup
+    vjp_stack = M.vjp_stack
+
+    def stack_only(stack, z):
+        assert isinstance(stack, M.MemberStack)
+        return vjp_stack(stack, z)
+
+    monkeypatch.setattr(M, "vjp_stack", stack_only)
+    X, y = data.X_test[:3], data.y_test[:3].astype(int)
+    n_iter = 6 if method == "rap" else None
+    state = A.run_attack(X, y, ens, small_cfg(method=method, n_iter=n_iter))
+    I, steps = ens.num_components, len(state.trace)
+    # one grouping per step, which the traced objective values share; rap's
+    # fixed list once per run; flat_cwa one more per member micro-step
+    assert list_groupings == {
+        "ifgsm": [1] * steps, "mifgsm": [1] * steps, "drap": [1] * steps,
+        "rap": [len(ens.pretrained)], "flat_rap": [I] * steps,
+        "flat_cwa": ([I] + [1] * I) * steps}[method]
+    if method in ("ifgsm", "mifgsm"):
+        list_groupings.clear()
+        A.run_attack(X, y, ens, small_cfg(method=method, n_iter=4),
+                     models=ens.pretrained)
+        assert list_groupings == [len(ens.pretrained)]
 
 
 @st.composite

@@ -710,22 +710,6 @@ def test_sharpness_zero_weight_ensemble_breaks_on_first_step():
     assert tally.count == 3 * ens.size  # one step per restart, then the break
 
 
-@pytest.fixture()
-def list_groupings(monkeypatch):
-    """Sizes of the model lists ``models.member_stack`` groups during the
-    test; a ``MemberStack`` passed in is returned as it is, not counted."""
-    builds = []
-    member_stack = M.member_stack
-
-    def counted(models):
-        if not isinstance(models, M.MemberStack):
-            builds.append(len(models))
-        return member_stack(models)
-
-    monkeypatch.setattr(M, "member_stack", counted)
-    return builds
-
-
 def test_sharpness_stacks_its_members_once(quad_setup, list_groupings):
     ens, data = quad_setup
     x, y = data.X_test[2], int(data.y_test[2])
@@ -875,7 +859,7 @@ def test_profile_matches_direct_loop(tiny_setup):
     x = data.X_test[1]
     y = int(data.y_test[1])
     targets = list(ens.components[0])
-    prof = B.profile(x, ens, y, target_models=targets)
+    prof = B.profile(x, ens, y, target_models=M.member_stack(targets))
     kind = M.bounded_error(y)
     means = []
     for comp in ens.components:
@@ -941,7 +925,7 @@ def test_candidate_set_empty_pool_and_pool_outside_ball(tiny_setup):
     x, y = data.X_test[3], int(data.y_test[3])
     empty = B.CandidateSetXr.build([], ens, y, r=1.0)
     assert empty.candidates == [] and empty.losses.shape == (ens.size, 0)
-    assert B.candidate_losses(empty, ens.pretrained, y) == ([], [])
+    assert B.candidate_losses(empty, ens.stack, y) == ([], [])
     far = [np.clip(x + s * 0.5, 0, 1) for s in (-1.0, 1.0)]
     assert all(np.max(np.abs(c - x)) > 0.1 for c in far)
     assert B.CandidateSetXr.build(far, ens, y, r=1.0, x=x,
@@ -960,11 +944,11 @@ def test_candidate_set_empty_pool_and_pool_outside_ball(tiny_setup):
 def frozen_profile(x_hat, ensemble, label, target_models=None):
     kind = M.bounded_error(label)
     point = x_hat[None]
-    comps = [M.loss_matrix(comp, point, kind)[:, 0]
+    comps = [M.loss_matrix(M.member_stack(comp), point, kind)[:, 0]
              for comp in ensemble.components]
     target = None
     if target_models is not None:
-        target = M.loss_matrix(target_models, point, kind)[:, 0]
+        target = M.loss_matrix(M.member_stack(target_models), point, kind)[:, 0]
     return B.LossProfile(comps, target)
 
 
@@ -974,7 +958,7 @@ def frozen_candidates(pool, ensemble, label, r, x=None, gamma=None):
     pts = np.asarray(pool, dtype=np.float64)
     if x is not None and gamma is not None:
         pts = pts[np.max(np.abs(pts - x), axis=1) <= gamma + 1e-12]
-    risk = M.loss_matrix(list(ensemble.all_members()), pts,
+    risk = M.loss_matrix(M.member_stack(list(ensemble.all_members())), pts,
                          M.bounded_error(label)).mean(axis=0)
     return list(pts[risk <= r])
 
@@ -986,8 +970,8 @@ def frozen_candidate_losses(candidates, ensemble, target_models, label):
     if len(candidates) == 0:
         return [], []
     pts = np.stack(candidates)
-    s_mat = M.loss_matrix(list(ensemble.all_members()), pts, kind)
-    t_mat = M.loss_matrix(list(target_models), pts, kind)
+    s_mat = M.loss_matrix(M.member_stack(list(ensemble.all_members())), pts, kind)
+    t_mat = M.loss_matrix(M.member_stack(list(target_models)), pts, kind)
     return [s_mat[:, c] for c in range(pts.shape[0])], \
            [t_mat[:, c] for c in range(pts.shape[0])]
 
@@ -1009,7 +993,7 @@ def test_one_pass_scoring_equals_per_component_code_bitwise(request, setup,
             cfg = A.AttackConfig(gamma=gamma, beta_x=0.02, method="mifgsm",
                                  seed=idx, record_trace=False)
             x_hat = A.run_attack(x, y, ens, cfg).x_hat
-        prof = B.profile(x_hat, ens, y, targets)
+        prof = B.profile(x_hat, ens, y, M.member_stack(targets))
         want = frozen_profile(x_hat, ens, y, targets)
         assert bits(prof.losses_by_component) == bits(want.losses_by_component)
         assert bits([prof.target_losses]) == bits([want.target_losses])
@@ -1023,7 +1007,7 @@ def test_one_pass_scoring_equals_per_component_code_bitwise(request, setup,
             old = frozen_candidates(pool, ens, y, r, x=x, gamma=gamma)
             assert bits(cands.candidates) == bits(old)
             kept.add(len(old))
-            got = B.candidate_losses(cands, targets, y)
+            got = B.candidate_losses(cands, M.member_stack(targets), y)
             for new, frozen in zip(got, frozen_candidate_losses(old, ens,
                                                                 targets, y)):
                 assert bits(new) == bits(frozen)

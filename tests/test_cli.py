@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -377,9 +378,26 @@ def _deleted_pretrained(root):
     (root / "surrogate" / "component_1" / "pretrained.fxw").unlink()
 
 
+def _spec_header_field(root, offset, value):
+    # a snapshot header is the magic, then arch, d, k, activation, n_extra
+    snap = root / "target" / "component_0" / "snapshot_1.fxw"
+    blob = bytearray(snap.read_bytes())
+    blob[offset : offset + 4] = struct.pack("<I", value)
+    snap.write_bytes(bytes(blob))
+
+
+def _one_class_header(root):
+    _spec_header_field(root, 12, 1)
+
+
+def _conv_header_without_channels(root):
+    _spec_header_field(root, 4, 2)
+
+
 @pytest.mark.parametrize("damage", [_no_fingerprint, _no_target_dir,
                                     _truncated_snapshot, _deleted_snapshot,
-                                    _deleted_pretrained])
+                                    _deleted_pretrained, _one_class_header,
+                                    _conv_header_without_channels])
 def test_damaged_saved_ensembles_exit_2(tiny_config, tmp_path, capsys,
                                         count_builds, damage):
     out = tmp_path / "out"

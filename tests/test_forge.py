@@ -183,7 +183,7 @@ class TestEnsemble:
         assert ens.stack.size == ens.size
         kind = M.bounded_error(1)
         assert M.loss_matrix(ens.stack, data.X_test, kind).tobytes() == \
-            M.loss_matrix(members, data.X_test, kind).tobytes()
+            M.loss_matrix(M.member_stack(members), data.X_test, kind).tobytes()
         wider = M.init_weights(M.ModelSpec("linear", 3, 2), np.random.default_rng(0))
         more = M.init_weights(M.ModelSpec("linear", 2, 3), np.random.default_rng(0))
         for odd in (wider, more):

@@ -223,7 +223,7 @@ class TestLossMatrix:
     def test_one_point_equals_per_model_loss_bitwise(self, seed):
         models, X, label = self.models_and_points(seed, 1)
         for kind in (M.neg_cross_entropy(label), M.bounded_error(label)):
-            got = M.loss_matrix(models, X, kind)
+            got = M.loss_matrix(M.member_stack(models), X, kind)
             assert got.shape == (len(models), 1)
             assert list(got[:, 0]) == [M.loss(w, X[0], kind) for w in models]
 
@@ -232,7 +232,7 @@ class TestLossMatrix:
         # a batched forward may round differently from single-row forwards
         models, X, label = self.models_and_points(seed, 7)
         kind = M.targeted_cross_entropy(label)
-        got = M.loss_matrix(models, X, kind)
+        got = M.loss_matrix(M.member_stack(models), X, kind)
         want = [[M.loss(w, x, kind) for x in X] for w in models]
         assert got.shape == (len(models), len(X))
         assert got == pytest.approx(np.array(want), rel=0, abs=1e-14)
@@ -240,10 +240,11 @@ class TestLossMatrix:
     def test_rejects_bad_label_and_unbatched_points(self):
         models, X, _ = self.models_and_points(3, 2)
         k = models[0].spec.num_classes
+        stack = M.member_stack(models)
         with pytest.raises(ValueError, match="out of range"):
-            M.loss_matrix(models, X, M.bounded_error(k))
+            M.loss_matrix(stack, X, M.bounded_error(k))
         with pytest.raises(ValueError, match="batch"):
-            M.loss_matrix(models, X[0], M.bounded_error(0))
+            M.loss_matrix(stack, X[0], M.bounded_error(0))
 
 
 class TestStackedCore:
@@ -267,13 +268,14 @@ class TestStackedCore:
         # reductions and matmuls that run per member
         models, rng, d, k = self.interleaved(seed, 12)
         X = rng.uniform(0, 1, (batch, d))
+        stack = M.member_stack(models)
         for kind in (M.neg_cross_entropy(0), M.bounded_error(k - 1)):
-            got = M.loss_matrix(models, X, kind)
+            got = M.loss_matrix(stack, X, kind)
             want = np.stack([M.loss_from_logits(M.forward(w, X), kind)
                              for w in models])
             assert got.shape == (len(models), batch)
             assert got.tobytes() == want.tobytes()
-        assert np.array_equal(M.predict_matrix(models, X),
+        assert np.array_equal(M.predict_matrix(stack, X),
                               [np.argmax(M.forward(w, X), axis=-1) for w in models])
 
     @pytest.mark.parametrize("seed", range(5))
@@ -282,7 +284,7 @@ class TestStackedCore:
         kind = M.targeted_cross_entropy(1)
         for x in (rng.uniform(0, 1, d), rng.uniform(0, 1, (4, d))):
             with M.GRAD_CALLS.scope() as tally:
-                logits, pullback = M.vjp_stack(models, x)
+                logits, pullback = M.vjp_stack(M.member_stack(models), x)
                 assert tally.count == 0
                 grads = pullback(M.dloss_dlogits(logits, kind))
             assert tally.count == len(models) * (4 if x.ndim == 2 else 1)
@@ -314,8 +316,9 @@ class TestStackedCore:
         X = rng.uniform(0, 1, (rows, d))
         labels = rng.integers(0, k, rows)
         variant = ("neg_ce", "ce", "bounded")[seed % 3]
+        stack = M.member_stack(models)
         with M.GRAD_CALLS.scope() as tally:
-            logits, pullback = M.vjp_stack(models, X[:, None])
+            logits, pullback = M.vjp_stack(stack, X[:, None])
             assert tally.count == 0
             grads = pullback(M.dloss_dlogits(
                 logits, M.LossKind(variant, labels[:, None])))
@@ -323,7 +326,7 @@ class TestStackedCore:
         assert logits.shape == (len(models), rows, 1, k)
         assert grads.shape == (len(models), rows, 1, d)
         for b in range(rows):
-            one, pull = M.vjp_stack(models, X[b])
+            one, pull = M.vjp_stack(stack, X[b])
             g = pull(M.dloss_dlogits(one, M.LossKind(variant, int(labels[b]))))
             assert logits[:, b, 0].tobytes() == one.tobytes()
             assert grads[:, b, 0].tobytes() == g.tobytes()
@@ -332,13 +335,12 @@ class TestStackedCore:
     def test_member_stack_scores_like_its_list(self, seed):
         models, rng, d, k = self.every_arch(seed, 16)
         stack = M.member_stack(models)
-        assert M.member_stack(stack) is stack
         assert stack.size == len(models)
         assert all(not P.flags.writeable for _, _, P in stack.groups)
         X = rng.uniform(0, 1, (5, d))
         kind = M.LossKind("bounded", rng.integers(0, k, (5, 1)))
         for x in (X[0], X, X[:, None]):
-            want, want_pull = M.vjp_stack(models, x)
+            want, want_pull = M.vjp_stack(M.member_stack(models), x)
             got, pull = M.vjp_stack(stack, x)
             assert got.tobytes() == want.tobytes()
             cot = M.dloss_dlogits(got, kind if x.ndim == 3 else M.bounded_error(0))
@@ -347,15 +349,17 @@ class TestStackedCore:
             assert tally.count == len(models) * (1 if x.ndim == 1 else 5)
             assert grads.tobytes() == want_pull(cot).tobytes()
         assert M.loss_matrix(stack, X, M.bounded_error(1)).tobytes() == \
-            M.loss_matrix(models, X, M.bounded_error(1)).tobytes()
-        assert np.array_equal(M.predict_matrix(stack, X), M.predict_matrix(models, X))
+            M.loss_matrix(M.member_stack(models), X, M.bounded_error(1)).tobytes()
+        assert np.array_equal(M.predict_matrix(stack, X),
+                              M.predict_matrix(M.member_stack(models), X))
 
     def test_stack_slices_its_layer_views_once_per_lead_count(self, monkeypatch):
         models, rng, d, _ = self.every_arch(0, 9)
         stack = M.member_stack(models)
         X = rng.uniform(0, 1, (4, d))
         inputs = (X[0], X, X[:, None])
-        want = [M.vjp_stack(models, x)[0].tobytes() for x in inputs]
+        want = [M.vjp_stack(M.member_stack(models), x)[0].tobytes()
+                for x in inputs]
         layers, sliced = M._layers, []
 
         def counted(spec, P, lead):
@@ -373,28 +377,23 @@ class TestStackedCore:
 
     def test_rows_must_be_one_point_each(self):
         models, rng, d, _ = self.every_arch(0, 3)
+        stack = M.member_stack(models)
         with pytest.raises(ValueError, match="rows"):
-            M.vjp_stack(models, rng.uniform(0, 1, (4, 2, d)))
+            M.vjp_stack(stack, rng.uniform(0, 1, (4, 2, d)))
         with pytest.raises(ValueError, match="rows"):
-            M.vjp_stack(models, rng.uniform(0, 1, (4, 1, d + 1)))
+            M.vjp_stack(stack, rng.uniform(0, 1, (4, 1, d + 1)))
 
     def test_rejects_empty_list_unbatched_points_and_mixed_classes(self):
         models, rng, d, k = self.interleaved(0, 3)
         X = rng.uniform(0, 1, (2, d))
-        with pytest.raises(ValueError, match="at least one model"):
-            M.loss_matrix([], X, M.bounded_error(0))
-        with pytest.raises(ValueError, match="at least one model"):
-            M.vjp_stack([], X)
+        # the scorers take only a stack, so both set checks live in its making
         with pytest.raises(ValueError, match="at least one model"):
             M.member_stack([])
         with pytest.raises(ValueError, match="batch"):
-            M.loss_matrix(models, X[0], M.bounded_error(0))
+            M.loss_matrix(M.member_stack(models), X[0], M.bounded_error(0))
         wider = M.init_weights(M.ModelSpec("linear", d, k + 1), rng)
-        for score in (M.vjp_stack, M.predict_matrix,
-                      lambda ms, X: M.loss_matrix(ms, X, M.bounded_error(0)),
-                      lambda ms, X: M.member_stack(ms)):
-            with pytest.raises(ValueError, match="classes"):
-                score(models + [wider], X)
+        with pytest.raises(ValueError, match="classes"):
+            M.member_stack(models + [wider])
 
 
 def central_difference(f, x, h=1e-4):
@@ -569,7 +568,7 @@ class TestGradCounter:
         X = rng.uniform(0, 1, (7, d))
         kind = M.bounded_error(0)
         with M.GRAD_CALLS.scope() as tally:
-            logits, pullback = M.vjp_stack(models, X)
+            logits, pullback = M.vjp_stack(M.member_stack(models), X)
             pullback(M.dloss_dlogits(logits, kind))
         assert tally.count == 3 * 7
         for w in models:
@@ -636,6 +635,16 @@ class TestCheckpoints:
         M.save_weights(w, path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(M.CheckpointError, match="trailing"):
+            M.load_weights(path)
+
+    @pytest.mark.parametrize("arch, d, k", [(2, 4, 2), (1, 4, 2), (0, 4, 1), (0, 0, 2)],
+                             ids=["conv_no_channels", "mlp_no_hidden",
+                                  "one_class", "no_input_dim"])
+    def test_bad_spec_header_rejected(self, tmp_path, arch, d, k):
+        # magic, then arch tag, d, k, activation tag and no extra fields
+        path = tmp_path / "spec.fxw"
+        path.write_bytes(M.CHECKPOINT_MAGIC + struct.pack("<5IQ", arch, d, k, 0, 0, 0))
+        with pytest.raises(M.CheckpointError, match="spec.fxw: bad spec header"):
             M.load_weights(path)
 
     def test_count_mismatch_rejected(self, tmp_path):
