@@ -76,18 +76,21 @@ class AttackConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.beta_x <= 0:
-            raise ValueError("beta_x must be > 0")
-        if self.beta_eps < 0:
-            raise ValueError("beta_eps must be >= 0")
+        # written so that NaN fails every check
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be >= 0 and finite")
+        if not 0 < self.beta_x < np.inf:
+            raise ValueError("beta_x must be > 0 and finite")
+        if not 0 <= self.beta_eps < np.inf:
+            raise ValueError("beta_eps must be >= 0 and finite")
         if self.inner_T < 0:
             raise ValueError("inner_T must be >= 0")
         if self.n_ls < 0:
             raise ValueError("n_ls must be >= 0")
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
+        if not 0 <= self.mu < np.inf:
+            raise ValueError("mu must be >= 0 and finite")
+        if not self.micro_step > 0:
+            raise ValueError("micro_step must be > 0")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.schedule_mode not in ("trajectory", "random"):
@@ -230,7 +233,7 @@ def _ascend(x_hat, stack, kind, fused, cfg) -> np.ndarray:
 def inner_max_per_model(x_hat: np.ndarray, w: M.Weights, kind: M.LossKind,
                         cfg: AttackConfig) -> np.ndarray:
     """T sign-ascent steps on one model; consumes exactly T gradient calls."""
-    return _ascend(x_hat, M.member_stack([w]), kind, False, cfg)
+    return _ascend(x_hat, w.stack, kind, False, cfg)
 
 
 def inner_max_global(x_hat: np.ndarray, batch: Sequence[M.Weights],
@@ -407,7 +410,7 @@ def _cwa_step(state, batch, stack, kind, cfg) -> np.ndarray:
     g = _objective_grad(stack, state.x_hat, kind, True)
     cur = project(state.x_hat + cfg.beta_eps * np.sign(g), state.x, cfg.gamma)
     for w in batch:
-        g = _objective_grad(M.member_stack([w]), cur, kind, False)
+        g = _objective_grad(w.stack, cur, kind, False)
         state.m = _momentum(state.m, g, cfg.mu, _l2_rows(g))
         cur = project(cur - cfg.micro_step * state.m, state.x, cfg.gamma)
         if state.iterates is not None:

@@ -548,12 +548,13 @@ class BoundConfig:
         c1, c2 = PHI_DEFAULTS[self.phi]
         self.c1 = c1 if self.c1 is None else self.c1
         self.c2 = c2 if self.c2 is None else self.c2
-        if self.c1 <= 0:
-            raise ValueError("c1 must be > 0")
+        # written so that NaN fails every check
+        if not 0 < self.c1 < math.inf:
+            raise ValueError("c1 must be > 0 and finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        if self.rho <= 0:
-            raise ValueError("rho must be > 0")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be > 0 and finite")
 
 
 @dataclass

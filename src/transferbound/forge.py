@@ -165,8 +165,8 @@ def _sgd_epochs(params: np.ndarray, cfg: PrototypeConfig, data: Dataset,
         if not np.all(np.isfinite(params)):
             raise DivergenceError(f"training diverged at epoch {epoch}")
         w = M.Weights(cfg.spec, params)
-        check = float(np.mean(M.loss_matrix(
-            M.member_stack([w]), X, M.targeted_cross_entropy(y))))
+        check = float(np.mean(M.loss_matrix(w.stack, X,
+                                            M.targeted_cross_entropy(y))))
         if not np.isfinite(check):
             raise DivergenceError(
                 f"training diverged at epoch {epoch}: loss={check!r}")
@@ -210,7 +210,7 @@ def fine_tune_collect(cfg: PrototypeConfig, pretrained: M.Weights,
 
 
 def accuracy(w: M.Weights, X: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(M.predict_matrix(M.member_stack([w]), X)[0] == y))
+    return float(np.mean(M.predict_matrix(w.stack, X)[0] == y))
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {bad}")
         if not self.methods:
             raise ValueError("methods must be nonempty")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods repeat a method: {list(self.methods)}")
+        if self.bound_r is not None and not 0 <= self.bound_r < np.inf:
+            raise ValueError("r (bound_r) must be >= 0 and finite")
         if self.attack.method not in self.methods:
             # bound diagnostics run on the primary configured method
             raise ValueError(

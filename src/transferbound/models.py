@@ -8,14 +8,16 @@ interface so ensembles can mix them freely.
 One forward/backward core runs on a (M, P) stack of one spec's parameter
 vectors.  The scorers take a model set only as its ``MemberStack``, which
 ``member_stack`` groups by spec once, where the set is made (an ensemble
-when it is built, an attack per step, a bound or an ASR table per target
-list), and which slices each group's layer views once per input layout.
-``vjp_stack`` runs one stacked pass per group and returns the logits in
-model order with their pullback.  ``vjp``, ``forward`` and
-``input_gradient`` are its one-member case, and ``loss_matrix`` and
-``predict_matrix`` reduce its logits; only the training helpers call the
-core directly, and their cross-entropy goes through the same ``LossKind``
-("ce") as every other loss.
+when it is built, an attack's multi-member batch per step, a bound or an
+ASR table per target list), and which slices each group's layer views
+once per input layout; a ``Weights`` owns its one-member ``w.stack``,
+which ``member_stack([w])`` returns.  ``vjp_stack`` runs one stacked
+pass per group and returns the logits in model order with their
+pullback.  ``vjp``, ``forward`` and ``input_gradient`` are its
+one-member case, and ``loss_matrix`` and ``predict_matrix`` reduce its
+logits; only the training helpers call the core directly, on
+``w.stack``'s views, and their cross-entropy goes through the same
+``LossKind`` ("ce") as every other loss.
 
 The input's shape picks the arithmetic.  A (B, d) batch runs one (B, d)
 matrix product per member, which may round differently from one-point
@@ -60,27 +62,18 @@ class CheckpointError(ValueError):
 class GradCallCounter:
     """Thread-safe counter of input-gradient computations.
 
-    ``add`` is associative, so concurrent gradient computations may be
-    accumulated from any number of threads.  Callers that need a private
-    tally (e.g. one attack run) open a ``scope()``; increments made by the
-    current thread are mirrored into every scope active on that thread.
+    ``add`` takes the lock, so increments from any thread accumulate.  A
+    ``scope()`` (e.g. one attack run's tally) counts the growth of the
+    total while it is open, from every thread, frozen when it closes.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._total = 0
-        self._scopes = threading.local()
-
-    def _stack(self):
-        if not hasattr(self._scopes, "stack"):
-            self._scopes.stack = []
-        return self._scopes.stack
 
     def add(self, n: int = 1) -> None:
         with self._lock:
             self._total += n
-        for tally in self._stack():
-            tally.count += n
 
     @property
     def value(self) -> int:
@@ -88,28 +81,24 @@ class GradCallCounter:
             return self._total
 
     def scope(self):
-        return _CounterScope(self)
+        return _Tally(self)
 
 
 class _Tally:
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-
-class _CounterScope:
     def __init__(self, counter: GradCallCounter):
-        self._counter = counter
-        self._tally = _Tally()
+        self._counter, self._end = counter, None
 
     def __enter__(self) -> _Tally:
-        self._counter._stack().append(self._tally)
-        return self._tally
+        self._start = self._counter.value
+        return self
 
     def __exit__(self, *exc):
-        self._counter._stack().remove(self._tally)
-        return False
+        self._end = self._counter.value
+
+    @property
+    def count(self) -> int:
+        end = self._counter.value if self._end is None else self._end
+        return end - self._start
 
 
 GRAD_CALLS = GradCallCounter()
@@ -177,10 +166,12 @@ def param_count(spec: ModelSpec) -> int:
 
 @dataclass(frozen=True)
 class Weights:
-    """A flat float64 parameter vector bound to its spec."""
+    """A flat float64 parameter vector bound to its spec, and its
+    one-member ``MemberStack`` over a view of it."""
 
     spec: ModelSpec
     params: np.ndarray
+    stack: MemberStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.params, dtype=np.float64)
@@ -192,6 +183,8 @@ class Weights:
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "params", p)
+        object.__setattr__(self, "stack",
+                           MemberStack(((self.spec, slice(0, 1), p[None]),), 1))
 
 
 def init_weights(spec: ModelSpec, rng: np.random.Generator) -> Weights:
@@ -333,9 +326,8 @@ def _flat(grads) -> np.ndarray:
 
 
 def _forward_one(w: Weights, xb: np.ndarray):
-    """The core on the one-member stack ``w.params[None]``."""
-    logits, cache = _forward_stack(
-        w.spec, _layers(w.spec, w.params[None], xb.ndim - 2), xb)
+    """The core on the one-member stack ``w.stack``."""
+    logits, cache = _forward_stack(w.spec, w.stack.layers(xb.ndim - 2)[0], xb)
     return logits[0], cache
 
 
@@ -365,9 +357,12 @@ class MemberStack:
 
 def member_stack(models: Sequence[Weights]) -> MemberStack:
     """The ``MemberStack`` of a model list.  The members must agree on the
-    input dim and class count."""
+    input dim and class count.  A one-member list gives its model's own
+    ``stack``."""
     if len(models) == 0:
         raise ValueError("need at least one model")
+    if len(models) == 1:
+        return models[0].stack
     by_spec = {}
     for i, w in enumerate(models):
         by_spec.setdefault(w.spec, []).append(i)
@@ -403,7 +398,7 @@ def forward(w: Weights, x: np.ndarray) -> np.ndarray:
 def vjp(w: Weights, x: np.ndarray):
     """Logits at x and their pullback, a function from a logit cotangent to
     the input gradient: the one-member case of ``vjp_stack``."""
-    logits, pullback = vjp_stack(member_stack([w]), x)
+    logits, pullback = vjp_stack(w.stack, x)
     return logits[0], lambda dlogits: pullback(np.asarray(dlogits)[None])[0]
 
 
@@ -687,6 +682,9 @@ def load_weights(path) -> Weights:
         )
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad spec header: {exc}") from exc
+    if blob[4:off] != _spec_header(spec):
+        raise CheckpointError(
+            f"{path}: bad spec header: {n_extra} extra fields for {arch}")
     if off + 8 > len(blob):
         raise CheckpointError(f"{path}: truncated header")
     (count,) = struct.unpack_from("<Q", blob, off)

@@ -42,8 +42,8 @@ def quad_setup():
 
 @pytest.fixture()
 def list_groupings(monkeypatch):
-    """Sizes of the model lists ``models.member_stack`` groups during the
-    test."""
+    """Sizes of the model lists passed to ``models.member_stack`` during
+    the test; a one-member list gets its model's own stack back."""
     builds = []
     member_stack = M.member_stack
 

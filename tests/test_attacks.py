@@ -518,12 +518,13 @@ def test_each_model_set_is_grouped_once(quad_setup, list_groupings,
     n_iter = 6 if method == "rap" else None
     state = A.run_attack(X, y, ens, small_cfg(method=method, n_iter=n_iter))
     I, steps = ens.num_components, len(state.trace)
-    # one grouping per step, which the traced objective values share; rap's
-    # fixed list once per run; flat_cwa one more per member micro-step
+    # one grouping per step, which the traced objective values share (a
+    # one-member batch gets its model's own stack); rap's fixed list once
+    # per run; flat_cwa's member micro-steps score each member's own stack
     assert list_groupings == {
         "ifgsm": [1] * steps, "mifgsm": [1] * steps, "drap": [1] * steps,
         "rap": [len(ens.pretrained)], "flat_rap": [I] * steps,
-        "flat_cwa": ([I] + [1] * I) * steps}[method]
+        "flat_cwa": [I] * steps}[method]
     if method in ("ifgsm", "mifgsm"):
         list_groupings.clear()
         A.run_attack(X, y, ens, small_cfg(method=method, n_iter=4),

@@ -6,6 +6,7 @@ closed forms on hand-built models; the feasibility frontier is
 re-derived by bisection.
 """
 
+import logging
 import math
 import tracemalloc
 
@@ -1053,6 +1054,25 @@ def test_assemble_bound_all_phis_cover(bound_setup):
             assert rep.assembled >= rep.realized_target_risk - 1e-9
             row = rep.csv_row()
             assert len(row.split(",")) == len(B.BOUND_COLUMNS.split(","))
+
+
+def test_assemble_bound_flags_a_point_outside_the_localized_space(bound_setup,
+                                                                   caplog):
+    ens, data, targets = bound_setup
+    x, y = data.X_test[0], int(data.y_test[0])
+    x_hat = np.clip(x + 0.05, 0.0, 1.0)
+    risk = B.profile(x_hat, ens, y).surrogate_risk
+    r = risk / 2
+    with caplog.at_level(logging.WARNING, logger=B.log.name):
+        rep = B.assemble_bound(x_hat, x, 0.08, ens, targets, y,
+                               B.BoundConfig(phi="chi2", c1=1.0, c2=1.0), r,
+                               seed=0, sharpness_steps=2)
+    assert rep.in_localized_space is False
+    assert rep.empirical_risk == risk > r
+    assert [rec.getMessage() for rec in caplog.records
+            if "localization threshold" in rec.getMessage()] == [
+        f"surrogate risk {risk:.4f} exceeds the localization threshold "
+        f"r={r:.4f}; the bound's precondition fails here"]
 
 
 def test_assemble_bound_scores_through_loss_matrix(bound_setup, monkeypatch):

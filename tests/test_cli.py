@@ -131,7 +131,21 @@ def test_more_examples_than_the_test_split_exits_2(tmp_path, capsys):
     ("dataset = two_rings\ninput_dim = 1\n", "two_rings needs input_dim >= 2"),
     ("dataset = two_rings\nnum_classes = 3\n", "two_rings is a binary problem"),
     ("proto_lr = -0.1\n", "learning rate must be >= 0"),
-], ids=["two_rings_in_1d", "two_rings_with_3_classes", "negative_proto_lr"])
+    ("gamma = nan\n", "gamma must be >= 0 and finite"),
+    ("beta_x = inf\n", "beta_x must be > 0 and finite"),
+    ("beta_eps = nan\n", "beta_eps must be >= 0 and finite"),
+    ("mu = nan\n", "mu must be >= 0 and finite"),
+    ("micro_step = -50\n", "micro_step must be > 0"),
+    ("micro_step = nan\n", "micro_step must be > 0"),
+    ("rho = nan\n", "rho must be > 0 and finite"),
+    ("c1 = nan\n", "c1 must be > 0 and finite"),
+    ("r = nan\n", "r (bound_r) must be >= 0 and finite"),
+    ("r = -1\n", "r (bound_r) must be >= 0 and finite"),
+    ("methods = drap,drap\n", "methods repeat a method"),
+], ids=["two_rings_in_1d", "two_rings_with_3_classes", "negative_proto_lr",
+        "nan_gamma", "inf_beta_x", "nan_beta_eps", "nan_mu",
+        "negative_micro_step", "nan_micro_step", "nan_rho", "nan_c1", "nan_r",
+        "negative_r", "repeated_method"])
 def test_bad_data_or_prototype_settings_exit_2_before_any_output(
         tmp_path, capsys, extra, message):
     cfg = tmp_path / "bad.cfg"

@@ -141,6 +141,30 @@ class TestFineTune:
         sb = F.fine_tune_collect(adv, pre, data)
         assert sa[-1].params.tobytes() != sb[-1].params.tobytes()
 
+    @pytest.mark.parametrize("spec", [
+        M.ModelSpec("linear", 6, 3), M.ModelSpec("mlp", 6, 3, hidden=(8,)),
+        M.ModelSpec("conv_tiny", 6, 3, channels=4)], ids=lambda s: s.arch)
+    def test_adversarial_minibatch_slices_its_layer_views_once(self,
+                                                               monkeypatch, spec):
+        rng = np.random.default_rng(12)
+        w = M.init_weights(spec, rng)
+        X, y = rng.uniform(0, 1, (16, 6)), rng.integers(0, 3, 16)
+        want = M.batch_ce_value_and_weight_grad(
+            M.Weights(spec, w.params), F._pgd_batch(w, X, y, 0.1, 5), y)
+        layers, sliced = M._layers, []
+
+        def counted(spec, P, lead):
+            sliced.append(lead)
+            return layers(spec, P, lead)
+
+        monkeypatch.setattr(M, "_layers", counted)
+        w = M.Weights(spec, w.params)
+        value, grad = M.batch_ce_value_and_weight_grad(
+            w, F._pgd_batch(w, X, y, 0.1, 5), y)
+        # the 5 PGD steps and the weight step share the views of ``w.stack``
+        assert sliced == [0]
+        assert value == want[0] and grad.tobytes() == want[1].tobytes()
+
 
 class TestEnsemble:
     def build(self, n=3, seed=17):

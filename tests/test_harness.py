@@ -275,6 +275,37 @@ def test_run_experiment_creates_missing_dirs(tmp_path):
     assert written["asr"].exists()
 
 
+def test_five_components_reuse_the_first_desk_prototype_reseeded(tmp_path,
+                                                                  monkeypatch):
+    cfg = small_config(tmp_path / "five", components=5, methods=A.METHODS)
+    data = H._dataset_for(cfg, 0)
+    desk = F.desk_prototypes(2, 2, gamma=cfg.attack.gamma, base_seed=17,
+                             epochs=cfg.snapshots, lr=cfg.proto_lr)
+    assert H._prototypes(cfg, data, base_seed=17) == desk + [
+        replace(desk[0], seed=desk[0].seed + 7919)]
+    built, build = [], F.build_ensemble
+    monkeypatch.setattr(F, "build_ensemble",
+                        lambda *a, **k: built.append(build(*a, **k)) or built[-1])
+    written = H.run_experiment(cfg, phases={"attack", "asr", "bench"})
+    surrogate, target_ens = built
+    # linear, linear, mlp, mlp, linear: the linear members are two runs
+    idx = {spec.arch: idx for spec, idx, _ in surrogate.stack.groups}
+    assert idx == {"linear": [0, 1, 2, 3, 8, 9], "mlp": slice(4, 8)}
+    X, y = data.X_test[:cfg.n_examples], data.y_test[:cfg.n_examples].astype(int)
+    for method in A.METHODS:
+        adv = np.load(tmp_path / "five" / f"adv_{method}_seed0.npy")
+        state = A.run_attack(X, y, surrogate, replace(
+            H._method_config(cfg, method, 0, surrogate), record_trace=False))
+        assert adv.tobytes() == state.x_hat.tobytes(), method
+        cell = written["asr_table"].rows[(method, "heldout")]
+        want = H.evaluate_asr(adv, y, {"heldout": list(target_ens.all_members())},
+                              method=method).rows[(method, "heldout")]
+        assert cell == want
+    for row in strip_stamp(written["bench"])[1:]:
+        cells = row.split(",")
+        assert cells[2] == "5" and cells[4] == cells[5]
+
+
 def frozen_per_example_attacks(cfg, out):
     """The per-example attack loop that ``run_experiment`` replaced with one
     batched ``run_attack`` per method, kept as its oracle: a traced run on

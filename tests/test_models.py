@@ -353,6 +353,19 @@ class TestStackedCore:
         assert np.array_equal(M.predict_matrix(stack, X),
                               M.predict_matrix(M.member_stack(models), X))
 
+    def test_a_model_owns_its_one_member_stack(self):
+        models, rng, d, _ = self.every_arch(0, 7)
+        X = rng.uniform(0, 1, (4, d))
+        for w in models:
+            assert M.member_stack([w]) is w.stack
+            (spec, idx, P), = w.stack.groups
+            assert (w.stack.size, spec, idx) == (1, w.spec, slice(0, 1))
+            assert np.shares_memory(P, w.params) and not P.flags.writeable
+            copied = M.MemberStack(((spec, idx, w.params[None].copy()),), 1)
+            assert M.vjp_stack(w.stack, X)[0].tobytes() == \
+                M.vjp_stack(copied, X)[0].tobytes()
+        assert "stack" not in repr(models[0])
+
     def test_stack_slices_its_layer_views_once_per_lead_count(self, monkeypatch):
         models, rng, d, _ = self.every_arch(0, 9)
         stack = M.member_stack(models)
@@ -591,11 +604,15 @@ class TestGradCounter:
                 M.input_gradient(w, x, M.bounded_error(0))
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        with M.GRAD_CALLS.scope() as tally:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
         assert M.GRAD_CALLS.value - before == 200
+        # a scope counts the growth of the total, whichever thread made it
+        assert tally.count == 200
 
 
 class TestCheckpoints:
@@ -637,13 +654,17 @@ class TestCheckpoints:
         with pytest.raises(M.CheckpointError, match="trailing"):
             M.load_weights(path)
 
-    @pytest.mark.parametrize("arch, d, k", [(2, 4, 2), (1, 4, 2), (0, 4, 1), (0, 0, 2)],
-                             ids=["conv_no_channels", "mlp_no_hidden",
-                                  "one_class", "no_input_dim"])
-    def test_bad_spec_header_rejected(self, tmp_path, arch, d, k):
-        # magic, then arch tag, d, k, activation tag and no extra fields
+    @pytest.mark.parametrize("fields, count", [
+        ((2, 4, 2, 0, 0), 0), ((1, 4, 2, 0, 0), 0), ((0, 4, 1, 0, 0), 0),
+        ((0, 0, 2, 0, 0), 0), ((0, 4, 2, 0, 1, 7), 10), ((2, 4, 2, 0, 2, 3, 5), 20)],
+        ids=["conv_no_channels", "mlp_no_hidden", "one_class", "no_input_dim",
+             "linear_with_an_extra_field", "conv_with_two_extra_fields"])
+    def test_bad_spec_header_rejected(self, tmp_path, fields, count):
+        # magic, then arch tag, d, k, activation tag, n_extra and the extra
+        # fields; the last two carry a payload sized for the spec they name
         path = tmp_path / "spec.fxw"
-        path.write_bytes(M.CHECKPOINT_MAGIC + struct.pack("<5IQ", arch, d, k, 0, 0, 0))
+        path.write_bytes(M.CHECKPOINT_MAGIC + struct.pack(f"<{len(fields)}IQ", *fields, count)
+                         + bytes(8 * count))
         with pytest.raises(M.CheckpointError, match="spec.fxw: bad spec header"):
             M.load_weights(path)
 
