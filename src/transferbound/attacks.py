@@ -37,6 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import models as M
+from .models import _l2_rows
 
 METHODS = ("ifgsm", "mifgsm", "rap", "flat_rap", "flat_cwa", "drap")
 
@@ -175,12 +176,6 @@ def momentum_step(m: np.ndarray, g: np.ndarray, mu: float) -> np.ndarray:
     """m' = mu * m + g / ||g||_1 per row, with the normalized term zeroed
     for vanishing gradients."""
     return _momentum(m, g, mu, np.abs(g).sum(axis=-1, keepdims=True))
-
-
-def _l2_rows(g: np.ndarray) -> np.ndarray:
-    """The (..., 1) L2 norms of the rows of g, each a one-row dot product as
-    in ``np.linalg.norm``, so bitwise equal to it."""
-    return np.sqrt(g[..., None, :] @ g[..., :, None])[..., 0]
 
 
 def attack_loss_kind(targeted: bool, label) -> M.LossKind:

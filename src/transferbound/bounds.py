@@ -12,8 +12,8 @@ that stack to ``profile`` and ``candidate_losses``, which take a stack
 only.  The profile scores all surrogates at once, and candidate
 filtering keeps their loss columns, so ``candidate_losses`` scores only
 the targets.  Sharpness runs its restarts as rows: one
-``models.vjp_stack`` call per step for all restarts, and one final
-forward for the rows that never stopped.
+``models.vjp_stack`` call per step for all restarts, and one last
+scoring pass; x_hat's own risk is row 0 of the first pass.
 
 The discrepancy between surrogate and target is measured only over a
 candidate set of perturbed inputs whose surrogate risk stays below a
@@ -49,7 +49,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import models as M
-from .attacks import _l2_rows
 from .forge import SurrogateEnsemble
 
 log = logging.getLogger(__name__)
@@ -474,56 +473,53 @@ def sharpness(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
 
     The zero perturbation is always a candidate, so the result is >= 0.
     Every pass scores ``ensemble.stack``, grouped when the ensemble was
-    made.  The restarts run in lockstep as (R, 1, d) rows: one
-    ``models.vjp_stack`` call per step for all restarts gives each row's
-    risk and one gradient call per member per row, from one softmax.  A
-    row stops, and leaves the pullback, when its gradient vanishes.  Then
-    one final forward for the rows that never stopped scores their last
-    points.  Each row equals a one-restart run bit for bit.
+    made.  The restarts run in lockstep as (R, 1, d) rows: ``steps + 1``
+    ``models.vjp_stack`` calls, each giving every row's risk and, on all
+    but the last, one gradient call per member per row, from one softmax.
+    Row 0 starts at x_hat, so row 0 of the first pass is R(x_hat).  A row
+    stops, and leaves the later passes, when its gradient vanishes.  Each
+    row equals a one-restart run bit for bit.
     """
     if rho < 0:
         raise ValueError("rho must be >= 0")
-    if rho == 0:
+    if rho == 0 or restarts == 0:
         return 0.0
     kind = M.bounded_error(label)
+    M._check_label(kind, ensemble.components[0][0].spec.num_classes)
     rng = np.random.default_rng(seed)
     d = x_hat.size
-    base = float(np.mean(M.loss_matrix(ensemble.stack, x_hat[None], kind)))
-    best = base
     # row 0 starts at x_hat; the others at a uniform draw from the ball
     eps = np.zeros((restarts, d))
     for i in range(1, restarts):
         u = rng.normal(size=d)
         u /= np.linalg.norm(u)
         eps[i] = u * rho * rng.uniform() ** (1.0 / d)
-
-    def fold(best, logits, lse=None):
-        # each row's risk is a member mean over one contiguous run, as for a
-        # one-point loss column; Python's max keeps best at a NaN risk
-        losses = M.loss_from_logits(logits, kind, lse)[..., 0]
-        for v in np.ascontiguousarray(losses.T).mean(axis=1):
-            best = max(best, float(v))
-        return best
-
     live = np.arange(restarts)
-    for _ in range(steps):
+    for step in range(steps + 1):
         if live.size == 0:
             break
         logits, pullback = M.vjp_stack(ensemble.stack, (x_hat + eps[live])[:, None])
         lse = M._logsumexp(logits)
-        best = fold(best, logits, lse)
+        # each row's risk is a member mean over one contiguous run, as for a
+        # one-point loss column; Python's max keeps best at a NaN risk
+        losses = M.loss_from_logits(logits, kind, lse)[..., 0]
+        risks = np.ascontiguousarray(losses.T).mean(axis=1)
+        if step == 0:
+            base = best = float(risks[0])
+        for v in risks:
+            best = max(best, float(v))
+        if step == steps:
+            break
         g = np.mean(pullback(M.dloss_dlogits(logits, kind, lse))[:, :, 0], axis=0)
-        norm = _l2_rows(g)
+        norm = M._l2_rows(g)
         # not `norm >= 1e-15`: a NaN norm keeps its row moving
         moving = ~(norm[:, 0] < 1e-15)
         live, g, norm = live[moving], g[moving], norm[moving]
         moved = eps[live] + 2.0 * rho / steps * g / norm
-        scale = _l2_rows(moved)[:, 0]
+        scale = M._l2_rows(moved)[:, 0]
         out = scale > rho
         moved[out] = moved[out] * (rho / scale[out])[:, None]
         eps[live] = moved
-    if live.size:
-        best = fold(best, M.vjp_stack(ensemble.stack, (x_hat + eps[live])[:, None])[0])
     return best - base
 
 

@@ -67,6 +67,8 @@ def make_dataset(kind: str, n_train: int, n_test: int, seed: int, *,
         raise ValueError("num_classes must be >= 2")
     if input_dim < 1:
         raise ValueError("input_dim must be >= 1")
+    if not np.isfinite(separation):
+        raise ValueError("separation must be finite")
     rng = np.random.default_rng(seed)
     n = n_train + n_test
 
@@ -326,8 +328,7 @@ class SurrogateEnsemble:
             raise M.CheckpointError(f"{manifest}: no {', '.join(missing)}")
         try:
             I, n = int(kv["I"]), int(kv["n"])
-            specs = [spec_from_string(kv[f"component_{i}_spec"])
-                     for i in range(I)]
+            specs = [kv[f"component_{i}_spec"] for i in range(I)]
             seeds = [int(kv[f"component_{i}_seed"]) for i in range(I)]
             seed = int(kv["seed"])
         except (KeyError, ValueError) as exc:
@@ -339,10 +340,10 @@ class SurrogateEnsemble:
             if not os.path.isfile(path):
                 raise M.CheckpointError(f"{path}: missing")
             w = M.load_weights(path)
-            if w.spec != spec:
+            if spec_to_string(w.spec) != spec:
                 raise M.CheckpointError(
                     f"{path}: spec {spec_to_string(w.spec)} differs from the "
-                    f"manifest's {spec_to_string(spec)}")
+                    f"manifest's {spec}")
             return w
 
         components, pretrained = [], []
@@ -363,23 +364,6 @@ def spec_to_string(spec: M.ModelSpec) -> str:
     if spec.arch == "conv_tiny":
         parts.append(f"channels={spec.channels}")
     return ",".join(parts)
-
-
-def spec_from_string(text: str) -> M.ModelSpec:
-    kv = {}
-    for part in text.split(","):
-        key, _, value = part.partition("=")
-        kv[key.strip()] = value.strip()
-    arch = kv["arch"]
-    hidden = tuple(int(h) for h in kv["hidden"].split("x")) if "hidden" in kv else ()
-    return M.ModelSpec(
-        arch=arch,
-        input_dim=int(kv["d"]),
-        num_classes=int(kv["k"]),
-        hidden=hidden if arch == "mlp" else (),
-        channels=int(kv.get("channels", 0)) if arch == "conv_tiny" else 0,
-        activation=kv.get("act", "relu"),
-    )
 
 
 def fingerprint(prototypes: Sequence[PrototypeConfig], data: Dataset, *,

@@ -501,6 +501,12 @@ def _logsumexp(z: np.ndarray) -> np.ndarray:
     return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))[..., 0]
 
 
+def _l2_rows(g: np.ndarray) -> np.ndarray:
+    """The (..., 1) L2 norms of the rows of g, each a one-row dot product as
+    in ``np.linalg.norm``, so bitwise equal to it."""
+    return np.sqrt(g[..., None, :] @ g[..., :, None])[..., 0]
+
+
 def _label_entries(a: np.ndarray, label):
     """(view, index) with view[index] the label entry of each row of a
     (..., k): a itself and the class index, or for a label array the flat

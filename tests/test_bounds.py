@@ -778,11 +778,29 @@ def test_sharpness_runs_all_restarts_in_one_call_per_step(quad_setup, monkeypatc
     with M.GRAD_CALLS.scope() as tally:
         got = B.sharpness(x, ens, y, 0.1, steps=6, restarts=3, seed=2)
     monkeypatch.undo()
-    # the base risk, one call per step for the 3 restarts as rows, and the
-    # final forward, where the per-restart loop made 3 * 6 + 3 + 1 calls
-    assert shapes == [(1, x.size)] + [(3, 1, x.size)] * 7
+    # one call per step for the 3 restarts as rows, whose first gives the
+    # base risk as row 0, and one last scoring call, where the per-restart
+    # loop made 3 * 6 + 3 + 1 calls
+    assert shapes == [(3, 1, x.size)] * 7
     assert tally.count == 6 * 3 * ens.size
     assert got == frozen_sharpness(x, ens, y, 0.1, 6, 3, 2)
+
+
+def test_sharpness_without_restarts_is_zero_and_scores_nothing(quad_setup,
+                                                              monkeypatch):
+    ens, data = quad_setup
+    calls = []
+    monkeypatch.setattr(M, "vjp_stack", lambda *a: calls.append(a))
+    assert B.sharpness(data.X_test[2], ens, int(data.y_test[2]), 0.1,
+                       restarts=0) == 0.0
+    assert calls == []
+
+
+def test_sharpness_rejects_a_label_out_of_range(quad_setup):
+    ens, data = quad_setup
+    k = ens.components[0][0].spec.num_classes
+    with pytest.raises(ValueError, match=f"label {k} out of range"):
+        B.sharpness(data.X_test[2], ens, k, 0.1)
 
 
 def test_sharpness_rows_stop_at_different_steps():

@@ -142,10 +142,12 @@ def test_more_examples_than_the_test_split_exits_2(tmp_path, capsys):
     ("r = nan\n", "r (bound_r) must be >= 0 and finite"),
     ("r = -1\n", "r (bound_r) must be >= 0 and finite"),
     ("methods = drap,drap\n", "methods repeat a method"),
+    ("separation = nan\n", "separation must be finite"),
+    ("separation = inf\n", "separation must be finite"),
 ], ids=["two_rings_in_1d", "two_rings_with_3_classes", "negative_proto_lr",
         "nan_gamma", "inf_beta_x", "nan_beta_eps", "nan_mu",
         "negative_micro_step", "nan_micro_step", "nan_rho", "nan_c1", "nan_r",
-        "negative_r", "repeated_method"])
+        "negative_r", "repeated_method", "nan_separation", "inf_separation"])
 def test_bad_data_or_prototype_settings_exit_2_before_any_output(
         tmp_path, capsys, extra, message):
     cfg = tmp_path / "bad.cfg"
@@ -408,10 +410,20 @@ def _conv_header_without_channels(root):
     _spec_header_field(root, 4, 2)
 
 
+def _manifest_names_another_spec(root):
+    # component 0 is the desk linear prototype; name the desk mlp instead
+    manifest = root / "surrogate" / "manifest.txt"
+    manifest.write_text("".join(
+        "component_0_spec = arch=mlp,d=2,k=2,act=relu,hidden=16\n"
+        if l.startswith("component_0_spec") else l
+        for l in manifest.read_text().splitlines(keepends=True)))
+
+
 @pytest.mark.parametrize("damage", [_no_fingerprint, _no_target_dir,
                                     _truncated_snapshot, _deleted_snapshot,
                                     _deleted_pretrained, _one_class_header,
-                                    _conv_header_without_channels])
+                                    _conv_header_without_channels,
+                                    _manifest_names_another_spec])
 def test_damaged_saved_ensembles_exit_2(tiny_config, tmp_path, capsys,
                                         count_builds, damage):
     out = tmp_path / "out"

@@ -313,11 +313,30 @@ class TestEnsemble:
         spread = max(means) - min(means)
         assert spread > 0.01
 
-    def test_spec_string_round_trip(self):
-        for spec in [M.ModelSpec("linear", 7, 3),
-                     M.ModelSpec("mlp", 5, 2, hidden=(8, 4), activation="tanh"),
-                     M.ModelSpec("conv_tiny", 9, 4, channels=3)]:
-            assert F.spec_from_string(F.spec_to_string(spec)) == spec
+    def test_load_checks_each_architecture_against_its_spec_line(self, tmp_path):
+        # load compares each checkpoint's spec, rendered by spec_to_string,
+        # with its component's manifest line, so every branch is exercised
+        specs = [M.ModelSpec("linear", 9, 4),
+                 M.ModelSpec("mlp", 9, 4, hidden=(8, 4), activation="tanh"),
+                 M.ModelSpec("conv_tiny", 9, 4, channels=3)]
+        rng = np.random.default_rng(0)
+        ens = F.SurrogateEnsemble(
+            [[M.init_weights(s, rng) for _ in range(2)] for s in specs],
+            seed=0, pretrained=[M.init_weights(s, rng) for s in specs],
+            component_seeds=[0, 1, 2], fingerprint="0" * 64)
+        ens.save(tmp_path)
+        back = F.SurrogateEnsemble.load(tmp_path)
+        assert [[w.spec for w in c] for c in back.components] == [
+            [s, s] for s in specs]
+        assert [w.spec for w in back.pretrained] == specs
+        assert back.stack.size == 6
+        manifest = tmp_path / "manifest.txt"
+        text = manifest.read_text()
+        assert "component_1_spec = arch=mlp,d=9,k=4,act=tanh,hidden=8x4\n" in text
+        manifest.write_text(text.replace("act=tanh", "act=relu"))
+        with pytest.raises(M.CheckpointError, match="component_1.snapshot_0.fxw: "
+                           "spec .*act=tanh.* differs from the manifest's"):
+            F.SurrogateEnsemble.load(tmp_path)
 
 
 class TestFingerprint:
