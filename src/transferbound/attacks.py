@@ -97,10 +97,6 @@ class AttackConfig:
         if self.schedule_mode not in ("trajectory", "random"):
             raise ValueError(f"unknown schedule mode {self.schedule_mode!r}")
 
-    @property
-    def rho_inf(self) -> float:
-        return self.inner_T * self.beta_eps
-
 
 @dataclass
 class TraceRow:
@@ -254,13 +250,12 @@ def predict_ngrad(method: str, n_iter: int, num_components: int,
     epochs unless the run is so short (n_iter / I <= 5) that the inner
     loop never starts.
     """
-    method = method.lower()
     if n_iter < 0 or num_components < 1:
         raise ValueError("need n_iter >= 0 and num_components >= 1")
     I = num_components
-    if method in ("ifgsm", "mifgsm", "mi", "pi"):
+    if method in ("ifgsm", "mifgsm"):
         return n_iter * I
-    if method in ("flat_cwa", "cwa"):
+    if method == "flat_cwa":
         return n_iter * 2 * I
     if method in ("rap", "flat_rap"):
         T = 10 if T is None else T
@@ -292,8 +287,8 @@ class _Plan:
              the average of the per-model losses;
     reverse: from the late start on, ascend the objective for inner_T sign
              steps and take the outer gradient at the shifted point;
-    update:  "sign", "momentum" (L1-normalized) or "cwa" (a reverse step,
-             then L2-momentum micro-steps through the batch).
+    update:  "sign", "momentum" (L1-normalized) or "walk" (CWA's reverse
+             step, then L2-momentum micro-steps through the batch).
     """
 
     models: str
@@ -308,7 +303,7 @@ _PLANS = {
     "drap": _Plan("snapshot", False, True, "momentum"),
     "rap": _Plan("list", False, True, "sign"),
     "flat_rap": _Plan("components", True, True, "momentum"),
-    "flat_cwa": _Plan("components", True, False, "cwa"),
+    "flat_cwa": _Plan("components", True, False, "walk"),
 }
 
 
@@ -372,17 +367,14 @@ def _schedule(method, plan, ensemble, models, cfg):
                                   late_start=cfg.n_ls)
         # under the random schedule the I snapshots of a step differ
         return predicted, ((it, -1, it % n if mode == "trajectory" else -1,
-                            [ensemble.schedule(it % n, i, mode, rng)
+                            [ensemble.components[i][
+                                ensemble.schedule_index(it % n, i, mode, rng)]
                              for i in range(I)], it >= cfg.n_ls)
                            for it in range(n_iter))
     if cfg.n_iter is not None and cfg.n_iter != K:
-        if plan.reverse:
-            raise ValueError(
-                f"this attack consumes the ensemble exactly once: n_iter must "
-                f"be {K} (= I * n), got {cfg.n_iter}")
         raise ValueError(
             f"an ensemble sweep visits every snapshot once: n_iter must be "
-            f"{K}, got {cfg.n_iter}")
+            f"{K} (= I * n), got {cfg.n_iter}")
     if plan.reverse and cfg.n_ls > n:
         raise ValueError(f"n_ls {cfg.n_ls} exceeds snapshots per component {n}")
     # the cost model counts drap in single-model steps and the sweeps in
@@ -456,7 +448,7 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
             stack = fixed or M.member_stack(batch)
             if state.trace is not None:
                 loss_pre = _objective(stack, state.x_hat[0], kind0, plan.fused)
-            if plan.update == "cwa":
+            if plan.update == "walk":
                 state.x_hat = _cwa_step(state, batch, stack, kind, cfg)
             else:
                 z = state.x_hat

@@ -109,22 +109,21 @@ def profile(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
 
 @dataclass
 class CandidateSetXr:
-    """Perturbed inputs with surrogate risk at most r (within the budget),
-    and the surrogate members' bounded losses there, one column per
-    candidate, as the filter pass scored them."""
+    """Perturbed inputs with surrogate risk at most r within the
+    gamma-ball around x, and the surrogate members' bounded losses there,
+    one column per candidate, as the filter pass scored them."""
 
     candidates: list
     losses: np.ndarray
 
     @classmethod
     def build(cls, pool: Sequence[np.ndarray], ensemble: SurrogateEnsemble,
-              label: int, r: float, x: Optional[np.ndarray] = None,
-              gamma: Optional[float] = None) -> "CandidateSetXr":
+              label: int, r: float, x: np.ndarray,
+              gamma: float) -> "CandidateSetXr":
         if len(pool) == 0:
             return cls(candidates=[], losses=np.empty((ensemble.size, 0)))
         pts = np.asarray(pool, dtype=np.float64)
-        if x is not None and gamma is not None:
-            pts = pts[np.max(np.abs(pts - x), axis=1) <= gamma + 1e-12]
+        pts = pts[np.max(np.abs(pts - x), axis=1) <= gamma + 1e-12]
         losses = M.loss_matrix(ensemble.stack, pts, M.bounded_error(label))
         keep = losses.mean(axis=0) <= r
         return cls(candidates=list(pts[keep]), losses=losses[:, keep])
@@ -547,6 +546,8 @@ class BoundConfig:
         # written so that NaN fails every check
         if not 0 < self.c1 < math.inf:
             raise ValueError("c1 must be > 0 and finite")
+        if not -math.inf < self.c2 < math.inf:
+            raise ValueError("c2 must be finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         if not 0 < self.rho < math.inf:

@@ -25,9 +25,12 @@ log = logging.getLogger(__name__)
 DATASET_KINDS = ("gaussian_mixture", "two_rings")
 TRAINING_MODES = ("normal", "adversarial")
 
-# pretraining defaults of build_ensemble; fingerprint must use the same ones
+# the training recipe (PRETRAIN_EPOCHS is only build_ensemble's default);
+# fingerprint hashes each of these
 PRETRAIN_EPOCHS = 30
 PRETRAIN_LR = 0.25
+BATCH_SIZE = 32
+ADV_STEPS = 5  # PGD steps per adversarial-training minibatch
 
 
 class DivergenceError(RuntimeError):
@@ -121,8 +124,6 @@ class PrototypeConfig:
     epochs: int = 10
     seed: int = 0
     adv_eps: float = 0.0
-    adv_steps: int = 5
-    batch_size: int = 32
 
     def __post_init__(self):
         if self.training not in TRAINING_MODES:
@@ -133,8 +134,6 @@ class PrototypeConfig:
             raise ValueError("learning rate must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 def _pgd_batch(w: M.Weights, X: np.ndarray, y: np.ndarray,
@@ -156,12 +155,12 @@ def _sgd_epochs(params: np.ndarray, cfg: PrototypeConfig, data: Dataset,
     snapshots = []
     for epoch in range(epochs):
         perm = rng.permutation(len(X))
-        for start in range(0, len(X), cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
+        for start in range(0, len(X), BATCH_SIZE):
+            idx = perm[start : start + BATCH_SIZE]
             Xb, yb = X[idx], y[idx]
             w = M.Weights(cfg.spec, params)
             if cfg.training == "adversarial":
-                Xb = _pgd_batch(w, Xb, yb, cfg.adv_eps, cfg.adv_steps)
+                Xb = _pgd_batch(w, Xb, yb, cfg.adv_eps, ADV_STEPS)
             _, grad = M.batch_ce_value_and_weight_grad(w, Xb, yb)
             params = params - cfg.lr * grad
         if not np.all(np.isfinite(params)):
@@ -181,6 +180,8 @@ def pretrain(cfg: PrototypeConfig, data: Dataset, *,
              epochs: int = PRETRAIN_EPOCHS,
              lr: Optional[float] = None) -> M.Weights:
     """Train a prototype from random init (same regime as fine-tuning)."""
+    if epochs < 0:
+        raise ValueError("pretrain epochs must be >= 0")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF0]))
     w0 = M.init_weights(cfg.spec, rng)
     train_cfg = replace(cfg, lr=cfg.lr if lr is None else lr)
@@ -273,12 +274,6 @@ class SurrogateEnsemble:
             return int(rng.integers(self.snapshots_per_component))
         raise ValueError(f"unknown schedule mode {mode!r}")
 
-    def schedule(self, j: int, i: int, mode: str = "trajectory",
-                 rng: Optional[np.random.Generator] = None) -> M.Weights:
-        """Snapshot for outer step j, component i (see ``schedule_index``)."""
-        s = self.schedule_index(j, i, mode, rng)
-        return self.components[i][s]
-
     def all_members(self):
         for comp in self.components:
             yield from comp
@@ -367,31 +362,30 @@ def spec_to_string(spec: M.ModelSpec) -> str:
 
 
 def fingerprint(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
-                pretrain_epochs: int = PRETRAIN_EPOCHS,
-                pretrain_lr: float = PRETRAIN_LR) -> str:
+                pretrain_epochs: int = PRETRAIN_EPOCHS) -> str:
     """SHA-256 hex digest of everything ``build_ensemble`` trains from.
 
     It covers the dataset arrays and class count, the ``repr`` of each
-    prototype config, and the pretraining epochs and rate, so a saved
-    ensemble whose digest matches is exactly what this call would train.
+    prototype config, the pretraining epochs and the fixed training
+    constants, so a saved ensemble whose digest matches is exactly what
+    this call would train.
     """
     h = hashlib.sha256()
     for arr in (data.X_train, data.y_train, data.X_test, data.y_test):
         arr = np.ascontiguousarray(arr)
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
         h.update(arr.tobytes())
-    h.update(repr((data.num_classes, pretrain_epochs, pretrain_lr,
-                   list(prototypes))).encode())
+    h.update(repr((data.num_classes, pretrain_epochs, PRETRAIN_LR,
+                   BATCH_SIZE, ADV_STEPS, list(prototypes))).encode())
     return h.hexdigest()
 
 
 def build_ensemble(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
-                   pretrain_epochs: int = PRETRAIN_EPOCHS,
-                   pretrain_lr: float = PRETRAIN_LR) -> SurrogateEnsemble:
+                   pretrain_epochs: int = PRETRAIN_EPOCHS) -> SurrogateEnsemble:
     """Pretrain each prototype, then fine-tune it into a snapshot component."""
     components, pres, seeds = [], [], []
     for cfg in prototypes:
-        pre = pretrain(cfg, data, epochs=pretrain_epochs, lr=pretrain_lr)
+        pre = pretrain(cfg, data, epochs=pretrain_epochs, lr=PRETRAIN_LR)
         components.append(fine_tune_collect(cfg, pre, data))
         pres.append(pre)
         seeds.append(cfg.seed)
@@ -399,20 +393,18 @@ def build_ensemble(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
         components, seed=prototypes[0].seed, pretrained=pres,
         component_seeds=seeds,
         fingerprint=fingerprint(prototypes, data,
-                                pretrain_epochs=pretrain_epochs,
-                                pretrain_lr=pretrain_lr))
+                                pretrain_epochs=pretrain_epochs))
 
 
 def desk_prototypes(input_dim: int, num_classes: int, gamma: float,
-                    base_seed: int, *, epochs: int = 10, lr: float = 0.05,
-                    hidden: tuple = (16,)) -> list:
+                    base_seed: int, *, epochs: int = 10, lr: float = 0.05) -> list:
     """The standard four-prototype set: {linear, mlp} x {normal, adversarial}.
 
-    Adversarially trained prototypes use 5-step PGD at eps = gamma (the
-    attack budget under study).
+    Adversarially trained prototypes use ``ADV_STEPS``-step PGD at
+    eps = gamma (the attack budget under study).
     """
     linear = M.ModelSpec("linear", input_dim, num_classes)
-    mlp = M.ModelSpec("mlp", input_dim, num_classes, hidden=hidden, activation="relu")
+    mlp = M.ModelSpec("mlp", input_dim, num_classes, hidden=(16,), activation="relu")
     out = []
     for idx, (spec, mode) in enumerate([
         (linear, "normal"), (linear, "adversarial"),

@@ -191,6 +191,8 @@ class ExperimentConfig:
             raise ValueError("methods must be nonempty")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError(f"methods repeat a method: {list(self.methods)}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds repeat a seed: {list(self.seeds)}")
         if self.bound_r is not None and not 0 <= self.bound_r < np.inf:
             raise ValueError("r (bound_r) must be >= 0 and finite")
         if self.attack.method not in self.methods:

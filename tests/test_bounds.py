@@ -942,7 +942,7 @@ def test_candidate_set_takes_one_forward_per_spec_group(tiny_setup, monkeypatch)
 def test_candidate_set_empty_pool_and_pool_outside_ball(tiny_setup):
     ens, data = tiny_setup
     x, y = data.X_test[3], int(data.y_test[3])
-    empty = B.CandidateSetXr.build([], ens, y, r=1.0)
+    empty = B.CandidateSetXr.build([], ens, y, r=1.0, x=x, gamma=0.1)
     assert empty.candidates == [] and empty.losses.shape == (ens.size, 0)
     assert B.candidate_losses(empty, ens.stack, y) == ([], [])
     far = [np.clip(x + s * 0.5, 0, 1) for s in (-1.0, 1.0)]

@@ -144,10 +144,15 @@ def test_more_examples_than_the_test_split_exits_2(tmp_path, capsys):
     ("methods = drap,drap\n", "methods repeat a method"),
     ("separation = nan\n", "separation must be finite"),
     ("separation = inf\n", "separation must be finite"),
+    ("seeds = 0,0\n", "seeds repeat a seed"),
+    ("pretrain_epochs = -3\n", "pretrain epochs must be >= 0"),
+    ("c2 = inf\n", "c2 must be finite"),
+    ("c2 = nan\n", "c2 must be finite"),
 ], ids=["two_rings_in_1d", "two_rings_with_3_classes", "negative_proto_lr",
         "nan_gamma", "inf_beta_x", "nan_beta_eps", "nan_mu",
         "negative_micro_step", "nan_micro_step", "nan_rho", "nan_c1", "nan_r",
-        "negative_r", "repeated_method", "nan_separation", "inf_separation"])
+        "negative_r", "repeated_method", "nan_separation", "inf_separation",
+        "repeated_seed", "negative_pretrain_epochs", "inf_c2", "nan_c2"])
 def test_bad_data_or_prototype_settings_exit_2_before_any_output(
         tmp_path, capsys, extra, message):
     cfg = tmp_path / "bad.cfg"

@@ -125,10 +125,10 @@ class TestFineTune:
 
         monkeypatch.setattr(M, "batch_ce_value_and_weight_grad", counted)
         F.fine_tune_collect(cfg, pre, data)
-        batches = -(-len(data.X_train) // cfg.batch_size)
+        batches = -(-len(data.X_train) // F.BATCH_SIZE)
         # one per SGD step; the per-epoch divergence check is a forward
         assert len(calls) == cfg.epochs * batches
-        assert max(calls) == cfg.batch_size
+        assert max(calls) == F.BATCH_SIZE
 
     def test_adversarial_mode_changes_training(self):
         data = small_data()
@@ -181,25 +181,23 @@ class TestEnsemble:
         seen = set()
         for j in range(3):
             for i in range(4):
-                seen.add(id(ens.schedule(j, i)))
+                seen.add(id(ens.components[i][ens.schedule_index(j, i)]))
         assert len(seen) == 12  # every member exactly once
 
     def test_schedule_bounds_and_random_mode(self):
         ens, _ = self.build()
         with pytest.raises(ValueError):
-            ens.schedule(3, 0)
+            ens.schedule_index(3, 0)
         with pytest.raises(ValueError):
-            ens.schedule(0, 4)
+            ens.schedule_index(0, 4)
         with pytest.raises(ValueError):
-            ens.schedule(0, 0, mode="random")
-        draws_a = [ens.schedule(0, 1, mode="random", rng=np.random.default_rng(5))
-                   for _ in range(6)]
-        draws_b = [ens.schedule(0, 1, mode="random", rng=np.random.default_rng(5))
-                   for _ in range(6)]
-        assert [id(w) for w in draws_a] != [id(ens.schedule(j, 1)) for j in [0] * 6] \
-            or True  # random draws may coincide; the real check is reproducibility:
-        for a, b in zip(draws_a, draws_b):
-            assert a.params.tobytes() == b.params.tobytes()
+            ens.schedule_index(0, 0, mode="random")
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        draws_a = [ens.schedule_index(0, 1, "random", rng_a) for _ in range(6)]
+        draws_b = [ens.schedule_index(0, 1, "random", rng_b) for _ in range(6)]
+        # random draws may coincide; the check is reproducibility and range
+        assert draws_a == draws_b
+        assert all(0 <= s < ens.snapshots_per_component for s in draws_a)
 
     def test_members_are_stacked_once_when_the_ensemble_is_made(self):
         ens, data = self.build(n=2)
@@ -364,7 +362,7 @@ class TestFingerprint:
     @pytest.mark.parametrize("change", [
         {"spec": M.ModelSpec("mlp", 2, 2, hidden=(4,))},
         {"training": "normal"}, {"lr": 0.06}, {"epochs": 11}, {"seed": 4},
-        {"adv_eps": 0.09}, {"adv_steps": 6}, {"batch_size": 16},
+        {"adv_eps": 0.09},
     ])
     def test_changed_by_each_prototype_field(self, change):
         data = small_data()
@@ -377,5 +375,13 @@ class TestFingerprint:
         assert base != F.fingerprint([self.PROTO], small_data(seed=6))
         assert base != F.fingerprint([self.PROTO], small_data(sep=5.0))
         assert base != F.fingerprint([self.PROTO], data, pretrain_epochs=31)
-        assert base != F.fingerprint([self.PROTO], data, pretrain_lr=0.2)
         assert base != F.fingerprint([self.PROTO, self.PROTO], data)
+
+    @pytest.mark.parametrize("name, value", [
+        ("BATCH_SIZE", 16), ("ADV_STEPS", 6), ("PRETRAIN_LR", 0.2),
+    ])
+    def test_changed_by_the_training_constants(self, monkeypatch, name, value):
+        data = small_data()
+        base = F.fingerprint([self.PROTO], data)
+        monkeypatch.setattr(F, name, value)
+        assert base != F.fingerprint([self.PROTO], data)
