@@ -77,17 +77,13 @@ class LossProfile:
     target_losses: Optional[np.ndarray] = None
 
     @property
-    def component_means(self) -> np.ndarray:
-        return np.array([float(np.mean(c)) for c in self.losses_by_component])
-
-    @property
     def all_losses(self) -> np.ndarray:
         return np.concatenate(self.losses_by_component)
 
     @property
     def surrogate_risk(self) -> float:
         # equal weight per component
-        return float(np.mean(self.component_means))
+        return float(np.mean([float(np.mean(c)) for c in self.losses_by_component]))
 
 
 def profile(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
@@ -113,30 +109,25 @@ class CandidateSetXr:
     gamma-ball around x, and the surrogate members' bounded losses there,
     one column per candidate, as the filter pass scored them."""
 
-    candidates: list
+    candidates: np.ndarray  # (C, d), one row per kept candidate
     losses: np.ndarray
 
     @classmethod
     def build(cls, pool: Sequence[np.ndarray], ensemble: SurrogateEnsemble,
               label: int, r: float, x: np.ndarray,
               gamma: float) -> "CandidateSetXr":
-        if len(pool) == 0:
-            return cls(candidates=[], losses=np.empty((ensemble.size, 0)))
-        pts = np.asarray(pool, dtype=np.float64)
+        pts = np.asarray(pool, dtype=np.float64).reshape(-1, x.size)
         pts = pts[np.max(np.abs(pts - x), axis=1) <= gamma + 1e-12]
         losses = M.loss_matrix(ensemble.stack, pts, M.bounded_error(label))
         keep = losses.mean(axis=0) <= r
-        return cls(candidates=list(pts[keep]), losses=losses[:, keep])
+        return cls(candidates=pts[keep], losses=losses[:, keep])
 
 
 def candidate_losses(cands: CandidateSetXr, targets: M.MemberStack,
                      label: int):
     """Per-candidate surrogate and target bounded-loss vectors; only the
     target stack is scored here."""
-    if len(cands.candidates) == 0:
-        return [], []
-    t_mat = M.loss_matrix(targets, np.stack(cands.candidates),
-                          M.bounded_error(label))
+    t_mat = M.loss_matrix(targets, cands.candidates, M.bounded_error(label))
     return list(cands.losses.T), list(t_mat.T)
 
 

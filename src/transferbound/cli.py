@@ -108,7 +108,7 @@ def parse_config_file(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    out = {}
+    out, first = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -120,6 +120,10 @@ def parse_config_file(path) -> dict:
         key = key.strip()
         if key not in KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line "
+                              f"{first[key]}")
+        first[key] = lineno
         out[key] = value.strip()
     return out
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -149,8 +149,9 @@ def _pgd_batch(w: M.Weights, X: np.ndarray, y: np.ndarray,
     return Xa
 
 
-def _sgd_epochs(params: np.ndarray, cfg: PrototypeConfig, data: Dataset,
-                rng: np.random.Generator, epochs: int, collect: bool):
+def _sgd_epochs(w: M.Weights, cfg: PrototypeConfig, lr: float, data: Dataset,
+                rng: np.random.Generator, epochs: int) -> list:
+    """SGD from ``w`` at rate ``lr``; the weights after each epoch."""
     X, y = data.X_train, data.y_train
     snapshots = []
     for epoch in range(epochs):
@@ -158,22 +159,19 @@ def _sgd_epochs(params: np.ndarray, cfg: PrototypeConfig, data: Dataset,
         for start in range(0, len(X), BATCH_SIZE):
             idx = perm[start : start + BATCH_SIZE]
             Xb, yb = X[idx], y[idx]
-            w = M.Weights(cfg.spec, params)
             if cfg.training == "adversarial":
                 Xb = _pgd_batch(w, Xb, yb, cfg.adv_eps, ADV_STEPS)
             _, grad = M.batch_ce_value_and_weight_grad(w, Xb, yb)
-            params = params - cfg.lr * grad
-        if not np.all(np.isfinite(params)):
+            w = M.Weights(cfg.spec, w.params - lr * grad)
+        if not np.all(np.isfinite(w.params)):
             raise DivergenceError(f"training diverged at epoch {epoch}")
-        w = M.Weights(cfg.spec, params)
         check = float(np.mean(M.loss_matrix(w.stack, X,
                                             M.targeted_cross_entropy(y))))
         if not np.isfinite(check):
             raise DivergenceError(
                 f"training diverged at epoch {epoch}: loss={check!r}")
-        if collect:
-            snapshots.append(w)
-    return params, snapshots
+        snapshots.append(w)
+    return snapshots
 
 
 def pretrain(cfg: PrototypeConfig, data: Dataset, *,
@@ -184,9 +182,9 @@ def pretrain(cfg: PrototypeConfig, data: Dataset, *,
         raise ValueError("pretrain epochs must be >= 0")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF0]))
     w0 = M.init_weights(cfg.spec, rng)
-    train_cfg = replace(cfg, lr=cfg.lr if lr is None else lr)
-    params, _ = _sgd_epochs(w0.params.copy(), train_cfg, data, rng, epochs, False)
-    return M.Weights(cfg.spec, params)
+    snapshots = _sgd_epochs(w0, cfg, cfg.lr if lr is None else lr, data, rng,
+                            epochs)
+    return snapshots[-1] if snapshots else w0
 
 
 def fine_tune_collect(cfg: PrototypeConfig, pretrained: M.Weights,
@@ -202,8 +200,7 @@ def fine_tune_collect(cfg: PrototypeConfig, pretrained: M.Weights,
     if data.num_classes != cfg.spec.num_classes:
         raise ValueError("dataset and model disagree on class count")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF1]))
-    _, snapshots = _sgd_epochs(pretrained.params.copy(), cfg, data, rng,
-                               cfg.epochs, True)
+    snapshots = _sgd_epochs(pretrained, cfg, cfg.lr, data, rng, cfg.epochs)
     base = accuracy(pretrained, data.X_test, data.y_test)
     got = np.mean([accuracy(s, data.X_test, data.y_test) for s in snapshots])
     if got < base - 0.05:

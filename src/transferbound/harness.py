@@ -16,7 +16,7 @@ import datetime
 import json
 import platform
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -87,24 +87,6 @@ class AsrTable:
                 raise ValueError(f"rate out of range for {key}: {cell.rate}")
             if cell.examples <= 0 or cell.seeds <= 0:
                 raise ValueError(f"counts must be positive for {key}")
-
-    @staticmethod
-    def combine(tables: Sequence["AsrTable"]) -> "AsrTable":
-        """Average rates across per-seed tables (equal weight per seed)."""
-        if not tables:
-            raise ValueError("nothing to combine")
-        keys = list(tables[0].rows)
-        merged = {}
-        for key in keys:
-            cells = [t.rows[key] for t in tables]
-            if len({c.examples for c in cells}) != 1:
-                raise ValueError(f"example counts differ across seeds for {key}")
-            merged[key] = AsrCell(
-                rate=float(np.mean([c.rate for c in cells])),
-                examples=cells[0].examples,
-                seeds=sum(c.seeds for c in cells),
-            )
-        return AsrTable(merged)
 
 
 def evaluate_asr(x_hat, labels, target_sets: Mapping[str, Sequence[M.Weights]],
@@ -193,6 +175,10 @@ class ExperimentConfig:
             raise ValueError(f"methods repeat a method: {list(self.methods)}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds repeat a seed: {list(self.seeds)}")
+        if min(self.seeds) < 0:
+            raise ValueError("seeds must be >= 0")
+        if self.pretrain_epochs < 0:
+            raise ValueError("pretrain epochs must be >= 0")
         if self.bound_r is not None and not 0 <= self.bound_r < np.inf:
             raise ValueError("r (bound_r) must be >= 0 and finite")
         if self.attack.method not in self.methods:
@@ -304,18 +290,14 @@ def _write_csv(path: Path, header: str, lines: Sequence[str]) -> Path:
     return path
 
 
-def _config_lines(cfg: ExperimentConfig) -> list:
+def _config_lines(cfg, prefix: str = "") -> list:
     pairs = []
-    for f in sorted(ExperimentConfig.__dataclass_fields__):
+    for f in sorted(cfg.__dataclass_fields__):
         value = getattr(cfg, f)
-        if f == "attack":
-            for sub in sorted(A.AttackConfig.__dataclass_fields__):
-                pairs.append(f"attack.{sub} = {getattr(value, sub)!r}")
-        elif f == "bound":
-            for sub in sorted(B.BoundConfig.__dataclass_fields__):
-                pairs.append(f"bound.{sub} = {getattr(value, sub)!r}")
+        if is_dataclass(value):
+            pairs += _config_lines(value, f"{prefix}{f}.")
         else:
-            pairs.append(f"{f} = {value!r}")
+            pairs.append(f"{prefix}{f} = {value!r}")
     return pairs
 
 
@@ -355,7 +337,7 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
     need_attacks = bool(phases & {"attack", "asr", "bounds", "bench"})
 
     written = {}
-    per_seed_tables = []
+    asr_cells = {}  # (method, target set) -> one AsrCell per seed
     asr_lines = []
     bound_lines = []
     bench_lines = []
@@ -422,20 +404,15 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
 
         if "asr" in phases:
             t0 = time.perf_counter()
-            tables = []
             for method in cfg.methods:
                 adv = states_by_method[method].x_hat
                 table = evaluate_asr(adv, y, targets,
                                      targeted=cfg.attack.targeted,
                                      target_labels=y_t, method=method)
-                tables.append(table)
                 for (meth, name), cell in sorted(table.rows.items()):
                     asr_lines.append(f"{meth},{name},{seed},{cell.examples},"
                                      f"{100.0 * cell.rate:.1f}")
-            merged = {}
-            for t in tables:
-                merged.update(t.rows)
-            per_seed_tables.append(AsrTable(merged))
+                    asr_cells.setdefault((meth, name), []).append(cell)
             phase_s["asr"] += time.perf_counter() - t0
 
         if "bounds" in phases:
@@ -457,7 +434,11 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
 
     if "asr" in phases:
         written["asr"] = _write_csv(out / "asr.csv", ASR_COLUMNS, asr_lines)
-        combined = AsrTable.combine(per_seed_tables)
+        # equal weight per seed; every seed scores n_examples rows
+        combined = AsrTable({
+            key: AsrCell(float(np.mean([c.rate for c in cells])),
+                         cells[0].examples, len(cells))
+            for key, cells in asr_cells.items()})
         summary_lines = [
             f"{meth},{name},{cell.seeds},{cell.examples},{100.0 * cell.rate:.1f}"
             for (meth, name), cell in sorted(combined.rows.items())]
@@ -471,7 +452,6 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
         written["bench"] = _write_csv(out / "bench.csv", BENCH_COLUMNS,
                                       bench_lines)
     if need_attacks:
-        written["adv_dir"] = out
         record = {"config": _config_lines(cfg),
                   "python": platform.python_version(), "numpy": np.__version__,
                   "phase_s": phase_s, "methods": totals,

@@ -943,12 +943,38 @@ def test_candidate_set_empty_pool_and_pool_outside_ball(tiny_setup):
     ens, data = tiny_setup
     x, y = data.X_test[3], int(data.y_test[3])
     empty = B.CandidateSetXr.build([], ens, y, r=1.0, x=x, gamma=0.1)
-    assert empty.candidates == [] and empty.losses.shape == (ens.size, 0)
+    assert empty.candidates.shape == (0, x.size)
+    assert empty.losses.shape == (ens.size, 0)
     assert B.candidate_losses(empty, ens.stack, y) == ([], [])
     far = [np.clip(x + s * 0.5, 0, 1) for s in (-1.0, 1.0)]
     assert all(np.max(np.abs(c - x)) > 0.1 for c in far)
     assert B.CandidateSetXr.build(far, ens, y, r=1.0, x=x,
-                                  gamma=0.1).candidates == []
+                                  gamma=0.1).candidates.shape == (0, x.size)
+
+
+# csv_row of the bounds below, recorded before the empty-set branches went
+NO_CANDIDATE_ROWS = {
+    "tv": "tv,0,1,0,0.11534765906843769,0,0,0.85185935400404744,"
+          "1.2841037650951728,0.30387314167363511",
+    "kl": "kl,0,1.2564,1,0.11534765906843769,0,0.026122256817941059,"
+          "0.85185935400404744,1.2841037650951728,0.30387314167363511",
+    "chi2": "chi2,0,1,0.25,0.11534765906843769,0,0.0083167270638883958,"
+            "0.85185935400404744,1.2841037650951728,0.30387314167363511",
+}
+
+
+@pytest.mark.parametrize("phi", B.PHIS)
+def test_assemble_bound_with_no_candidate_kept(quad_setup, phi):
+    ens, data = quad_setup
+    x, y = data.X_test[2], int(data.y_test[2])
+    # the bounded loss is > 0 everywhere, so r = 0 keeps no candidate
+    rep = B.assemble_bound(x, x, 0.1, ens, ens.pretrained, y,
+                           B.BoundConfig(phi=phi), 0.0, seed=3,
+                           sharpness_steps=4)
+    assert rep.num_candidates == 0 and rep.d_hat == 0.0
+    assert rep.assembled == (rep.empirical_risk + rep.sharpness + rep.c2 * 0
+                             + rep.eps_pac)
+    assert rep.csv_row() == NO_CANDIDATE_ROWS[phi]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,15 @@ n_ls = 1
 """
 
 
+def tiny_with(extra: str) -> str:
+    """TINY with each key that ``extra`` sets taken from ``extra``: a
+    config file that names a key twice is an error."""
+    keys = {line.split("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in TINY.splitlines()
+            if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + extra
+
+
 @pytest.fixture()
 def tiny_config(tmp_path):
     path = tmp_path / "tiny.cfg"
@@ -88,6 +97,19 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         rc = cli.main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == cli.EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+
+def test_repeated_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("gamma = 0.1\n# budget\ngamma = 0.3\n", encoding="utf-8")
+    out = tmp_path / "o"
+    rc = cli.main(["bench", "--config", str(cfg), "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert "key 'gamma' repeats line 1" in capsys.readouterr().err
+    assert not out.exists()
+    # seed and seeds are two keys, with a documented precedence
+    cfg.write_text("seed = 1\nseeds = 2,3\n", encoding="utf-8")
+    assert cli.parse_config_file(cfg) == {"seed": "1", "seeds": "2,3"}
 
 
 def test_unknown_phi_in_config_file_exits_2(tmp_path, capsys):
@@ -146,17 +168,19 @@ def test_more_examples_than_the_test_split_exits_2(tmp_path, capsys):
     ("separation = inf\n", "separation must be finite"),
     ("seeds = 0,0\n", "seeds repeat a seed"),
     ("pretrain_epochs = -3\n", "pretrain epochs must be >= 0"),
+    ("seed = -1\n", "seeds must be >= 0"),
     ("c2 = inf\n", "c2 must be finite"),
     ("c2 = nan\n", "c2 must be finite"),
 ], ids=["two_rings_in_1d", "two_rings_with_3_classes", "negative_proto_lr",
         "nan_gamma", "inf_beta_x", "nan_beta_eps", "nan_mu",
         "negative_micro_step", "nan_micro_step", "nan_rho", "nan_c1", "nan_r",
         "negative_r", "repeated_method", "nan_separation", "inf_separation",
-        "repeated_seed", "negative_pretrain_epochs", "inf_c2", "nan_c2"])
+        "repeated_seed", "negative_pretrain_epochs", "negative_seed", "inf_c2",
+        "nan_c2"])
 def test_bad_data_or_prototype_settings_exit_2_before_any_output(
         tmp_path, capsys, extra, message):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(TINY + extra, encoding="utf-8")
+    cfg.write_text(tiny_with(extra), encoding="utf-8")
     out = tmp_path / "o"
     rc = cli.main(["eval", "--config", str(cfg), "--out", str(out)])
     assert rc == cli.EXIT_CONFIG
@@ -362,7 +386,7 @@ def test_changed_forge_config_exits_2(tiny_config, tmp_path, capsys,
             "--out", str(out)]
     if change[0] == "--config":
         changed = tmp_path / "changed.cfg"
-        changed.write_text(TINY + change[1], encoding="utf-8")
+        changed.write_text(tiny_with(change[1]), encoding="utf-8")
         argv[2] = str(changed)
     else:
         argv += change
@@ -372,6 +396,24 @@ def test_changed_forge_config_exits_2(tiny_config, tmp_path, capsys,
     assert str(out / "ensembles" / "seed0") in err and "re-run `forge`" in err
     assert "fingerprint" in err
     assert len(count_builds) == builds  # no silent retrain
+    assert not (out / "asr.csv").exists()
+
+
+def test_negative_pretrain_epochs_on_saved_ensembles_exits_2(
+        tiny_config, tmp_path, capsys, count_builds):
+    out = tmp_path / "out"
+    assert cli.main(["forge", "--config", str(tiny_config), *SMALL_FLAGS,
+                     "--out", str(out)]) == cli.EXIT_OK
+    builds = len(count_builds)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(tiny_with("pretrain_epochs = -3\n"), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", str(bad), *SMALL_FLAGS,
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "pretrain epochs must be >= 0" in err
+    assert "fingerprint" not in err
+    assert len(count_builds) == builds
     assert not (out / "asr.csv").exists()
 
 
@@ -467,7 +509,7 @@ def test_bounds_with_one_snapshot_exit_2_before_any_training(
 
 def test_negative_bound_examples_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(TINY + "bound_examples = -1\n", encoding="utf-8")
+    cfg.write_text(tiny_with("bound_examples = -1\n"), encoding="utf-8")
     rc = cli.main(["bound", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
     assert "bound_examples must be >= 0" in capsys.readouterr().err

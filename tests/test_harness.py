@@ -124,21 +124,11 @@ def test_asr_mixed_spec_set_matches_per_model_count(tiny_setup):
         assert table.rows[("attack", "mixed")].rate == hits.sum() / hits.size
 
 
-def test_asr_table_validation_and_combine():
+def test_asr_table_validation():
     with pytest.raises(ValueError):
         H.AsrTable({("m", "s"): H.AsrCell(1.5, 10, 1)})
     with pytest.raises(ValueError):
         H.AsrTable({("m", "s"): H.AsrCell(0.5, 0, 1)})
-    t1 = H.AsrTable({("m", "s"): H.AsrCell(0.25, 8, 1)})
-    t2 = H.AsrTable({("m", "s"): H.AsrCell(0.50, 8, 1)})
-    merged = H.AsrTable.combine([t1, t2])
-    cell = merged.rows[("m", "s")]
-    assert cell.rate == pytest.approx(0.375)
-    assert cell.examples == 8 and cell.seeds == 2
-    with pytest.raises(ValueError):
-        H.AsrTable.combine([t1, H.AsrTable({("m", "s"): H.AsrCell(0.5, 4, 1)})])
-    with pytest.raises(ValueError):
-        H.AsrTable.combine([])
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +227,16 @@ def test_run_experiment_outputs_and_determinism(tmp_path):
     assert cfg1 == cfg2
 
 
-def test_run_experiment_multi_seed_summary(tmp_path):
+def test_run_experiment_multi_seed_summary(tmp_path, monkeypatch):
+    seed_cells = []
+    evaluate = H.evaluate_asr
+
+    def recorded(*args, **kwargs):
+        table = evaluate(*args, **kwargs)
+        seed_cells.append(table.rows[("drap", "heldout")])
+        return table
+
+    monkeypatch.setattr(H, "evaluate_asr", recorded)
     cfg = small_config(tmp_path / "ms", seeds=(0, 1), methods=("drap",))
     written = H.run_experiment(cfg, phases={"attack", "asr"})
     rows = strip_stamp(written["asr"])
@@ -248,6 +247,11 @@ def test_run_experiment_multi_seed_summary(tmp_path):
     assert seeds == "2" and int(examples) == 3
     table = written["asr_table"]
     assert table.rows[("drap", "heldout")].seeds == 2
+    # equal weight per seed
+    assert len(seed_cells) == 2
+    rate = table.rows[("drap", "heldout")].rate
+    assert rate == float(np.mean([c.rate for c in seed_cells]))
+    assert pct == f"{100.0 * rate:.1f}"
 
 
 def test_run_experiment_cifar_branch(tmp_path):
