@@ -23,7 +23,7 @@ from pathlib import Path
 from . import attacks as A
 from . import bounds as B
 from . import harness as H
-from .forge import DivergenceError
+from .forge import DivergenceError, read_settings
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,29 +103,13 @@ class ConfigError(ValueError):
 
 
 def parse_config_file(path) -> dict:
-    """One `key = value` per line; `#` starts a comment; blank lines ok."""
+    """The `key = value` lines of a config file, keys from `KEYS`."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return read_settings(Path(path).read_text(encoding="utf-8"), path, KEYS)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    out, first = {}, {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
-                              f"got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key not in KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in first:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line "
-                              f"{first[key]}")
-        first[key] = lineno
-        out[key] = value.strip()
-    return out
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _convert(key: str, raw: str):

@@ -128,22 +128,22 @@ class PrototypeConfig:
     def __post_init__(self):
         if self.training not in TRAINING_MODES:
             raise ValueError(f"unknown training mode {self.training!r}")
-        if self.training == "adversarial" and self.adv_eps <= 0:
-            raise ValueError("adversarial training needs adv_eps > 0")
-        if self.lr < 0:
-            raise ValueError("learning rate must be >= 0")
+        if self.training == "adversarial" and not 0 < self.adv_eps < np.inf:
+            raise ValueError("adversarial training needs adv_eps > 0 and finite")
+        if not 0 <= self.lr < np.inf:
+            raise ValueError("learning rate must be >= 0 and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
 
 def _pgd_batch(w: M.Weights, X: np.ndarray, y: np.ndarray,
-               eps: float, steps: int) -> np.ndarray:
+               eps: float) -> np.ndarray:
     """Ascend cross-entropy in the eps-infinity ball around X (training PGD)."""
-    step = 2.5 * eps / max(steps, 1)
+    step = 2.5 * eps / ADV_STEPS
     lo, hi = np.clip(X - eps, 0, 1), np.clip(X + eps, 0, 1)
     Xa = X.copy()
     kind = M.targeted_cross_entropy(y)
-    for _ in range(steps):
+    for _ in range(ADV_STEPS):
         g = M.batch_ce_input_gradients(w, Xa, kind)
         Xa = np.clip(Xa + step * np.sign(g), lo, hi)
     return Xa
@@ -160,7 +160,7 @@ def _sgd_epochs(w: M.Weights, cfg: PrototypeConfig, lr: float, data: Dataset,
             idx = perm[start : start + BATCH_SIZE]
             Xb, yb = X[idx], y[idx]
             if cfg.training == "adversarial":
-                Xb = _pgd_batch(w, Xb, yb, cfg.adv_eps, ADV_STEPS)
+                Xb = _pgd_batch(w, Xb, yb, cfg.adv_eps)
             _, grad = M.batch_ce_value_and_weight_grad(w, Xb, yb)
             w = M.Weights(cfg.spec, w.params - lr * grad)
         if not np.all(np.isfinite(w.params)):
@@ -175,15 +175,13 @@ def _sgd_epochs(w: M.Weights, cfg: PrototypeConfig, lr: float, data: Dataset,
 
 
 def pretrain(cfg: PrototypeConfig, data: Dataset, *,
-             epochs: int = PRETRAIN_EPOCHS,
-             lr: Optional[float] = None) -> M.Weights:
-    """Train a prototype from random init (same regime as fine-tuning)."""
+             epochs: int = PRETRAIN_EPOCHS) -> M.Weights:
+    """Train a prototype from random init at ``PRETRAIN_LR``."""
     if epochs < 0:
         raise ValueError("pretrain epochs must be >= 0")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF0]))
     w0 = M.init_weights(cfg.spec, rng)
-    snapshots = _sgd_epochs(w0, cfg, cfg.lr if lr is None else lr, data, rng,
-                            epochs)
+    snapshots = _sgd_epochs(w0, cfg, PRETRAIN_LR, data, rng, epochs)
     return snapshots[-1] if snapshots else w0
 
 
@@ -306,15 +304,11 @@ class SurrogateEnsemble:
         manifest = os.path.join(root, "manifest.txt")
         try:
             with open(manifest, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
+                kv = read_settings(fh.read(), manifest)
+        except (OSError, UnicodeDecodeError) as exc:
             raise M.CheckpointError(f"{manifest}: cannot read: {exc}") from exc
-        kv = {}
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                key, _, value = line.partition("=")
-                kv[key.strip()] = value.strip()
+        except ValueError as exc:
+            raise M.CheckpointError(str(exc)) from exc
         missing = [k for k in ("I", "n", "seed", "fingerprint") if not kv.get(k)]
         if missing:
             raise M.CheckpointError(f"{manifest}: no {', '.join(missing)}")
@@ -346,6 +340,29 @@ class SurrogateEnsemble:
             pretrained.append(read(os.path.join(cdir, "pretrained.fxw"), spec))
         return cls(components, seed=seed, pretrained=pretrained,
                    component_seeds=seeds, fingerprint=kv["fingerprint"])
+
+
+def read_settings(text: str, where, keys=None) -> dict:
+    """``key = value`` lines (``#`` comments) as strings; a line without
+    ``=``, a key not in ``keys`` (when given) or a repeated key raises
+    ValueError naming ``where`` and the line."""
+    out, first = {}, {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{where}:{lineno}: expected 'key = value', "
+                             f"got {raw.strip()!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if keys is not None and key not in keys:
+            raise ValueError(f"{where}:{lineno}: unknown key {key!r}")
+        if key in first:
+            raise ValueError(f"{where}:{lineno}: key {key!r} repeats line "
+                             f"{first[key]}")
+        first[key] = lineno
+        out[key] = value
+    return out
 
 
 def spec_to_string(spec: M.ModelSpec) -> str:
@@ -382,7 +399,7 @@ def build_ensemble(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
     """Pretrain each prototype, then fine-tune it into a snapshot component."""
     components, pres, seeds = [], [], []
     for cfg in prototypes:
-        pre = pretrain(cfg, data, epochs=pretrain_epochs, lr=PRETRAIN_LR)
+        pre = pretrain(cfg, data, epochs=pretrain_epochs)
         components.append(fine_tune_collect(cfg, pre, data))
         pres.append(pre)
         seeds.append(cfg.seed)

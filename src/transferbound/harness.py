@@ -227,7 +227,7 @@ def _ensembles(cfg: ExperimentConfig, data: F.Dataset, seed: int, root: Path,
     With ``reuse`` set and both ``root/surrogate`` and ``root/target``
     present, they are loaded, and each must carry the fingerprint this
     config would train; anything else saved there (one role only, an
-    unreadable checkpoint, another fingerprint) raises CheckpointError
+    unreadable checkpoint, another fingerprint or shape) raises CheckpointError
     rather than retraining.  Otherwise both are trained.
     """
     protos = {role: _prototypes(cfg, data, base_seed=1000 * seed + offset)
@@ -252,6 +252,12 @@ def _ensembles(cfg: ExperimentConfig, data: F.Dataset, seed: int, root: Path,
                 f"{root / role}: saved ensemble has fingerprint "
                 f"{ens.fingerprint[:12]}..., this config trains "
                 f"{want[:12]}...{rerun}")
+        shape = (ens.num_components, ens.snapshots_per_component)
+        if shape != (cfg.components, cfg.snapshots):
+            raise M.CheckpointError(
+                f"{root / role}: saved ensemble holds I = {shape[0]}, n = "
+                f"{shape[1]}, this config trains I = {cfg.components}, n = "
+                f"{cfg.snapshots}{rerun}")
         loaded.append(ens)
     return (*loaded, "loaded")
 

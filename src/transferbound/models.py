@@ -586,14 +586,6 @@ def input_gradient(w: Weights, x: np.ndarray, kind: LossKind) -> np.ndarray:
     return pullback(dloss_dlogits(logits, kind))
 
 
-def weight_gradient(w: Weights, x: np.ndarray, kind: LossKind) -> np.ndarray:
-    """d loss / d params at one input (training plumbing; not counted)."""
-    _check_label(kind, w.spec.num_classes)
-    xb, _ = _as_batch(x, w.spec.input_dim)
-    logits, cache = _forward_one(w, xb)
-    return _backward_stack(w.spec, cache, dloss_dlogits(logits, kind)[None], weights=True)
-
-
 def batch_ce_value_and_weight_grad(w: Weights, X: np.ndarray, y: np.ndarray):
     """Mean cross-entropy over a labelled batch and its weight gradient.
 

@@ -153,6 +153,8 @@ def test_more_examples_than_the_test_split_exits_2(tmp_path, capsys):
     ("dataset = two_rings\ninput_dim = 1\n", "two_rings needs input_dim >= 2"),
     ("dataset = two_rings\nnum_classes = 3\n", "two_rings is a binary problem"),
     ("proto_lr = -0.1\n", "learning rate must be >= 0"),
+    ("proto_lr = nan\n", "learning rate must be >= 0 and finite"),
+    ("proto_lr = inf\n", "learning rate must be >= 0 and finite"),
     ("gamma = nan\n", "gamma must be >= 0 and finite"),
     ("beta_x = inf\n", "beta_x must be > 0 and finite"),
     ("beta_eps = nan\n", "beta_eps must be >= 0 and finite"),
@@ -172,6 +174,7 @@ def test_more_examples_than_the_test_split_exits_2(tmp_path, capsys):
     ("c2 = inf\n", "c2 must be finite"),
     ("c2 = nan\n", "c2 must be finite"),
 ], ids=["two_rings_in_1d", "two_rings_with_3_classes", "negative_proto_lr",
+        "nan_proto_lr", "inf_proto_lr",
         "nan_gamma", "inf_beta_x", "nan_beta_eps", "nan_mu",
         "negative_micro_step", "nan_micro_step", "nan_rho", "nan_c1", "nan_r",
         "negative_r", "repeated_method", "nan_separation", "inf_separation",
@@ -190,7 +193,7 @@ def test_bad_data_or_prototype_settings_exit_2_before_any_output(
 
 def test_divergent_training_exits_3(tiny_config, tmp_path, capsys):
     cfg = tmp_path / "diverge.cfg"
-    cfg.write_text(TINY + "proto_lr = inf\n", encoding="utf-8")
+    cfg.write_text(TINY + "proto_lr = 1e308\n", encoding="utf-8")
     with np.errstate(all="ignore"):
         rc = cli.main(["forge", "--config", str(cfg), "--n", "2",
                        "--components", "1", "--out", str(tmp_path / "o")])
@@ -483,6 +486,24 @@ def test_damaged_saved_ensembles_exit_2(tiny_config, tmp_path, capsys,
     err = capsys.readouterr().err
     assert str(out / "ensembles" / "seed0") in err and "re-run `forge`" in err
     assert len(count_builds) == builds
+
+
+def test_saved_ensemble_of_another_shape_exits_2(tiny_config, tmp_path,
+                                                  capsys, count_builds):
+    out = tmp_path / "out"
+    args = ["--config", str(tiny_config), *SMALL_FLAGS, "--out", str(out)]
+    assert cli.main(["forge", *args]) == cli.EXIT_OK
+    builds = len(count_builds)
+    root = out / "ensembles" / "seed0"
+    manifest = root / "surrogate" / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("I = 2\n", "I = 1\n"))
+    capsys.readouterr()
+    assert cli.main(["eval", *args]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(root / "surrogate") in err and "re-run `forge`" in err
+    assert "holds I = 1, n = 2" in err and "trains I = 2, n = 2" in err
+    assert len(count_builds) == builds
+    assert not (out / "asr.csv").exists()
 
 
 def test_nonpositive_c1_exits_2_before_any_training(tiny_config, tmp_path,

@@ -56,14 +56,34 @@ class TestDatasets:
     def test_rings_separate_architectures(self):
         data = F.make_dataset("two_rings", 600, 300, 13, input_dim=2)
         lin = F.pretrain(F.PrototypeConfig(spec=M.ModelSpec("linear", 2, 2), seed=3),
-                         data, epochs=80, lr=0.5)
+                         data, epochs=160)
         mlp_spec = M.ModelSpec("mlp", 2, 2, hidden=(16,), activation="tanh")
         mlp = F.pretrain(F.PrototypeConfig(spec=mlp_spec, seed=3), data,
-                         epochs=80, lr=0.5)
+                         epochs=160)
         lin_acc = F.accuracy(lin, data.X_test, data.y_test)
         mlp_acc = F.accuracy(mlp, data.X_test, data.y_test)
         assert lin_acc <= 0.70  # rings are not linearly separable
         assert mlp_acc >= 0.95
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(lr=np.nan), "learning rate must be >= 0 and finite"),
+    (dict(lr=np.inf), "learning rate must be >= 0 and finite"),
+    (dict(training="adversarial", adv_eps=np.nan), "adv_eps > 0 and finite"),
+    (dict(training="adversarial", adv_eps=np.inf), "adv_eps > 0 and finite"),
+], ids=["nan_lr", "inf_lr", "nan_adv_eps", "inf_adv_eps"])
+def test_prototype_config_rejects_non_finite_settings(change, message):
+    with pytest.raises(ValueError, match=message):
+        F.PrototypeConfig(spec=M.ModelSpec("linear", 2, 2), **change)
+
+
+def test_pretrain_is_build_ensembles_pretraining():
+    data = small_data()
+    protos = F.desk_prototypes(2, 2, gamma=0.1, base_seed=5, epochs=2)
+    ens = F.build_ensemble(protos, data, pretrain_epochs=3)
+    for cfg, pre in zip(protos, ens.pretrained):
+        assert (F.pretrain(cfg, data, epochs=3).params.tobytes()
+                == pre.params.tobytes())
 
 
 class TestFineTune:
@@ -71,7 +91,7 @@ class TestFineTune:
         data = small_data()
         cfg = F.PrototypeConfig(spec=M.ModelSpec("linear", 2, 2), lr=0.0,
                                 epochs=4, seed=11)
-        pre = F.pretrain(cfg, data, lr=0.25)
+        pre = F.pretrain(cfg, data)
         snaps = F.fine_tune_collect(cfg, pre, data)
         assert len(snaps) == 4
         for s in snaps:
@@ -106,7 +126,7 @@ class TestFineTune:
         # driven over the float64 ceiling for the loss to leave the reals
         cfg = F.PrototypeConfig(spec=M.ModelSpec("mlp", 2, 2, hidden=(8,)),
                                 lr=1e305, epochs=3, seed=11)
-        pre = F.pretrain(cfg, data, lr=0.1, epochs=2)
+        pre = F.pretrain(cfg, data, epochs=2)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(F.DivergenceError, match="epoch"):
                 F.fine_tune_collect(cfg, pre, data)
@@ -150,7 +170,7 @@ class TestFineTune:
         w = M.init_weights(spec, rng)
         X, y = rng.uniform(0, 1, (16, 6)), rng.integers(0, 3, 16)
         want = M.batch_ce_value_and_weight_grad(
-            M.Weights(spec, w.params), F._pgd_batch(w, X, y, 0.1, 5), y)
+            M.Weights(spec, w.params), F._pgd_batch(w, X, y, 0.1), y)
         layers, sliced = M._layers, []
 
         def counted(spec, P, lead):
@@ -160,7 +180,7 @@ class TestFineTune:
         monkeypatch.setattr(M, "_layers", counted)
         w = M.Weights(spec, w.params)
         value, grad = M.batch_ce_value_and_weight_grad(
-            w, F._pgd_batch(w, X, y, 0.1, 5), y)
+            w, F._pgd_batch(w, X, y, 0.1), y)
         # the 5 PGD steps and the weight step share the views of ``w.stack``
         assert sliced == [0]
         assert value == want[0] and grad.tobytes() == want[1].tobytes()
@@ -292,6 +312,22 @@ class TestEnsemble:
         other = tmp_path / "component_2" / "snapshot_0.fxw"
         snap.write_bytes(other.read_bytes())
         with pytest.raises(M.CheckpointError, match="differs from the manifest"):
+            F.SurrogateEnsemble.load(tmp_path)
+        (tmp_path / "manifest.txt").write_bytes(b"I = \xff\n")
+        with pytest.raises(M.CheckpointError, match="manifest.txt: cannot read"):
+            F.SurrogateEnsemble.load(tmp_path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("I = 1", r"manifest.txt:\d+: key 'I' repeats line 1"),
+        ("seed", r"manifest.txt:\d+: expected 'key = value', got 'seed'"),
+    ], ids=["repeated_key", "bare_line"])
+    def test_manifest_with_a_repeated_key_or_a_bare_line_is_refused(
+            self, tmp_path, line, message):
+        ens, _ = self.build(n=1)
+        ens.save(tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text() + line + "\n")
+        with pytest.raises(M.CheckpointError, match=message):
             F.SurrogateEnsemble.load(tmp_path)
 
     def test_prototype_diversity_at_adversarial_probes(self):

@@ -490,7 +490,7 @@ class TestGradients:
             w = M.init_weights(spec, rng)
             x = rng.uniform(0.1, 0.9, spec.input_dim)
             kind = M.targeted_cross_entropy(0)
-            g = M.weight_gradient(w, x, kind)
+            g = M.batch_ce_value_and_weight_grad(w, x[None], np.array([0]))[1]
             fd = central_difference(
                 lambda p: M.loss(M.Weights(spec, p), x, kind), w.params.copy()
             )
@@ -507,7 +507,7 @@ class TestGradients:
         y = rng.integers(0, 3, 9)
         value, g = M.batch_ce_value_and_weight_grad(w, X, y)
         per = np.mean(
-            [M.weight_gradient(w, X[i], M.targeted_cross_entropy(int(y[i])))
+            [M.batch_ce_value_and_weight_grad(w, X[i][None], y[i : i + 1])[1]
              for i in range(9)], axis=0)
         losses = [M.loss(w, X[i], M.targeted_cross_entropy(int(y[i]))) for i in range(9)]
         assert abs(value - np.mean(losses)) < 1e-12
@@ -557,7 +557,7 @@ class TestGradCounter:
                 M.input_gradient(w, x, M.bounded_error(0))
             M.forward(w, x)
             M.loss(w, x, M.bounded_error(0))
-            M.weight_gradient(w, x, M.bounded_error(0))
+            M.batch_ce_value_and_weight_grad(w, x[None], np.array([0]))
         assert tally.count == 5
         assert M.GRAD_CALLS.value - before == 5
 
