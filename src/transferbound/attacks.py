@@ -281,8 +281,8 @@ class _Plan:
     """How one method instantiates the step loop.
 
     models:  "snapshot" (one scheduled snapshot per step, I * n steps),
-             "list" (the fixed model list every step, n_iter steps) or
-             "components" (one snapshot per component, n_iter steps);
+             "list" (the fixed model list every step) or "components"
+             (one snapshot per component), both n_iter steps, default I * n;
     fused:   the objective is the loss of the averaged logits, otherwise
              the average of the per-model losses;
     reverse: from the late start on, ascend the objective for inner_T sign
@@ -344,31 +344,30 @@ def _finish(state, tally, predicted):
 def _schedule(method, plan, ensemble, models, cfg):
     """Validate the run length.  Returns the cost-model prediction and the
     steps as (step, component, snapshot, batch, late) tuples; component and
-    snapshot are -1 where a step does not use a single one."""
-    if plan.models == "list":
-        if cfg.n_iter is None:
-            raise ValueError("this method needs an explicit n_iter")
-        if cfg.n_iter < 1:
-            raise ValueError("n_iter must be >= 1")
-        predicted = predict_ngrad(method, cfg.n_iter, len(models),
-                                  T=cfg.inner_T, late_start=cfg.n_ls)
-        return predicted, ((it, -1, -1, models, it >= cfg.n_ls)
-                           for it in range(cfg.n_iter))
+    snapshot are -1 where a step does not use a single one.  A sweep runs
+    one step per member, any other plan n_iter steps (K by default).  Step
+    j takes snapshot j of each component under the trajectory schedule, a
+    uniform draw from ``default_rng(cfg.seed)`` under the random one (per
+    step, components in order)."""
     I, n = ensemble.num_components, ensemble.snapshots_per_component
     K = ensemble.size
-    mode = cfg.schedule_mode
+    trajectory = cfg.schedule_mode == "trajectory"
     rng = np.random.default_rng(cfg.seed)
 
-    if plan.models == "components":
-        n_iter = cfg.n_iter if cfg.n_iter is not None else K
+    def snap(j):
+        return j if trajectory else int(rng.integers(n))
+
+    if plan.models != "snapshot":
+        n_iter = K if cfg.n_iter is None else cfg.n_iter
         if n_iter < 1:
             raise ValueError("n_iter must be >= 1")
-        predicted = predict_ngrad(method, n_iter, I, T=cfg.inner_T,
-                                  late_start=cfg.n_ls)
+        listed = plan.models == "list"
+        predicted = predict_ngrad(method, n_iter, len(models) if listed else I,
+                                  T=cfg.inner_T, late_start=cfg.n_ls)
         # under the random schedule the I snapshots of a step differ
-        return predicted, ((it, -1, it % n if mode == "trajectory" else -1,
-                            [ensemble.components[i][
-                                ensemble.schedule_index(it % n, i, mode, rng)]
+        return predicted, ((it, -1, it % n if trajectory and not listed else -1,
+                            models if listed else
+                            [ensemble.components[i][snap(it % n)]
                              for i in range(I)], it >= cfg.n_ls)
                            for it in range(n_iter))
     if cfg.n_iter is not None and cfg.n_iter != K:
@@ -383,7 +382,7 @@ def _schedule(method, plan, ensemble, models, cfg):
                               T=cfg.inner_T, late_start=cfg.n_ls)
 
     def step(j, i):
-        s = ensemble.schedule_index(j, i, mode, rng)
+        s = snap(j)
         return j * I + i, i, s, [ensemble.components[i][s]], j >= cfg.n_ls
 
     return predicted, (step(j, i) for j in range(n) for i in range(I))
@@ -418,6 +417,7 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
     gamma-ball intersected with the unit box.  rap attacks the explicit
     model list, else the ensemble prototypes; ifgsm and mifgsm attack the
     explicit list when one is given, else sweep the ensemble schedule.
+    Every run that is not a sweep takes n_iter steps, default I * n.
 
     The B examples of a batch share the schedule and every step; each
     row's result equals a one-example run on it bitwise

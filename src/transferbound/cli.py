@@ -106,7 +106,7 @@ def parse_config_file(path) -> dict:
     """The `key = value` lines of a config file, keys from `KEYS`."""
     try:
         return read_settings(Path(path).read_text(encoding="utf-8"), path, KEYS)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

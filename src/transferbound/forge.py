@@ -2,10 +2,7 @@
 
 A surrogate ensemble approximates I model posteriors by fine-tuning I
 prototype classifiers with constant-rate SGD and keeping one snapshot per
-epoch: component i contributes n snapshots, K = I * n models total.  The
-scheduler maps (outer step j, component i) to a snapshot either
-deterministically (epoch order, a bijection over the whole ensemble) or by
-seeded uniform sampling.
+epoch: component i contributes n snapshots, K = I * n models total.
 """
 
 from __future__ import annotations
@@ -247,27 +244,6 @@ class SurrogateEnsemble:
     @property
     def size(self) -> int:
         return self.num_components * self.snapshots_per_component
-
-    def schedule_index(self, j: int, i: int, mode: str = "trajectory",
-                       rng: Optional[np.random.Generator] = None) -> int:
-        """Index of the snapshot for outer step j, component i.
-
-        trajectory mode is the deterministic bijection: step j of component
-        i returns snapshot j, so a full sweep over (j, i) visits every
-        member exactly once.  random mode draws uniformly from component i
-        using the supplied generator.
-        """
-        if not 0 <= i < self.num_components:
-            raise ValueError(f"component index {i} out of range")
-        if mode == "trajectory":
-            if not 0 <= j < self.snapshots_per_component:
-                raise ValueError(f"outer step {j} out of range")
-            return j
-        if mode == "random":
-            if rng is None:
-                raise ValueError("random schedule needs a generator")
-            return int(rng.integers(self.snapshots_per_component))
-        raise ValueError(f"unknown schedule mode {mode!r}")
 
     def all_members(self):
         for comp in self.components:

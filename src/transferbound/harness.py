@@ -46,7 +46,10 @@ ALL_PHASES = frozenset({"forge", "attack", "asr", "bounds", "bench"})
 def load_cifar10_binary(path) -> tuple:
     """Read a CIFAR-10 binary batch: 3073-byte records of one label byte
     followed by 3072 channel-planar pixel bytes, scaled to [0, 1]."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValueError(f"cannot read dataset file {path}: {exc}") from exc
     if len(raw) % CIFAR_RECORD != 0:
         offset = (len(raw) // CIFAR_RECORD) * CIFAR_RECORD
         raise ValueError(
@@ -58,7 +61,8 @@ def load_cifar10_binary(path) -> tuple:
     if bad.size:
         i = int(bad[0])
         raise ValueError(
-            f"invalid label {int(labels[i])} at byte offset {i * CIFAR_RECORD}")
+            f"{path}: invalid label {int(labels[i])} at byte offset "
+            f"{i * CIFAR_RECORD}")
     pixels = buf[:, 1:].astype(np.float64) / 255.0
     return pixels, labels
 
@@ -193,7 +197,8 @@ def _dataset_for(cfg: ExperimentConfig, seed: int) -> F.Dataset:
         need = cfg.n_train + cfg.n_test
         if X.shape[0] < need:
             raise ValueError(
-                f"cifar batch holds {X.shape[0]} records, need {need}")
+                f"cifar batch {cfg.dataset_path} holds {X.shape[0]} "
+                f"records, need {need}")
         return F.Dataset(X[: cfg.n_train], y[: cfg.n_train],
                          X[cfg.n_train : need], y[cfg.n_train : need],
                          num_classes=10)
@@ -264,16 +269,14 @@ def _ensembles(cfg: ExperimentConfig, data: F.Dataset, seed: int, root: Path,
 
 def _method_config(cfg: ExperimentConfig, method: str, seed: int,
                    ensemble: F.SurrogateEnsemble) -> A.AttackConfig:
-    # batch methods need an explicit iteration budget; ensemble sweeps fix
-    # their own (one pass over all K snapshots)
-    n_iter = ensemble.size if method == "rap" else None
     n_ls = cfg.attack.n_ls
     if method == "drap" and n_ls > ensemble.snapshots_per_component:
         # a late start longer than the run makes no sense; fall back to the
         # standard schedule (no late start on short runs, 5 epochs otherwise)
         n_ls = 0 if ensemble.snapshots_per_component <= 5 else 5
-    return replace(cfg.attack, method=method, seed=seed, n_iter=n_iter,
-                   n_ls=n_ls)
+    # every method runs its default length: one step per surrogate member
+    return replace(cfg.attack, method=method, seed=seed, n_iter=None,
+                   n_ls=n_ls, record_trace=True)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +386,7 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
             acfg = _method_config(cfg, method, seed, surrogate)
             t0 = time.perf_counter()
             # one run over every example; example 0's trace is written
-            state = A.run_attack(X, labels, surrogate,
-                                 replace(acfg, record_trace=True))
+            state = A.run_attack(X, labels, surrogate, acfg)
             seconds = time.perf_counter() - t0
             states_by_method[method] = state
             tally = totals[method]

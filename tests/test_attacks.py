@@ -261,12 +261,6 @@ class TestRunners:
         fgsm = A.project(x - cfg.beta_x * np.sign(g), x, cfg.gamma)
         assert np.array_equal(st.x_hat, fgsm)
 
-    def test_batch_baselines_need_n_iter(self, tiny_setup):
-        ens, data = tiny_setup
-        with pytest.raises(ValueError, match="n_iter"):
-            A.run_attack(data.X_test[0], 0, ens, small_cfg(method="ifgsm"),
-                         models=[ens.components[0][0]])
-
     def test_rap_cost_branches(self, tiny_setup):
         ens, data = tiny_setup
         batch = [c[0] for c in ens.components]
@@ -421,6 +415,10 @@ class TestTrace:
             else:
                 want = M.loss(ens.components[row.component][row.snapshot], prev, kind)
             assert row.loss_pre == want, row
+        if method in ("ifgsm", "mifgsm", "drap"):
+            # the trajectory schedule visits every member once
+            assert [(row.component, row.snapshot) for row in st.trace] == \
+                [(i, j) for j in range(n) for i in range(I)]
 
     def test_random_schedule_rows_name_the_snapshot_drawn(self, quad_setup):
         ens, data = quad_setup
@@ -538,9 +536,7 @@ def loop_switches(draw):
     method = draw(st.sampled_from(A.METHODS))
     listed = method in ("ifgsm", "mifgsm") and draw(st.booleans())
     n_iter = None
-    if listed or method == "rap":
-        n_iter = draw(st.integers(1, 6))
-    elif method in ("flat_rap", "flat_cwa"):
+    if listed or method in ("rap", "flat_rap", "flat_cwa"):
         n_iter = draw(st.none() | st.integers(1, 6))
     return dict(setup=setup, method=method, listed=listed, n_iter=n_iter,
                 inner_T=draw(st.integers(0, 3)), n_ls_frac=draw(st.floats(0, 1)),

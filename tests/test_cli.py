@@ -112,6 +112,14 @@ def test_repeated_config_key_exits_2(tmp_path, capsys):
     assert cli.parse_config_file(cfg) == {"seed": "1", "seeds": "2,3"}
 
 
+def test_non_utf8_config_file_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"gamma = \xff\n")
+    rc = cli.main(["bench", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert f"cannot read config file {cfg}" in capsys.readouterr().err
+
+
 def test_unknown_phi_in_config_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("phi = l2\n", encoding="utf-8")
@@ -125,6 +133,16 @@ def test_cifar_without_path_exits_2(tiny_config, tmp_path, capsys):
                    "--dataset", "cifar10", "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
     assert "dataset_path" in capsys.readouterr().err
+
+
+def test_unreadable_cifar_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no_such_batch.bin"
+    cfg = tmp_path / "cifar.cfg"
+    cfg.write_text(tiny_with(f"dataset = cifar10\ndataset_path = {missing}\n"),
+                   encoding="utf-8")
+    rc = cli.main(["eval", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert f"cannot read dataset file {missing}" in capsys.readouterr().err
 
 
 def test_infeasible_bound_exits_2(tiny_config, tmp_path, capsys, count_builds):

@@ -198,26 +198,6 @@ class TestEnsemble:
         assert ens.num_components == 4
         assert ens.snapshots_per_component == 3
         assert ens.size == 12
-        seen = set()
-        for j in range(3):
-            for i in range(4):
-                seen.add(id(ens.components[i][ens.schedule_index(j, i)]))
-        assert len(seen) == 12  # every member exactly once
-
-    def test_schedule_bounds_and_random_mode(self):
-        ens, _ = self.build()
-        with pytest.raises(ValueError):
-            ens.schedule_index(3, 0)
-        with pytest.raises(ValueError):
-            ens.schedule_index(0, 4)
-        with pytest.raises(ValueError):
-            ens.schedule_index(0, 0, mode="random")
-        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-        draws_a = [ens.schedule_index(0, 1, "random", rng_a) for _ in range(6)]
-        draws_b = [ens.schedule_index(0, 1, "random", rng_b) for _ in range(6)]
-        # random draws may coincide; the check is reproducibility and range
-        assert draws_a == draws_b
-        assert all(0 <= s < ens.snapshots_per_component for s in draws_a)
 
     def test_members_are_stacked_once_when_the_ensemble_is_made(self):
         ens, data = self.build(n=2)

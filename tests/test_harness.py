@@ -57,6 +57,25 @@ def test_cifar_loader_bad_label(tmp_path):
         H.load_cifar10_binary(path)
 
 
+def test_cifar_bad_label_names_the_file(tmp_path):
+    path = tmp_path / "badlabel.bin"
+    path.write_bytes(make_record(12, 3))
+    with pytest.raises(ValueError) as err:
+        H.load_cifar10_binary(path)
+    assert str(err.value).startswith(f"{path}: invalid label 12")
+
+
+def test_cifar_short_batch_names_the_file(tmp_path):
+    batch = tmp_path / "batch.bin"
+    batch.write_bytes(b"".join(make_record(i, 1) for i in range(3)))
+    cfg = small_config(tmp_path / "o", dataset="cifar10",
+                       dataset_path=str(batch), n_train=2, n_test=2,
+                       n_examples=1, bound_examples=1)
+    with pytest.raises(ValueError) as err:
+        H._dataset_for(cfg, 0)
+    assert str(err.value) == f"cifar batch {batch} holds 3 records, need 4"
+
+
 # ---------------------------------------------------------------------------
 # success-rate scoring
 # ---------------------------------------------------------------------------
