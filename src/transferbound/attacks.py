@@ -90,8 +90,8 @@ class AttackConfig:
             raise ValueError("n_ls must be >= 0")
         if not 0 <= self.mu < np.inf:
             raise ValueError("mu must be >= 0 and finite")
-        if not self.micro_step > 0:
-            raise ValueError("micro_step must be > 0")
+        if not 0 < self.micro_step < np.inf:
+            raise ValueError("micro_step must be > 0 and finite")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.schedule_mode not in ("trajectory", "random"):
@@ -316,8 +316,6 @@ def _start(x, label, method, cfg) -> AttackState:
     if label.shape != x.shape[:-1]:
         raise ValueError(f"need one label per example: {label.size} labels "
                          f"for {x.size // x.shape[-1]} examples")
-    if label.dtype.kind not in "iu":
-        raise ValueError("labels must be class indices")
     if x.min() < 0.0 or x.max() > 1.0:
         raise ValueError("benign input must lie in [0,1]^d")
     x = np.atleast_2d(x)
@@ -416,8 +414,9 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
     from the late start on, and descends the objective inside the
     gamma-ball intersected with the unit box.  rap attacks the explicit
     model list, else the ensemble prototypes; ifgsm and mifgsm attack the
-    explicit list when one is given, else sweep the ensemble schedule.
-    Every run that is not a sweep takes n_iter steps, default I * n.
+    explicit list when one is given, else sweep the ensemble schedule;
+    the other methods refuse a list.  Every run that is not a sweep takes
+    n_iter steps, default I * n.
 
     The B examples of a batch share the schedule and every step; each
     row's result equals a one-example run on it bitwise
@@ -431,7 +430,9 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
         models = models if models is not None else ensemble.pretrained
         if not models:
             raise ValueError("rap needs a model batch (or ensemble prototypes)")
-    elif method in ("ifgsm", "mifgsm") and models is not None:
+    elif models is not None:
+        if method not in ("ifgsm", "mifgsm"):
+            raise ValueError(f"{method} attacks the ensemble, not a model list")
         plan = replace(plan, models="list")
     # a fixed model list is grouped once per run, any other batch per step
     fixed = M.member_stack(models) if plan.models == "list" else None
@@ -441,8 +442,6 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
     kind = attack_loss_kind(cfg.targeted, state.label[:, None])
     # the trace follows row 0, as a one-point objective with its own label
     kind0 = attack_loss_kind(cfg.targeted, int(state.label[0]))
-    # the objectives index the label's logit column without a check
-    M._check_label(kind, (fixed or ensemble.stack).groups[0][0].num_classes)
     with M.GRAD_CALLS.scope() as tally:
         for step, comp, snap, batch, late in steps:
             stack = fixed or M.member_stack(batch)

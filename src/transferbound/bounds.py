@@ -436,10 +436,11 @@ def eps_pac(d: int, K: int, gamma: float, rho: float, delta: float,
         raise ValueError("K must be >= 2")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
-    if gamma < 0 or r < 0:
-        raise ValueError("gamma and r must be >= 0")
+    # written so that NaN fails every check
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be > 0 and finite")
+    if not (0 <= gamma < math.inf and 0 <= r < math.inf):
+        raise ValueError("gamma and r must be >= 0 and finite")
     logK = math.log(K)
     geometry = (d / 2.0) * math.log1p(
         (gamma * gamma / (rho * rho)) * (1.0 + math.sqrt(logK / d)) ** 2)
@@ -470,12 +471,13 @@ def sharpness(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
     stops, and leaves the later passes, when its gradient vanishes.  Each
     row equals a one-restart run bit for bit.
     """
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
+    if not 0 <= rho < math.inf:
+        raise ValueError("rho must be >= 0 and finite")
+    if steps < 0 or restarts < 0:
+        raise ValueError("steps and restarts must be >= 0")
     if rho == 0 or restarts == 0:
         return 0.0
     kind = M.bounded_error(label)
-    M._check_label(kind, ensemble.components[0][0].spec.num_classes)
     rng = np.random.default_rng(seed)
     d = x_hat.size
     # row 0 starts at x_hat; the others at a uniform draw from the ball

@@ -105,8 +105,8 @@ def evaluate_asr(x_hat, labels, target_sets: Mapping[str, Sequence[M.Weights]],
     """
     x_hat = np.asarray(x_hat, dtype=np.float64)
     labels = np.asarray(labels)
-    if x_hat.ndim != 2 or labels.shape != (x_hat.shape[0],):
-        raise ValueError("need a (n, d) batch with one label per row")
+    if x_hat.ndim != 2 or len(x_hat) == 0 or labels.shape != (len(x_hat),):
+        raise ValueError("need a nonempty (n, d) batch with one label per row")
     if targeted:
         if target_labels is None:
             raise ValueError("targeted evaluation needs target labels")

@@ -456,26 +456,29 @@ class LossKind:
 
     label is one class index for every row, or an integer array of them
     that broadcasts against the logits' leading axes (a (B, 1) array for
-    (M, B, 1, k) logits at (B, 1, d) rows), one class per row.
+    (M, B, 1, k) logits at (B, 1, d) rows), one class per row.  top, the
+    highest label, is range-checked where it is indexed (_label_entries).
     """
 
     variant: str
     label: int
+    top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in ("neg_ce", "ce", "bounded"):
             raise ValueError(f"unknown loss variant {self.variant!r}")
         if isinstance(self.label, (int, np.integer)):
-            lowest = self.label
+            lowest = top = self.label
         else:
             label = np.array(self.label)
             if label.dtype.kind not in "iu" or label.size == 0:
                 raise ValueError("label must be a class index or an array of them")
             label.flags.writeable = False
             object.__setattr__(self, "label", label)
-            lowest = label.min()
+            lowest, top = label.min(), label.max()
         if lowest < 0:
             raise ValueError("label must be a class index")
+        object.__setattr__(self, "top", top)
 
 
 def neg_cross_entropy(label: int) -> LossKind:
@@ -490,12 +493,6 @@ def bounded_error(label: int) -> LossKind:
     return LossKind("bounded", label)
 
 
-def _check_label(kind: LossKind, k: int):
-    top = kind.label.max() if isinstance(kind.label, np.ndarray) else kind.label
-    if top >= k:
-        raise ValueError(f"label {top} out of range for {k} classes")
-
-
 def _logsumexp(z: np.ndarray) -> np.ndarray:
     m = z.max(axis=-1, keepdims=True)
     return (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))[..., 0]
@@ -507,14 +504,18 @@ def _l2_rows(g: np.ndarray) -> np.ndarray:
     return np.sqrt(g[..., None, :] @ g[..., :, None])[..., 0]
 
 
-def _label_entries(a: np.ndarray, label):
+def _label_entries(a: np.ndarray, kind: LossKind):
     """(view, index) with view[index] the label entry of each row of a
     (..., k): a itself and the class index, or for a label array the flat
-    view of a (a itself when a is contiguous) and flat positions."""
+    view of a (a itself when a is contiguous) and flat positions.  The one
+    range check of a label: kind.top >= k is a ValueError."""
+    k, label = a.shape[-1], kind.label
+    if kind.top >= k:
+        raise ValueError(f"label {kind.top} out of range for {k} classes")
     if not isinstance(label, np.ndarray):
         return a, (..., label)
     rows = a.shape[:-1]
-    at = np.arange(0, a.size, a.shape[-1]).reshape(rows) + label
+    at = np.arange(0, a.size, k).reshape(rows) + label
     if at.shape != rows:
         raise ValueError(f"labels of shape {label.shape} do not fit rows {rows}")
     return a.reshape(-1), at
@@ -523,7 +524,7 @@ def _label_entries(a: np.ndarray, label):
 def loss_from_logits(logits: np.ndarray, kind: LossKind, lse=None) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     lse = _logsumexp(z) if lse is None else lse
-    view, at = _label_entries(z, kind.label)
+    view, at = _label_entries(z, kind)
     zy = view[at]
     if kind.variant == "neg_ce":
         return zy - lse
@@ -544,17 +545,16 @@ def dloss_dlogits(logits: np.ndarray, kind: LossKind, lse=None) -> np.ndarray:
     elif kind.variant == "ce":
         g, shift = p, -1.0
     else:
-        view, at = _label_entries(p, kind.label)
+        view, at = _label_entries(p, kind)
         py = view[at]
         g, shift = py[..., None] * p, -py
-    view, at = _label_entries(g, kind.label)
+    view, at = _label_entries(g, kind)
     view[at] += shift
     return g
 
 
 def loss(w: Weights, x: np.ndarray, kind: LossKind) -> float:
     """Scalar loss at one input (no gradient-call accounting)."""
-    _check_label(kind, w.spec.num_classes)
     values = loss_from_logits(forward(w, x), kind)
     return float(values) if np.ndim(values) == 0 else values
 
@@ -566,7 +566,6 @@ def loss_matrix(stack: MemberStack, points: np.ndarray, kind: LossKind) -> np.nd
     if np.ndim(points) != 2:
         raise ValueError("points must be a (B, d) batch")
     logits = vjp_stack(stack, points)[0]
-    _check_label(kind, logits.shape[-1])
     return loss_from_logits(logits, kind)
 
 
@@ -581,7 +580,6 @@ def predict_matrix(stack: MemberStack, X: np.ndarray) -> np.ndarray:
 def input_gradient(w: Weights, x: np.ndarray, kind: LossKind) -> np.ndarray:
     """d loss / d x.  Increments the global gradient-call counter by 1 per
     row of x."""
-    _check_label(kind, w.spec.num_classes)
     logits, pullback = vjp(w, x)
     return pullback(dloss_dlogits(logits, kind))
 
@@ -596,7 +594,6 @@ def batch_ce_value_and_weight_grad(w: Weights, X: np.ndarray, y: np.ndarray):
     if y.shape != (Xb.shape[0],):
         raise ValueError("labels must match the batch size")
     kind = targeted_cross_entropy(y)
-    _check_label(kind, w.spec.num_classes)
     logits, cache = _forward_one(w, Xb)
     lse = _logsumexp(logits)
     value = float(np.mean(loss_from_logits(logits, kind, lse)))

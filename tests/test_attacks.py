@@ -322,6 +322,14 @@ class TestRunners:
         assert listed.grad_calls == 3 * len(ens.pretrained)
         assert A.run_attack(x, y, ens, small_cfg(method="mifgsm")).grad_calls == ens.size
 
+    @pytest.mark.parametrize("method", ["drap", "flat_rap", "flat_cwa"])
+    def test_methods_on_the_ensemble_refuse_a_model_list(self, quad_setup,
+                                                         method):
+        ens, data = quad_setup
+        with pytest.raises(ValueError, match=f"{method} attacks the ensemble"):
+            A.run_attack(data.X_test[0], int(data.y_test[0]), ens,
+                         small_cfg(method=method), models=ens.pretrained)
+
     def test_targeted_objective_pulls_target_class(self, quad_setup):
         ens, data = quad_setup
         x, y = data.X_test[3], int(data.y_test[3])
@@ -360,9 +368,11 @@ class TestLabelCheck:
         cfg = small_cfg(method=method, n_iter=6 if method == "rap" else None,
                         record_trace=record_trace)
         for targeted in (False, True):
+            before = M.GRAD_CALLS.value
             with pytest.raises(ValueError, match="out of range"):
                 A.run_attack(data.X_test[0], data.num_classes, ens,
                              replace(cfg, targeted=targeted))
+            assert M.GRAD_CALLS.value == before
 
 
 class TestTrace:

@@ -550,6 +550,12 @@ def test_eps_pac_validation():
         B.eps_pac(4, 10, 0.1, 0.1, 1.0, 0.1)
     with pytest.raises(ValueError):
         B.eps_pac(4, 10, -0.1, 0.1, 0.05, 0.1)
+    # NaN and inf fail every check instead of giving a NaN slack
+    for bad in (math.nan, math.inf):
+        for args in ((4, 10, bad, 0.1, 0.05, 0.1), (4, 10, 0.1, bad, 0.05, 0.1),
+                     (4, 10, 0.1, 0.1, 0.05, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                B.eps_pac(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +807,20 @@ def test_sharpness_rejects_a_label_out_of_range(quad_setup):
     k = ens.components[0][0].spec.num_classes
     with pytest.raises(ValueError, match=f"label {k} out of range"):
         B.sharpness(data.X_test[2], ens, k, 0.1)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(steps=-1), "steps and restarts must be >= 0"),
+    (dict(restarts=-1), "steps and restarts must be >= 0"),
+    (dict(rho=math.nan), "rho must be >= 0 and finite"),
+    (dict(rho=math.inf), "rho must be >= 0 and finite"),
+], ids=["negative_steps", "negative_restarts", "nan_rho", "inf_rho"])
+def test_sharpness_rejects_bad_settings(quad_setup, bad, message):
+    ens, data = quad_setup
+    with M.GRAD_CALLS.scope() as tally, pytest.raises(ValueError, match=message):
+        B.sharpness(data.X_test[2], ens, int(data.y_test[2]),
+                    **{"rho": 0.1, **bad})
+    assert tally.count == 0
 
 
 def test_sharpness_rows_stop_at_different_steps():

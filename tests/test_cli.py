@@ -179,6 +179,7 @@ def test_more_examples_than_the_test_split_exits_2(tmp_path, capsys):
     ("mu = nan\n", "mu must be >= 0 and finite"),
     ("micro_step = -50\n", "micro_step must be > 0"),
     ("micro_step = nan\n", "micro_step must be > 0"),
+    ("micro_step = inf\n", "micro_step must be > 0 and finite"),
     ("rho = nan\n", "rho must be > 0 and finite"),
     ("c1 = nan\n", "c1 must be > 0 and finite"),
     ("r = nan\n", "r (bound_r) must be >= 0 and finite"),
@@ -194,7 +195,8 @@ def test_more_examples_than_the_test_split_exits_2(tmp_path, capsys):
 ], ids=["two_rings_in_1d", "two_rings_with_3_classes", "negative_proto_lr",
         "nan_proto_lr", "inf_proto_lr",
         "nan_gamma", "inf_beta_x", "nan_beta_eps", "nan_mu",
-        "negative_micro_step", "nan_micro_step", "nan_rho", "nan_c1", "nan_r",
+        "negative_micro_step", "nan_micro_step", "inf_micro_step",
+        "nan_rho", "nan_c1", "nan_r",
         "negative_r", "repeated_method", "nan_separation", "inf_separation",
         "repeated_seed", "negative_pretrain_epochs", "negative_seed", "inf_c2",
         "nan_c2"])

@@ -108,6 +108,8 @@ def test_asr_trivial_cases():
         H.evaluate_asr(x, zeros[:3], {"t": [model0]})
     with pytest.raises(ValueError):
         H.evaluate_asr(x, zeros, {"t": [model0]}, targeted=True)
+    with pytest.raises(ValueError, match="nonempty"):
+        H.evaluate_asr(x[:0], zeros[:0], {"t": [model0]})
 
 
 def test_asr_matches_manual_count(tiny_setup):

@@ -156,12 +156,24 @@ class TestLosses:
             M.bounded_error(np.array([0.0, 1.0]))
         kind = M.targeted_cross_entropy(np.array([[0], [3], [1]]))
         with pytest.raises(ValueError, match="label 3 out of range for 3"):
-            M._check_label(kind, 3)
-        M._check_label(kind, 4)
+            M.loss_from_logits(np.zeros((3, 1, 3)), kind)
+        M.loss_from_logits(np.zeros((3, 1, 4)), kind)
         with pytest.raises(ValueError, match="do not fit rows"):
             M.loss_from_logits(np.zeros((3, 4)), kind)
         with pytest.raises(ValueError):
             M.dloss_dlogits(np.zeros((2, 1, 4)), kind)
+
+    @pytest.mark.parametrize("label", [np.array([4, 0]), 3],
+                             ids=["array", "int"])
+    def test_label_beyond_the_logits_is_a_value_error(self, label):
+        # an array label of 4 on k = 3 would read the next row's logit
+        z = np.array([[0.0, 1.0, 2.0], [5.0, 6.0, 7.0]])
+        for variant in ("neg_ce", "ce", "bounded"):
+            kind = M.LossKind(variant, label)
+            with pytest.raises(ValueError, match="out of range for 3 classes"):
+                M.loss_from_logits(z, kind)
+            with pytest.raises(ValueError, match="out of range for 3 classes"):
+                M.dloss_dlogits(z, kind)
 
 
 def frozen_dloss_dlogits(logits, kind):
