@@ -84,10 +84,11 @@ class AttackConfig:
             raise ValueError("beta_x must be > 0 and finite")
         if not 0 <= self.beta_eps < np.inf:
             raise ValueError("beta_eps must be >= 0 and finite")
-        if self.inner_T < 0:
-            raise ValueError("inner_T must be >= 0")
-        if self.n_ls < 0:
-            raise ValueError("n_ls must be >= 0")
+        for name in ("inner_T", "n_ls", "n_iter"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, (int, np.integer))
+                                          and value >= 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
         if not 0 <= self.mu < np.inf:
             raise ValueError("mu must be >= 0 and finite")
         if not 0 < self.micro_step < np.inf:

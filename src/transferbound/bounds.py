@@ -596,6 +596,8 @@ def assemble_bound(x_hat: np.ndarray, x: np.ndarray, gamma: float,
     assembled value (a warning, not an error: the certificate holds with
     probability 1 - delta).
     """
+    if not (0 <= gamma < math.inf and 0 <= r < math.inf):
+        raise ValueError("gamma and r must be >= 0 and finite")
     targets = M.member_stack(target_models)
     prof = profile(x_hat, ensemble, label, targets)
     losses_here = prof.all_losses

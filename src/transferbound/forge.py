@@ -3,6 +3,8 @@
 A surrogate ensemble approximates I model posteriors by fine-tuning I
 prototype classifiers with constant-rate SGD and keeping one snapshot per
 epoch: component i contributes n snapshots, K = I * n models total.
+``build_ensembles`` trains several sets in one call (the harness: a seed's
+surrogate and target), each spec's prototypes in lockstep as one stack.
 """
 
 from __future__ import annotations
@@ -129,57 +131,83 @@ class PrototypeConfig:
             raise ValueError("adversarial training needs adv_eps > 0 and finite")
         if not 0 <= self.lr < np.inf:
             raise ValueError("learning rate must be >= 0 and finite")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1:
+            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
 
 
-def _pgd_batch(w: M.Weights, X: np.ndarray, y: np.ndarray,
-               eps: float) -> np.ndarray:
-    """Ascend cross-entropy in the eps-infinity ball around X (training PGD)."""
+def _train(P: np.ndarray, cfgs: Sequence[PrototypeConfig], lr: np.ndarray,
+           data: Dataset, rngs: Sequence, epochs: int) -> list:
+    """SGD in place on the (M, P) stack of one spec's prototypes ``cfgs``
+    (normal ones first), one step for all per minibatch: member i draws
+    its permutations from rngs[i], steps at lr[i] and, if adversarial, on
+    PGD examples at its adv_eps.  Returns a copy of P after each epoch;
+    raises DivergenceError after the first epoch at which any member's
+    parameters or training loss leave the reals."""
+    spec, X, y = cfgs[0].spec, data.X_train, data.y_train
+    if (spec.input_dim, spec.num_classes) != (data.input_dim, data.num_classes):
+        raise ValueError("dataset and model disagree on input dim or class count")
+    na = sum(cfg.training == "normal" for cfg in cfgs)
+    eps = np.array([cfg.adv_eps for cfg in cfgs[na:]])[:, None, None]
     step = 2.5 * eps / ADV_STEPS
-    lo, hi = np.clip(X - eps, 0, 1), np.clip(X + eps, 0, 1)
-    Xa = X.copy()
-    kind = M.targeted_cross_entropy(y)
-    for _ in range(ADV_STEPS):
-        g = M.batch_ce_input_gradients(w, Xa, kind)
-        Xa = np.clip(Xa + step * np.sign(g), lo, hi)
-    return Xa
-
-
-def _sgd_epochs(w: M.Weights, cfg: PrototypeConfig, lr: float, data: Dataset,
-                rng: np.random.Generator, epochs: int) -> list:
-    """SGD from ``w`` at rate ``lr``; the weights after each epoch."""
-    X, y = data.X_train, data.y_train
+    layers, adv = M._layers(spec, P, 0), M._layers(spec, P[na:], 0)
     snapshots = []
     for epoch in range(epochs):
-        perm = rng.permutation(len(X))
+        perms = np.array([rng.permutation(len(X)) for rng in rngs])
         for start in range(0, len(X), BATCH_SIZE):
-            idx = perm[start : start + BATCH_SIZE]
-            Xb, yb = X[idx], y[idx]
-            if cfg.training == "adversarial":
-                Xb = _pgd_batch(w, Xb, yb, cfg.adv_eps)
-            _, grad = M.batch_ce_value_and_weight_grad(w, Xb, yb)
-            w = M.Weights(cfg.spec, w.params - lr * grad)
-        if not np.all(np.isfinite(w.params)):
+            idx = perms[:, start : start + BATCH_SIZE]
+            Xb, kind = X[idx], M.targeted_cross_entropy(y[idx])
+            if na < len(P):  # PGD in each adversarial member's eps-ball
+                Xa, ka = Xb[na:], M.targeted_cross_entropy(y[idx[na:]])
+                lo, hi = np.clip(Xa - eps, 0, 1), np.clip(Xa + eps, 0, 1)
+                for _ in range(ADV_STEPS):
+                    g = M.batch_ce_grads(spec, adv, Xa, ka)[1]
+                    Xa = np.clip(Xa + step * np.sign(g), lo, hi)
+                Xb[na:] = Xa
+            P -= lr[:, None] * M.batch_ce_grads(spec, layers, Xb, kind, True)[1]
+        if not np.all(np.isfinite(P)):
             raise DivergenceError(f"training diverged at epoch {epoch}")
-        check = float(np.mean(M.loss_matrix(w.stack, X,
-                                            M.targeted_cross_entropy(y))))
-        if not np.isfinite(check):
+        logits = M._forward_stack(spec, layers, X)[0]
+        check = np.mean(M.loss_from_logits(logits, M.targeted_cross_entropy(y)), axis=-1)
+        if not np.all(np.isfinite(check)):
             raise DivergenceError(
-                f"training diverged at epoch {epoch}: loss={check!r}")
-        snapshots.append(w)
+                f"training diverged at epoch {epoch}: loss={check.tolist()}")
+        snapshots.append(P.copy())
     return snapshots
+
+
+def _pretrain(cfgs: Sequence[PrototypeConfig], data: Dataset,
+              epochs: int) -> np.ndarray:
+    """The (M, P) stack of ``cfgs``' prototypes trained from random init."""
+    if not isinstance(epochs, (int, np.integer)) or epochs < 0:
+        raise ValueError(f"pretrain epochs must be an integer >= 0, got {epochs!r}")
+    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF0]))
+            for cfg in cfgs]
+    P = np.array([M.init_weights(cfg.spec, rng).params for cfg, rng in zip(cfgs, rngs)])
+    _train(P, cfgs, np.full(len(cfgs), PRETRAIN_LR), data, rngs, epochs)
+    return P
+
+
+def _fine_tune(P: np.ndarray, cfgs: Sequence[PrototypeConfig],
+               data: Dataset) -> tuple:
+    """The pretrained Weights of the stack P, then each member's snapshots."""
+    pres = [M.Weights(cfg.spec, p) for cfg, p in zip(cfgs, P)]
+    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF1]))
+            for cfg in cfgs]
+    stacks = _train(P, cfgs, np.array([cfg.lr for cfg in cfgs]), data, rngs,
+                    cfgs[0].epochs)
+    out = [[M.Weights(cfg.spec, S[i]) for S in stacks] for i, cfg in enumerate(cfgs)]
+    for pre, snapshots in zip(pres, out):
+        acc = [accuracy(w, data.X_test, data.y_test) for w in [pre, *snapshots]]
+        if np.mean(acc[1:]) < acc[0] - 0.05:
+            log.warning("snapshot accuracy %.3f fell more than 5 points below "
+                        "prototype accuracy %.3f", np.mean(acc[1:]), acc[0])
+    return pres, out
 
 
 def pretrain(cfg: PrototypeConfig, data: Dataset, *,
              epochs: int = PRETRAIN_EPOCHS) -> M.Weights:
     """Train a prototype from random init at ``PRETRAIN_LR``."""
-    if epochs < 0:
-        raise ValueError("pretrain epochs must be >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF0]))
-    w0 = M.init_weights(cfg.spec, rng)
-    snapshots = _sgd_epochs(w0, cfg, PRETRAIN_LR, data, rng, epochs)
-    return snapshots[-1] if snapshots else w0
+    return M.Weights(cfg.spec, _pretrain([cfg], data, epochs)[0])
 
 
 def fine_tune_collect(cfg: PrototypeConfig, pretrained: M.Weights,
@@ -192,16 +220,7 @@ def fine_tune_collect(cfg: PrototypeConfig, pretrained: M.Weights,
     """
     if pretrained.spec != cfg.spec:
         raise ValueError("pretrained weights do not match the prototype spec")
-    if data.num_classes != cfg.spec.num_classes:
-        raise ValueError("dataset and model disagree on class count")
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF1]))
-    snapshots = _sgd_epochs(pretrained, cfg, cfg.lr, data, rng, cfg.epochs)
-    base = accuracy(pretrained, data.X_test, data.y_test)
-    got = np.mean([accuracy(s, data.X_test, data.y_test) for s in snapshots])
-    if got < base - 0.05:
-        log.warning("snapshot accuracy %.3f fell more than 5 points below "
-                    "prototype accuracy %.3f", got, base)
-    return snapshots
+    return _fine_tune(pretrained.params[None].copy(), [cfg], data)[1][0]
 
 
 def accuracy(w: M.Weights, X: np.ndarray, y: np.ndarray) -> float:
@@ -370,20 +389,33 @@ def fingerprint(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
     return h.hexdigest()
 
 
+def build_ensembles(prototype_sets: Sequence[Sequence[PrototypeConfig]],
+                    data: Dataset, *,
+                    pretrain_epochs: int = PRETRAIN_EPOCHS) -> list:
+    """``build_ensemble`` of each prototype set, trained in lockstep: the
+    distinct prototypes of all sets that share a spec and an epoch count
+    train as one (M, P) stack, each to the numbers it would get alone."""
+    if not prototype_sets or not all(prototype_sets):
+        raise ValueError("need at least one prototype in every set")
+    groups, trained = {}, {}
+    unique = dict.fromkeys(cfg for protos in prototype_sets for cfg in protos)
+    for cfg in sorted(unique, key=lambda cfg: cfg.training != "normal"):
+        groups.setdefault((cfg.spec, cfg.epochs), []).append(cfg)
+    for cfgs in groups.values():
+        P = _pretrain(cfgs, data, pretrain_epochs)
+        trained.update(zip(cfgs, zip(*_fine_tune(P, cfgs, data))))
+    return [SurrogateEnsemble(
+        [trained[cfg][1] for cfg in protos], seed=protos[0].seed,
+        pretrained=[trained[cfg][0] for cfg in protos],
+        component_seeds=[cfg.seed for cfg in protos],
+        fingerprint=fingerprint(protos, data, pretrain_epochs=pretrain_epochs))
+        for protos in prototype_sets]
+
+
 def build_ensemble(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
                    pretrain_epochs: int = PRETRAIN_EPOCHS) -> SurrogateEnsemble:
     """Pretrain each prototype, then fine-tune it into a snapshot component."""
-    components, pres, seeds = [], [], []
-    for cfg in prototypes:
-        pre = pretrain(cfg, data, epochs=pretrain_epochs)
-        components.append(fine_tune_collect(cfg, pre, data))
-        pres.append(pre)
-        seeds.append(cfg.seed)
-    return SurrogateEnsemble(
-        components, seed=prototypes[0].seed, pretrained=pres,
-        component_seeds=seeds,
-        fingerprint=fingerprint(prototypes, data,
-                                pretrain_epochs=pretrain_epochs))
+    return build_ensembles([prototypes], data, pretrain_epochs=pretrain_epochs)[0]
 
 
 def desk_prototypes(input_dim: int, num_classes: int, gamma: float,

@@ -239,8 +239,8 @@ def _ensembles(cfg: ExperimentConfig, data: F.Dataset, seed: int, root: Path,
               for role, offset in ROLE_SEEDS}
     saved = [role for role in protos if (root / role).exists()]
     if not reuse or not saved:
-        return (*(F.build_ensemble(p, data, pretrain_epochs=cfg.pretrain_epochs)
-                  for p in protos.values()), "built")
+        return (*F.build_ensembles(list(protos.values()), data,
+                                   pretrain_epochs=cfg.pretrain_epochs), "built")
     rerun = "; re-run `forge` with this config"
     if len(saved) < len(protos):
         raise M.CheckpointError(

@@ -15,8 +15,8 @@ which ``member_stack([w])`` returns.  ``vjp_stack`` runs one stacked
 pass per group and returns the logits in model order with their
 pullback.  ``vjp``, ``forward`` and ``input_gradient`` are its
 one-member case, and ``loss_matrix`` and ``predict_matrix`` reduce its
-logits; only the training helpers call the core directly, on
-``w.stack``'s views, and their cross-entropy goes through the same
+logits; only training calls the core directly (``batch_ce_grads``), on
+the (M, P) stack it trains, and its cross-entropy goes through the same
 ``LossKind`` ("ce") as every other loss.
 
 The input's shape picks the arithmetic.  A (B, d) batch runs one (B, d)
@@ -243,10 +243,10 @@ def _as_batch(x: np.ndarray, d: int):
 def _forward_stack(spec: ModelSpec, layers, xb: np.ndarray):
     """The one forward pass: logits (M, *xb.shape[:-1], k) of a (M, P)
     parameter stack, given as its ``_layers`` views for xb, at a (B, d)
-    batch or at (B, 1, d) rows, and its cache.  Matmuls run per member,
-    and on rows per member and row, so each row of a (B, 1, d) input
-    equals a one-point call bitwise; a (B, d) batch is one (B, d) product
-    per member and may round differently."""
+    batch, (B, 1, d) rows or per-member (M, B, d) batches, and its cache.
+    Matmuls run per member, and on rows per member and row, so each row of
+    a (B, 1, d) input equals a one-point call bitwise; a (B, d) batch is
+    one (B, d) product per member and may round differently."""
     cache = {"x": xb, "layers": layers}
     if spec.arch == "linear":
         (W, b), = layers
@@ -267,9 +267,8 @@ def _forward_stack(spec: ModelSpec, layers, xb: np.ndarray):
     ksz, d = spec.kernel_size, spec.input_dim
     pad = (ksz - 1) // 2
     xpad = np.pad(xb, [(0, 0)] * (xb.ndim - 1) + [(pad, pad + ksz - 1 - pad)])
-    a = np.broadcast_to(cb[..., None], (K.shape[0],) + xb.shape[:-1]
-                        + (spec.channels, d)).copy()
-    for j in range(ksz):
+    a = cb[..., None] + K[..., None, :, 0, None] * xpad[..., None, 0:d]
+    for j in range(1, ksz):
         a += K[..., None, :, j, None] * xpad[..., None, j : j + d]
     h = _act(spec, a)
     pooled = h.mean(axis=-1)
@@ -279,15 +278,15 @@ def _forward_stack(spec: ModelSpec, layers, xb: np.ndarray):
 
 def _backward_stack(spec: ModelSpec, cache, dlogits: np.ndarray, weights: bool = False):
     """Reverse pass of ``_forward_stack``: the input gradients (M, *xb.shape)
-    of a cotangent shaped like its logits, or with ``weights`` the flat
-    weight gradient of a one-member stack at a (B, d) batch, summed over
-    the batch."""
+    of a cotangent shaped like its logits, or with ``weights`` the (M, P)
+    flat weight gradients of the members at a (B, d) batch or at their
+    (M, B, d) batches, each summed over its batch."""
     layers, xb = cache["layers"], cache["x"]
     grads = []  # (dW, db) per layer, last layer first
     if spec.arch == "linear":
         (W, _), = layers
         if weights:
-            return _flat([(dlogits[0].T @ xb, dlogits[0].sum(axis=0))])
+            return _flat([(dlogits.swapaxes(-1, -2) @ xb, dlogits.sum(axis=-2))])
         return dlogits @ W
     if spec.arch == "mlp":
         pre, post = cache["pre"], cache["post"]
@@ -296,8 +295,8 @@ def _backward_stack(spec: ModelSpec, cache, dlogits: np.ndarray, weights: bool =
             if i < len(layers) - 1:
                 dh = dh * _act_grad(spec, pre[i], post[i])
             if weights:
-                below = post[i - 1][0] if i else xb
-                grads.append((dh[0].T @ below, dh[0].sum(axis=0)))
+                below = post[i - 1] if i else xb
+                grads.append((dh.swapaxes(-1, -2) @ below, dh.sum(axis=-2)))
                 if i == 0:
                     return _flat(grads)
             dh = dh @ layers[i][0]
@@ -307,28 +306,23 @@ def _backward_stack(spec: ModelSpec, cache, dlogits: np.ndarray, weights: bool =
     pad = (ksz - 1) // 2
     xpad, pre, post = cache["xpad"], cache["pre"], cache["post"]
     if weights:
-        grads.append((dlogits[0].T @ cache["pooled"][0], dlogits[0].sum(axis=0)))
+        grads.append((dlogits.swapaxes(-1, -2) @ cache["pooled"],
+                      dlogits.sum(axis=-2)))
     da = ((dlogits @ W)[..., None] / d) * _act_grad(spec, pre, post)
     if weights:
-        dK = np.zeros(K.shape[1:])
-        for j in range(ksz):
-            dK[:, j] = np.einsum("bcp,bp->c", da[0], xpad[:, j : j + d])
-        grads.append((dK, da[0].sum(axis=(0, 2))))
+        xpad = np.broadcast_to(xpad, da.shape[:-2] + xpad.shape[-1:])
+        dK = [np.einsum("mbcp,mbp->mc", da, xpad[..., j : j + d]) for j in range(ksz)]
+        grads.append((np.stack(dK, axis=-1), da.sum(axis=(1, 3))))
         return _flat(grads)
-    dxpad = np.zeros((da.shape[0],) + xpad.shape)
+    dxpad = np.zeros(da.shape[:-2] + xpad.shape[-1:])
     for j in range(ksz):
         dxpad[..., j : j + d] += np.einsum("m...cp,m...c->m...p", da, K[..., j])
     return dxpad[..., pad : pad + d]
 
 
 def _flat(grads) -> np.ndarray:
-    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in reversed(grads)])
-
-
-def _forward_one(w: Weights, xb: np.ndarray):
-    """The core on the one-member stack ``w.stack``."""
-    logits, cache = _forward_stack(w.spec, w.stack.layers(xb.ndim - 2)[0], xb)
-    return logits[0], cache
+    return np.concatenate([np.concatenate([gw.reshape(len(gb), -1), gb], axis=-1)
+                           for gw, gb in reversed(grads)], axis=-1)
 
 
 @dataclass
@@ -584,30 +578,30 @@ def input_gradient(w: Weights, x: np.ndarray, kind: LossKind) -> np.ndarray:
     return pullback(dloss_dlogits(logits, kind))
 
 
-def batch_ce_value_and_weight_grad(w: Weights, X: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy over a labelled batch and its weight gradient.
+def batch_ce_grads(spec: ModelSpec, layers, X: np.ndarray, kind: LossKind,
+                   weights: bool = False):
+    """Training's cross-entropy (``kind``, one label per row) of a (M, P)
+    stack, as its lead-0 ``_layers`` views, at a (B, d) or per-member
+    (M, B, d) batch: the logits and the input gradients, or with
+    ``weights`` the (M, P) weight gradients of the mean losses.  It
+    counts no gradient calls."""
+    logits, cache = _forward_stack(spec, layers, X)
+    dlogits = dloss_dlogits(logits, kind)
+    if weights:
+        dlogits /= X.shape[-2]
+    return logits, _backward_stack(spec, cache, dlogits, weights)
 
-    This is the training objective; it bypasses the gradient-call counter.
-    """
+
+def batch_ce_value_and_weight_grad(w: Weights, X: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy over a labelled batch and its weight gradient:
+    the one-member case of ``batch_ce_grads``."""
     Xb, _ = _as_batch(X, w.spec.input_dim)
     y = np.asarray(y, dtype=np.int64)
     if y.shape != (Xb.shape[0],):
         raise ValueError("labels must match the batch size")
     kind = targeted_cross_entropy(y)
-    logits, cache = _forward_one(w, Xb)
-    lse = _logsumexp(logits)
-    value = float(np.mean(loss_from_logits(logits, kind, lse)))
-    dlogits = dloss_dlogits(logits, kind, lse) / len(y)
-    return value, _backward_stack(w.spec, cache, dlogits[None], weights=True)
-
-
-def batch_ce_input_gradients(w: Weights, X: np.ndarray, kind: LossKind) -> np.ndarray:
-    """Per-example input gradients of a cross-entropy kind,
-    ``targeted_cross_entropy(y)`` with one label per row (training PGD
-    plumbing, which builds the kind once per batch for all its steps)."""
-    Xb, _ = _as_batch(X, w.spec.input_dim)
-    logits, cache = _forward_one(w, Xb)
-    return _backward_stack(w.spec, cache, dloss_dlogits(logits, kind)[None])[0]
+    logits, grad = batch_ce_grads(w.spec, w.stack.layers(0)[0], Xb, kind, True)
+    return float(np.mean(loss_from_logits(logits[0], kind))), grad[0]
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,9 @@ class TestPrimitives:
             A.AttackConfig(inner_T=-1)
         with pytest.raises(ValueError):
             A.AttackConfig(method="pgd")
+        for name, value in (("n_ls", 2.5), ("inner_T", 2.5), ("n_iter", 3.5)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                A.AttackConfig(**{name: value})
 
 
 class TestInnerMax:

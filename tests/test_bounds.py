@@ -997,6 +997,20 @@ def test_assemble_bound_with_no_candidate_kept(quad_setup, phi):
     assert rep.csv_row() == NO_CANDIDATE_ROWS[phi]
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -0.1],
+                         ids=["nan", "inf", "negative"])
+def test_assemble_bound_checks_gamma_before_any_work(quad_setup, monkeypatch,
+                                                     gamma):
+    ens, data = quad_setup
+    x, y = data.X_test[2], int(data.y_test[2])
+    monkeypatch.setattr(B, "profile", lambda *a, **k: pytest.fail("profiled"))
+    before = M.GRAD_CALLS.value
+    with pytest.raises(ValueError, match="gamma"):
+        B.assemble_bound(x, x, gamma, ens, ens.pretrained, y, B.BoundConfig(),
+                         0.5)
+    assert M.GRAD_CALLS.value == before
+
+
 # ---------------------------------------------------------------------------
 # one scoring pass per model set, against the code it replaced
 # ---------------------------------------------------------------------------

@@ -333,8 +333,8 @@ def outputs(root):
 @pytest.fixture()
 def count_builds(monkeypatch):
     builds = []
-    real = F.build_ensemble
-    monkeypatch.setattr(F, "build_ensemble",
+    real = F.build_ensembles
+    monkeypatch.setattr(F, "build_ensembles",
                         lambda *a, **k: builds.append(1) or real(*a, **k))
     return builds
 
@@ -348,6 +348,7 @@ def test_commands_after_forge_match_a_fresh_out(tmp_path, count_builds, extra):
     args = ["--config", str(cfg), *SMALL_FLAGS]
     assert cli.main(["forge", *args, "--out", str(saved)]) == cli.EXIT_OK
     built_by_forge = len(count_builds)
+    assert built_by_forge >= 1  # the hook sees the harness's training
     for command in ("eval", "bound", "bench"):
         assert cli.main([command, *args, "--out", str(saved)]) == cli.EXIT_OK
     assert len(count_builds) == built_by_forge  # nothing retrained

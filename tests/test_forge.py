@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transferbound import forge as F
 from transferbound import models as M
@@ -71,10 +73,26 @@ class TestDatasets:
     (dict(lr=np.inf), "learning rate must be >= 0 and finite"),
     (dict(training="adversarial", adv_eps=np.nan), "adv_eps > 0 and finite"),
     (dict(training="adversarial", adv_eps=np.inf), "adv_eps > 0 and finite"),
-], ids=["nan_lr", "inf_lr", "nan_adv_eps", "inf_adv_eps"])
+    (dict(epochs=2.5), "epochs must be an integer >= 1, got 2.5"),
+], ids=["nan_lr", "inf_lr", "nan_adv_eps", "inf_adv_eps", "fractional_epochs"])
 def test_prototype_config_rejects_non_finite_settings(change, message):
     with pytest.raises(ValueError, match=message):
         F.PrototypeConfig(spec=M.ModelSpec("linear", 2, 2), **change)
+
+
+def test_training_entry_points_check_their_settings():
+    data = small_data(n_train=40, n_test=10)
+    cfg = F.PrototypeConfig(spec=M.ModelSpec("linear", 2, 2), epochs=1)
+    for build in (lambda: F.build_ensemble([cfg], data, pretrain_epochs=2.5),
+                  lambda: F.build_ensembles([[cfg]], data, pretrain_epochs=2.5),
+                  lambda: F.pretrain(cfg, data, epochs=2.5)):
+        with pytest.raises(ValueError, match="pretrain epochs must be an integer"):
+            build()
+    for sets in ([[]], [], [[cfg], []]):
+        with pytest.raises(ValueError, match="at least one prototype"):
+            F.build_ensembles(sets, data)
+    with pytest.raises(ValueError, match="at least one prototype"):
+        F.build_ensemble([], data)
 
 
 def test_pretrain_is_build_ensembles_pretraining():
@@ -131,25 +149,36 @@ class TestFineTune:
             with pytest.raises(F.DivergenceError, match="epoch"):
                 F.fine_tune_collect(cfg, pre, data)
 
+    def test_one_diverging_member_stops_its_lockstep_group(self):
+        data = small_data()
+        spec = M.ModelSpec("mlp", 2, 2, hidden=(8,))
+        calm = F.PrototypeConfig(spec=spec, lr=0.05, epochs=3, seed=11)
+        wild = F.PrototypeConfig(spec=spec, lr=1e305, epochs=3, seed=12)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(F.DivergenceError, match="epoch"):
+                F.build_ensemble([calm, wild], data, pretrain_epochs=2)
+
     def test_epoch_check_takes_no_weight_gradient(self, monkeypatch):
         data = small_data()
-        cfg = F.PrototypeConfig(spec=M.ModelSpec("mlp", 2, 2, hidden=(8,)),
-                                lr=0.05, epochs=3, seed=11)
-        pre = F.pretrain(cfg, data, epochs=2)
+        spec = M.ModelSpec("mlp", 2, 2, hidden=(8,))
+        cfgs = [F.PrototypeConfig(spec=spec, lr=0.05, epochs=3, seed=11),
+                F.PrototypeConfig(spec=spec, training="adversarial", adv_eps=0.1,
+                                  lr=0.05, epochs=3, seed=12)]
         calls = []
-        value_and_grad = M.batch_ce_value_and_weight_grad
+        grads = M.batch_ce_grads
 
-        def counted(w, X, y):
-            calls.append(len(X))
-            return value_and_grad(w, X, y)
+        def counted(spec, layers, X, kind, weights=False):
+            if weights:
+                calls.append(X.shape[:-1])
+            return grads(spec, layers, X, kind, weights)
 
-        monkeypatch.setattr(M, "batch_ce_value_and_weight_grad", counted)
-        F.fine_tune_collect(cfg, pre, data)
+        monkeypatch.setattr(M, "batch_ce_grads", counted)
+        F.build_ensemble(cfgs, data, pretrain_epochs=2)
         batches = -(-len(data.X_train) // F.BATCH_SIZE)
-        # one per SGD step; the per-epoch divergence check is a forward
-        assert len(calls) == cfg.epochs * batches
-        assert max(calls) == F.BATCH_SIZE
-
+        # one per SGD step of the group; the per-epoch divergence check is
+        # a forward
+        assert len(calls) == (2 + 3) * batches
+        assert max(calls) == (2, F.BATCH_SIZE)
     def test_adversarial_mode_changes_training(self):
         data = small_data()
         spec = M.ModelSpec("linear", 2, 2)
@@ -166,24 +195,28 @@ class TestFineTune:
         M.ModelSpec("conv_tiny", 6, 3, channels=4)], ids=lambda s: s.arch)
     def test_adversarial_minibatch_slices_its_layer_views_once(self,
                                                                monkeypatch, spec):
-        rng = np.random.default_rng(12)
-        w = M.init_weights(spec, rng)
-        X, y = rng.uniform(0, 1, (16, 6)), rng.integers(0, 3, 16)
-        want = M.batch_ce_value_and_weight_grad(
-            M.Weights(spec, w.params), F._pgd_batch(w, X, y, 0.1), y)
+        data = F.make_dataset("gaussian_mixture", 40, 10, 12, input_dim=6,
+                              num_classes=3)
+        cfgs = [F.PrototypeConfig(spec=spec, epochs=1, seed=12),
+                F.PrototypeConfig(spec=spec, training="adversarial",
+                                  adv_eps=0.1, epochs=1, seed=13)]
+        want = frozen_build_ensemble(cfgs, data, 1)
         layers, sliced = M._layers, []
 
         def counted(spec, P, lead):
-            sliced.append(lead)
+            sliced.append((len(P), lead))
             return layers(spec, P, lead)
 
         monkeypatch.setattr(M, "_layers", counted)
-        w = M.Weights(spec, w.params)
-        value, grad = M.batch_ce_value_and_weight_grad(
-            w, F._pgd_batch(w, X, y, 0.1), y)
-        # the 5 PGD steps and the weight step share the views of ``w.stack``
-        assert sliced == [0]
-        assert value == want[0] and grad.tobytes() == want[1].tobytes()
+        rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF1]))
+                for cfg in cfgs]
+        P = np.array([pre.params for pre in want[1]])
+        snapshots = F._train(P, cfgs, np.full(2, 0.05), data, rngs, 1)
+        # both minibatches' 5 PGD steps and weight steps share the views of
+        # the group stack and of its adversarial slice
+        assert sliced == [(2, 0), (1, 0)]
+        assert [s.tobytes() for s in snapshots[0]] == [
+            comp[0].params.tobytes() for comp in want[0]]
 
 
 class TestEnsemble:
@@ -401,3 +434,142 @@ class TestFingerprint:
         base = F.fingerprint([self.PROTO], data)
         monkeypatch.setattr(F, name, value)
         assert base != F.fingerprint([self.PROTO], data)
+
+
+# ---------------------------------------------------------------------------
+# lockstep training against the one-prototype-at-a-time code it replaced
+# ---------------------------------------------------------------------------
+#
+# Frozen copies of ``_pgd_batch``, ``_sgd_epochs``, ``pretrain``,
+# ``fine_tune_collect`` and ``build_ensemble``'s loop, which trained each
+# prototype alone through one-member passes, with the weight branch of the
+# one-member backward pass they used.
+
+
+def frozen_ce_grad(w, X, y, weights):
+    """The input gradients of the cross-entropy at a labelled (B, d) batch,
+    or the weight gradient of its mean."""
+    spec = w.spec
+    logits, cache = M._forward_stack(spec, M._layers(spec, w.params[None], 0), X)
+    dlogits = M.dloss_dlogits(logits, M.targeted_cross_entropy(y))
+    if not weights:
+        return M._backward_stack(spec, cache, dlogits)[0]
+    dl, layers, grads = dlogits[0] / len(y), cache["layers"], []
+    if spec.arch == "linear":
+        grads.append((dl.T @ X, dl.sum(axis=0)))
+    elif spec.arch == "mlp":
+        dh = dl[None]
+        for i in range(len(layers) - 1, -1, -1):
+            if i < len(layers) - 1:
+                dh = dh * M._act_grad(spec, cache["pre"][i], cache["post"][i])
+            below = cache["post"][i - 1][0] if i else X
+            grads.append((dh[0].T @ below, dh[0].sum(axis=0)))
+            dh = dh @ layers[i][0]
+    else:
+        (K, _), (W, _) = layers
+        d = spec.input_dim
+        grads.append((dl.T @ cache["pooled"][0], dl.sum(axis=0)))
+        da = (((dl[None] @ W)[..., None] / d)
+              * M._act_grad(spec, cache["pre"], cache["post"]))
+        dK = np.zeros(K.shape[1:])
+        for j in range(spec.kernel_size):
+            dK[:, j] = np.einsum("bcp,bp->c", da[0], cache["xpad"][:, j : j + d])
+        grads.append((dK, da[0].sum(axis=(0, 2))))
+    return np.concatenate([np.concatenate([gw.ravel(), gb])
+                           for gw, gb in reversed(grads)])
+
+
+def frozen_pgd_batch(w, X, y, eps):
+    step = 2.5 * eps / F.ADV_STEPS
+    lo, hi = np.clip(X - eps, 0, 1), np.clip(X + eps, 0, 1)
+    Xa = X.copy()
+    for _ in range(F.ADV_STEPS):
+        g = frozen_ce_grad(w, Xa, y, weights=False)
+        Xa = np.clip(Xa + step * np.sign(g), lo, hi)
+    return Xa
+
+
+def frozen_sgd_epochs(w, cfg, lr, data, rng, epochs):
+    X, y = data.X_train, data.y_train
+    snapshots = []
+    for epoch in range(epochs):
+        perm = rng.permutation(len(X))
+        for start in range(0, len(X), F.BATCH_SIZE):
+            idx = perm[start : start + F.BATCH_SIZE]
+            Xb, yb = X[idx], y[idx]
+            if cfg.training == "adversarial":
+                Xb = frozen_pgd_batch(w, Xb, yb, cfg.adv_eps)
+            grad = frozen_ce_grad(w, Xb, yb, weights=True)
+            w = M.Weights(cfg.spec, w.params - lr * grad)
+        if not np.all(np.isfinite(w.params)):
+            raise F.DivergenceError(f"training diverged at epoch {epoch}")
+        snapshots.append(w)
+    return snapshots
+
+
+def frozen_pretrain(cfg, data, epochs):
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF0]))
+    w0 = M.init_weights(cfg.spec, rng)
+    snapshots = frozen_sgd_epochs(w0, cfg, F.PRETRAIN_LR, data, rng, epochs)
+    return snapshots[-1] if snapshots else w0
+
+
+def frozen_fine_tune_collect(cfg, pretrained, data):
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF1]))
+    return frozen_sgd_epochs(pretrained, cfg, cfg.lr, data, rng, cfg.epochs)
+
+
+def frozen_build_ensemble(prototypes, data, pretrain_epochs):
+    """(components, pretrained) as ``build_ensemble`` trained them."""
+    components, pres = [], []
+    for cfg in prototypes:
+        pre = frozen_pretrain(cfg, data, pretrain_epochs)
+        components.append(frozen_fine_tune_collect(cfg, pre, data))
+        pres.append(pre)
+    return components, pres
+
+
+@st.composite
+def prototype_sets(draw):
+    """1-2 sets of 1-4 prototypes over mixed specs on one dataset, with
+    per-set epoch counts and a ragged last minibatch."""
+    d, k = draw(st.integers(2, 5)), draw(st.integers(2, 3))
+    specs = [M.ModelSpec("linear", d, k),
+             M.ModelSpec("mlp", d, k, hidden=(5,), activation="relu"),
+             M.ModelSpec("mlp", d, k, hidden=(4, 3), activation="tanh"),
+             M.ModelSpec("conv_tiny", d, k, channels=2)]
+    # two specs at a time, so that groups of several members are common
+    specs = draw(st.sampled_from([specs[:2], specs[1:3], specs[2:], specs[::3]]))
+    sets, seed = [], 0
+    for _ in range(draw(st.integers(1, 2))):
+        epochs, protos = draw(st.integers(1, 2)), []
+        for _ in range(draw(st.integers(1, 4))):
+            adversarial = draw(st.booleans())
+            protos.append(F.PrototypeConfig(
+                spec=draw(st.sampled_from(specs)),
+                training="adversarial" if adversarial else "normal",
+                lr=draw(st.sampled_from([0.0, 0.02, 0.05, 0.3])),
+                epochs=epochs, seed=seed,
+                adv_eps=draw(st.sampled_from([0.03, 0.1, 0.2])) if adversarial
+                else 0.0))
+            seed += 1
+        sets.append(protos)
+    data = F.make_dataset("gaussian_mixture", draw(st.integers(20, 70)), 10,
+                          draw(st.integers(0, 3)), input_dim=d, num_classes=k)
+    return sets, data, draw(st.integers(0, 2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=prototype_sets())
+def test_lockstep_training_equals_one_prototype_at_a_time_bitwise(case):
+    sets, data, pretrain_epochs = case
+    built = F.build_ensembles(sets, data, pretrain_epochs=pretrain_epochs)
+    for protos, ens in zip(sets, built):
+        components, pres = frozen_build_ensemble(protos, data, pretrain_epochs)
+        assert [[w.params.tobytes() for w in comp] for comp in ens.components] \
+            == [[w.params.tobytes() for w in comp] for comp in components]
+        assert [w.params.tobytes() for w in ens.pretrained] == \
+            [w.params.tobytes() for w in pres]
+        assert ens.fingerprint == F.fingerprint(protos, data,
+                                                pretrain_epochs=pretrain_epochs)
+        assert ens.component_seeds == [cfg.seed for cfg in protos]

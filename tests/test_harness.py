@@ -308,11 +308,11 @@ def test_five_components_reuse_the_first_desk_prototype_reseeded(tmp_path,
                              epochs=cfg.snapshots, lr=cfg.proto_lr)
     assert H._prototypes(cfg, data, base_seed=17) == desk + [
         replace(desk[0], seed=desk[0].seed + 7919)]
-    built, build = [], F.build_ensemble
-    monkeypatch.setattr(F, "build_ensemble",
+    built, build = [], F.build_ensembles
+    monkeypatch.setattr(F, "build_ensembles",
                         lambda *a, **k: built.append(build(*a, **k)) or built[-1])
     written = H.run_experiment(cfg, phases={"attack", "asr", "bench"})
-    surrogate, target_ens = built
+    (surrogate, target_ens), = built
     # linear, linear, mlp, mlp, linear: the linear members are two runs
     idx = {spec.arch: idx for spec, idx, _ in surrogate.stack.groups}
     assert idx == {"linear": [0, 1, 2, 3, 8, 9], "mlp": slice(4, 8)}
@@ -429,8 +429,8 @@ def test_saved_ensembles_are_reused_not_retrained(tmp_path, monkeypatch,
     reused = replace(cfg, out_dir=str(tmp_path / "reused"))
     H.run_experiment(reused, phases={"forge"})
     builds = []
-    real = F.build_ensemble
-    monkeypatch.setattr(F, "build_ensemble",
+    real = F.build_ensembles
+    monkeypatch.setattr(F, "build_ensembles",
                         lambda *a, **k: builds.append(1) or real(*a, **k))
     written = H.run_experiment(reused, phases=H.ALL_PHASES - {"forge"})
     assert builds == []

@@ -441,19 +441,22 @@ def frozen_batch_ce_value_and_weight_grad(w, X, y):
         raise ValueError("labels must match the batch size")
     if y.min() < 0 or y.max() >= w.spec.num_classes:
         raise ValueError("label out of range")
-    logits, cache = M._forward_one(w, Xb)
+    logits, cache = M._forward_stack(w.spec, w.stack.layers(0)[0], Xb)
+    logits = logits[0]
     lse = M._logsumexp(logits)
     zy = logits[np.arange(len(y)), y]
     value = float(np.mean(lse - zy))
     p = np.exp(logits - lse[:, None])
     p[np.arange(len(y)), y] -= 1.0
-    return value, M._backward_stack(w.spec, cache, (p / len(y))[None], weights=True)
+    return value, M._backward_stack(w.spec, cache, (p / len(y))[None],
+                                    weights=True)[0]
 
 
 def frozen_batch_ce_input_gradients(w, X, y):
     Xb, _ = M._as_batch(X, w.spec.input_dim)
     y = np.asarray(y, dtype=np.int64)
-    logits, cache = M._forward_one(w, Xb)
+    logits, cache = M._forward_stack(w.spec, w.stack.layers(0)[0], Xb)
+    logits = logits[0]
     p = np.exp(logits - M._logsumexp(logits)[:, None])
     p[np.arange(len(y)), y] -= 1.0
     return M._backward_stack(w.spec, cache, p[None])[0]
@@ -537,8 +540,10 @@ class TestGradients:
             value, g = M.batch_ce_value_and_weight_grad(w, X, y)
             want_value, want_g = frozen_batch_ce_value_and_weight_grad(w, X, y)
             assert (value, g.tobytes()) == (want_value, want_g.tobytes())
-            kind = M.targeted_cross_entropy(y)
-            assert (M.batch_ce_input_gradients(w, X, kind).tobytes()
+            # training PGD's stacked gradient at one member, batch X[None]
+            got = M.batch_ce_grads(spec, w.stack.layers(0)[0], X[None],
+                                   M.targeted_cross_entropy(y[None]))
+            assert (got[1][0].tobytes()
                     == frozen_batch_ce_input_gradients(w, X, y).tobytes())
 
     def test_relu_subgradient_at_zero_is_zero(self):
