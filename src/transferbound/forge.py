@@ -3,8 +3,10 @@
 A surrogate ensemble approximates I model posteriors by fine-tuning I
 prototype classifiers with constant-rate SGD and keeping one snapshot per
 epoch: component i contributes n snapshots, K = I * n models total.
-``build_ensembles`` trains several sets in one call (the harness: a seed's
-surrogate and target), each spec's prototypes in lockstep as one stack.
+``build_ensembles`` is the one way in to training (``build_ensemble`` is
+its one-set call). It trains several sets at once, such as a seed's
+surrogate and target, each spec's prototypes in lockstep as one stack:
+pretrained for the caller's ``pretrain_epochs``, then fine-tuned.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ log = logging.getLogger(__name__)
 DATASET_KINDS = ("gaussian_mixture", "two_rings")
 TRAINING_MODES = ("normal", "adversarial")
 
-# the training recipe (PRETRAIN_EPOCHS is only build_ensemble's default);
-# fingerprint hashes each of these
-PRETRAIN_EPOCHS = 30
+# the training recipe; fingerprint hashes each of these
 PRETRAIN_LR = 0.25
 BATCH_SIZE = 32
 ADV_STEPS = 5  # PGD steps per adversarial-training minibatch
@@ -131,8 +131,13 @@ class PrototypeConfig:
             raise ValueError("adversarial training needs adv_eps > 0 and finite")
         if not 0 <= self.lr < np.inf:
             raise ValueError("learning rate must be >= 0 and finite")
-        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1:
-            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
+        check_count("epochs", self.epochs, 1)
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``low``."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _train(P: np.ndarray, cfgs: Sequence[PrototypeConfig], lr: np.ndarray,
@@ -175,52 +180,28 @@ def _train(P: np.ndarray, cfgs: Sequence[PrototypeConfig], lr: np.ndarray,
     return snapshots
 
 
-def _pretrain(cfgs: Sequence[PrototypeConfig], data: Dataset,
-              epochs: int) -> np.ndarray:
-    """The (M, P) stack of ``cfgs``' prototypes trained from random init."""
-    if not isinstance(epochs, (int, np.integer)) or epochs < 0:
-        raise ValueError(f"pretrain epochs must be an integer >= 0, got {epochs!r}")
-    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF0]))
-            for cfg in cfgs]
-    P = np.array([M.init_weights(cfg.spec, rng).params for cfg, rng in zip(cfgs, rngs)])
-    _train(P, cfgs, np.full(len(cfgs), PRETRAIN_LR), data, rngs, epochs)
-    return P
-
-
-def _fine_tune(P: np.ndarray, cfgs: Sequence[PrototypeConfig],
-               data: Dataset) -> tuple:
-    """The pretrained Weights of the stack P, then each member's snapshots."""
+def _train_group(cfgs: Sequence[PrototypeConfig], data: Dataset,
+                 pretrain_epochs: int) -> list:
+    """Pretrain one spec group's prototypes ``cfgs`` (normal ones first) as
+    one (M, P) stack from random init, then fine-tune it: each member's
+    (pretrained Weights, snapshot Weights)."""
+    pre_rngs, rngs = [[np.random.default_rng(np.random.SeedSequence([cfg.seed, stage]))
+                       for cfg in cfgs] for stage in (0xF0, 0xF1)]
+    P = np.array([M.init_weights(cfg.spec, rng).params
+                  for cfg, rng in zip(cfgs, pre_rngs)])
+    _train(P, cfgs, np.full(len(cfgs), PRETRAIN_LR), data, pre_rngs,
+           pretrain_epochs)
     pres = [M.Weights(cfg.spec, p) for cfg, p in zip(cfgs, P)]
-    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF1]))
-            for cfg in cfgs]
     stacks = _train(P, cfgs, np.array([cfg.lr for cfg in cfgs]), data, rngs,
                     cfgs[0].epochs)
-    out = [[M.Weights(cfg.spec, S[i]) for S in stacks] for i, cfg in enumerate(cfgs)]
-    for pre, snapshots in zip(pres, out):
+    out = [(pre, [M.Weights(cfg.spec, S[i]) for S in stacks])
+           for i, (cfg, pre) in enumerate(zip(cfgs, pres))]
+    for pre, snapshots in out:
         acc = [accuracy(w, data.X_test, data.y_test) for w in [pre, *snapshots]]
         if np.mean(acc[1:]) < acc[0] - 0.05:
             log.warning("snapshot accuracy %.3f fell more than 5 points below "
                         "prototype accuracy %.3f", np.mean(acc[1:]), acc[0])
-    return pres, out
-
-
-def pretrain(cfg: PrototypeConfig, data: Dataset, *,
-             epochs: int = PRETRAIN_EPOCHS) -> M.Weights:
-    """Train a prototype from random init at ``PRETRAIN_LR``."""
-    return M.Weights(cfg.spec, _pretrain([cfg], data, epochs)[0])
-
-
-def fine_tune_collect(cfg: PrototypeConfig, pretrained: M.Weights,
-                      data: Dataset) -> list:
-    """Fine-tune with constant-lr SGD, one snapshot per epoch.
-
-    With lr = 0 every snapshot equals the prototype.  Returns cfg.epochs
-    snapshot Weights; raises DivergenceError (naming the epoch) if the loss
-    leaves the reals.
-    """
-    if pretrained.spec != cfg.spec:
-        raise ValueError("pretrained weights do not match the prototype spec")
-    return _fine_tune(pretrained.params[None].copy(), [cfg], data)[1][0]
+    return out
 
 
 def accuracy(w: M.Weights, X: np.ndarray, y: np.ndarray) -> float:
@@ -371,7 +352,7 @@ def spec_to_string(spec: M.ModelSpec) -> str:
 
 
 def fingerprint(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
-                pretrain_epochs: int = PRETRAIN_EPOCHS) -> str:
+                pretrain_epochs: int) -> str:
     """SHA-256 hex digest of everything ``build_ensemble`` trains from.
 
     It covers the dataset arrays and class count, the ``repr`` of each
@@ -390,11 +371,11 @@ def fingerprint(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
 
 
 def build_ensembles(prototype_sets: Sequence[Sequence[PrototypeConfig]],
-                    data: Dataset, *,
-                    pretrain_epochs: int = PRETRAIN_EPOCHS) -> list:
+                    data: Dataset, *, pretrain_epochs: int) -> list:
     """``build_ensemble`` of each prototype set, trained in lockstep: the
     distinct prototypes of all sets that share a spec and an epoch count
     train as one (M, P) stack, each to the numbers it would get alone."""
+    check_count("pretrain epochs", pretrain_epochs, 0)
     if not prototype_sets or not all(prototype_sets):
         raise ValueError("need at least one prototype in every set")
     groups, trained = {}, {}
@@ -402,8 +383,7 @@ def build_ensembles(prototype_sets: Sequence[Sequence[PrototypeConfig]],
     for cfg in sorted(unique, key=lambda cfg: cfg.training != "normal"):
         groups.setdefault((cfg.spec, cfg.epochs), []).append(cfg)
     for cfgs in groups.values():
-        P = _pretrain(cfgs, data, pretrain_epochs)
-        trained.update(zip(cfgs, zip(*_fine_tune(P, cfgs, data))))
+        trained.update(zip(cfgs, _train_group(cfgs, data, pretrain_epochs)))
     return [SurrogateEnsemble(
         [trained[cfg][1] for cfg in protos], seed=protos[0].seed,
         pretrained=[trained[cfg][0] for cfg in protos],
@@ -413,7 +393,7 @@ def build_ensembles(prototype_sets: Sequence[Sequence[PrototypeConfig]],
 
 
 def build_ensemble(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
-                   pretrain_epochs: int = PRETRAIN_EPOCHS) -> SurrogateEnsemble:
+                   pretrain_epochs: int) -> SurrogateEnsemble:
     """Pretrain each prototype, then fine-tune it into a snapshot component."""
     return build_ensembles([prototypes], data, pretrain_epochs=pretrain_epochs)[0]
 

@@ -181,8 +181,7 @@ class ExperimentConfig:
             raise ValueError(f"seeds repeat a seed: {list(self.seeds)}")
         if min(self.seeds) < 0:
             raise ValueError("seeds must be >= 0")
-        if self.pretrain_epochs < 0:
-            raise ValueError("pretrain epochs must be >= 0")
+        F.check_count("pretrain epochs", self.pretrain_epochs, 0)
         if self.bound_r is not None and not 0 <= self.bound_r < np.inf:
             raise ValueError("r (bound_r) must be >= 0 and finite")
         if self.attack.method not in self.methods:

@@ -188,7 +188,8 @@ def test_more_examples_than_the_test_split_exits_2(tmp_path, capsys):
     ("separation = nan\n", "separation must be finite"),
     ("separation = inf\n", "separation must be finite"),
     ("seeds = 0,0\n", "seeds repeat a seed"),
-    ("pretrain_epochs = -3\n", "pretrain epochs must be >= 0"),
+    ("pretrain_epochs = -3\n",
+     "pretrain epochs must be an integer >= 0, got -3"),
     ("seed = -1\n", "seeds must be >= 0"),
     ("c2 = inf\n", "c2 must be finite"),
     ("c2 = nan\n", "c2 must be finite"),
@@ -332,9 +333,10 @@ def outputs(root):
 
 @pytest.fixture()
 def count_builds(monkeypatch):
+    """Calls of ``forge._train``, the loop every way in to training runs."""
     builds = []
-    real = F.build_ensembles
-    monkeypatch.setattr(F, "build_ensembles",
+    real = F._train
+    monkeypatch.setattr(F, "_train",
                         lambda *a, **k: builds.append(1) or real(*a, **k))
     return builds
 
@@ -435,7 +437,7 @@ def test_negative_pretrain_epochs_on_saved_ensembles_exits_2(
     assert cli.main(["eval", "--config", str(bad), *SMALL_FLAGS,
                      "--out", str(out)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "pretrain epochs must be >= 0" in err
+    assert "pretrain epochs must be an integer >= 0, got -3" in err
     assert "fingerprint" not in err
     assert len(count_builds) == builds
     assert not (out / "asr.csv").exists()

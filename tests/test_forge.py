@@ -1,4 +1,6 @@
+import logging
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -51,17 +53,17 @@ class TestDatasets:
     def test_well_separated_mixture_is_linearly_learnable(self):
         # expected value derived by actually training the linear prototype
         data = small_data()
-        cfg = F.PrototypeConfig(spec=M.ModelSpec("linear", 2, 2), seed=7)
-        w = F.pretrain(cfg, data)
+        cfg = F.PrototypeConfig(spec=M.ModelSpec("linear", 2, 2), epochs=1, seed=7)
+        w, = F.build_ensemble([cfg], data, pretrain_epochs=30).pretrained
         assert F.accuracy(w, data.X_test, data.y_test) >= 0.99
 
     def test_rings_separate_architectures(self):
         data = F.make_dataset("two_rings", 600, 300, 13, input_dim=2)
-        lin = F.pretrain(F.PrototypeConfig(spec=M.ModelSpec("linear", 2, 2), seed=3),
-                         data, epochs=160)
         mlp_spec = M.ModelSpec("mlp", 2, 2, hidden=(16,), activation="tanh")
-        mlp = F.pretrain(F.PrototypeConfig(spec=mlp_spec, seed=3), data,
-                         epochs=160)
+        lin, mlp = F.build_ensemble(
+            [F.PrototypeConfig(spec=spec, epochs=1, seed=3)
+             for spec in (M.ModelSpec("linear", 2, 2), mlp_spec)],
+            data, pretrain_epochs=160).pretrained
         lin_acc = F.accuracy(lin, data.X_test, data.y_test)
         mlp_acc = F.accuracy(mlp, data.X_test, data.y_test)
         assert lin_acc <= 0.70  # rings are not linearly separable
@@ -84,24 +86,14 @@ def test_training_entry_points_check_their_settings():
     data = small_data(n_train=40, n_test=10)
     cfg = F.PrototypeConfig(spec=M.ModelSpec("linear", 2, 2), epochs=1)
     for build in (lambda: F.build_ensemble([cfg], data, pretrain_epochs=2.5),
-                  lambda: F.build_ensembles([[cfg]], data, pretrain_epochs=2.5),
-                  lambda: F.pretrain(cfg, data, epochs=2.5)):
+                  lambda: F.build_ensembles([[cfg]], data, pretrain_epochs=-1)):
         with pytest.raises(ValueError, match="pretrain epochs must be an integer"):
             build()
     for sets in ([[]], [], [[cfg], []]):
         with pytest.raises(ValueError, match="at least one prototype"):
-            F.build_ensembles(sets, data)
+            F.build_ensembles(sets, data, pretrain_epochs=1)
     with pytest.raises(ValueError, match="at least one prototype"):
-        F.build_ensemble([], data)
-
-
-def test_pretrain_is_build_ensembles_pretraining():
-    data = small_data()
-    protos = F.desk_prototypes(2, 2, gamma=0.1, base_seed=5, epochs=2)
-    ens = F.build_ensemble(protos, data, pretrain_epochs=3)
-    for cfg, pre in zip(protos, ens.pretrained):
-        assert (F.pretrain(cfg, data, epochs=3).params.tobytes()
-                == pre.params.tobytes())
+        F.build_ensemble([], data, pretrain_epochs=1)
 
 
 class TestFineTune:
@@ -109,8 +101,8 @@ class TestFineTune:
         data = small_data()
         cfg = F.PrototypeConfig(spec=M.ModelSpec("linear", 2, 2), lr=0.0,
                                 epochs=4, seed=11)
-        pre = F.pretrain(cfg, data)
-        snaps = F.fine_tune_collect(cfg, pre, data)
+        ens = F.build_ensemble([cfg], data, pretrain_epochs=5)
+        pre, snaps = ens.pretrained[0], ens.components[0]
         assert len(snaps) == 4
         for s in snaps:
             assert s.params.tobytes() == pre.params.tobytes()
@@ -119,9 +111,8 @@ class TestFineTune:
         data = small_data()
         cfg = F.PrototypeConfig(spec=M.ModelSpec("linear", 2, 2), lr=0.05,
                                 epochs=6, seed=11)
-        pre = F.pretrain(cfg, data)
-        a = F.fine_tune_collect(cfg, pre, data)
-        b = F.fine_tune_collect(cfg, pre, data)
+        a, b = (F.build_ensemble([cfg], data, pretrain_epochs=5).components[0]
+                for _ in range(2))
         assert len(a) == 6
         for s, t in zip(a, b):
             assert s.params.tobytes() == t.params.tobytes()
@@ -130,8 +121,7 @@ class TestFineTune:
         data = small_data()
         cfg = F.PrototypeConfig(spec=M.ModelSpec("linear", 2, 2), lr=0.05,
                                 epochs=5, seed=11)
-        pre = F.pretrain(cfg, data)
-        snaps = F.fine_tune_collect(cfg, pre, data)
+        snaps = F.build_ensemble([cfg], data, pretrain_epochs=5).components[0]
         probe = data.X_test[0]
         kind = M.bounded_error(int(data.y_test[0]))
         vals = np.array([M.loss(s, probe, kind) for s in snaps])
@@ -144,10 +134,23 @@ class TestFineTune:
         # driven over the float64 ceiling for the loss to leave the reals
         cfg = F.PrototypeConfig(spec=M.ModelSpec("mlp", 2, 2, hidden=(8,)),
                                 lr=1e305, epochs=3, seed=11)
-        pre = F.pretrain(cfg, data, epochs=2)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(F.DivergenceError, match="epoch"):
-                F.fine_tune_collect(cfg, pre, data)
+                F.build_ensemble([cfg], data, pretrain_epochs=2)
+
+    @pytest.mark.parametrize("lr, logged", [
+        (5.0, ["snapshot accuracy 0.512 fell more than 5 points below "
+               "prototype accuracy 1.000"]),
+        (0.05, []),
+    ], ids=["large_lr", "small_lr"])
+    def test_snapshot_accuracy_drop_is_logged(self, caplog, lr, logged):
+        data = small_data()
+        cfg = F.PrototypeConfig(spec=M.ModelSpec("mlp", 2, 2, hidden=(8,)),
+                                lr=lr, epochs=3, seed=11)
+        caplog.set_level(logging.WARNING, logger=F.log.name)
+        F.build_ensemble([cfg], data, pretrain_epochs=2)
+        assert [r.getMessage() for r in caplog.records
+                if r.name == F.log.name] == logged
 
     def test_one_diverging_member_stops_its_lockstep_group(self):
         data = small_data()
@@ -179,15 +182,18 @@ class TestFineTune:
         # a forward
         assert len(calls) == (2 + 3) * batches
         assert max(calls) == (2, F.BATCH_SIZE)
+
     def test_adversarial_mode_changes_training(self):
         data = small_data()
         spec = M.ModelSpec("linear", 2, 2)
         normal = F.PrototypeConfig(spec=spec, lr=0.05, epochs=3, seed=11)
         adv = F.PrototypeConfig(spec=spec, training="adversarial", adv_eps=0.1,
                                 lr=0.05, epochs=3, seed=11)
-        pre = F.pretrain(normal, data)
-        sa = F.fine_tune_collect(normal, pre, data)
-        sb = F.fine_tune_collect(adv, pre, data)
+        # with no pretraining both fine-tune from the same init
+        ens = F.build_ensemble([normal, adv], data, pretrain_epochs=0)
+        pa, pb = ens.pretrained
+        assert pa.params.tobytes() == pb.params.tobytes()
+        sa, sb = ens.components
         assert sa[-1].params.tobytes() != sb[-1].params.tobytes()
 
     @pytest.mark.parametrize("spec", [
@@ -401,12 +407,14 @@ class TestFingerprint:
         assert ens.fingerprint == F.fingerprint(
             [replace(self.PROTO, epochs=1)], data, pretrain_epochs=2)
 
-    def test_defaults_equal_build_ensembles(self):
-        # the harness checks saved ensembles against fingerprint(...)
+    def test_fingerprint_and_build_have_no_default_epochs(self):
+        # the harness checks saved ensembles against fingerprint(...), so
+        # neither side may fall back to a pretraining length of its own
         protos = [replace(self.PROTO, epochs=1)]
         data = small_data(n_train=100, n_test=20)
-        assert F.fingerprint(protos, data) == \
-            F.build_ensemble(protos, data).fingerprint
+        for call in (F.fingerprint, F.build_ensemble):
+            with pytest.raises(TypeError, match="pretrain_epochs"):
+                call(protos, data)
 
     @pytest.mark.parametrize("change", [
         {"spec": M.ModelSpec("mlp", 2, 2, hidden=(4,))},
@@ -415,35 +423,36 @@ class TestFingerprint:
     ])
     def test_changed_by_each_prototype_field(self, change):
         data = small_data()
-        assert F.fingerprint([self.PROTO], data) != F.fingerprint(
-            [replace(self.PROTO, **change)], data)
+        assert F.fingerprint([self.PROTO], data, pretrain_epochs=30) != \
+            F.fingerprint([replace(self.PROTO, **change)], data, pretrain_epochs=30)
 
     def test_changed_by_data_and_pretraining(self):
         data = small_data()
-        base = F.fingerprint([self.PROTO], data)
-        assert base != F.fingerprint([self.PROTO], small_data(seed=6))
-        assert base != F.fingerprint([self.PROTO], small_data(sep=5.0))
+        fp = partial(F.fingerprint, pretrain_epochs=30)
+        base = fp([self.PROTO], data)
+        assert base != fp([self.PROTO], small_data(seed=6))
+        assert base != fp([self.PROTO], small_data(sep=5.0))
         assert base != F.fingerprint([self.PROTO], data, pretrain_epochs=31)
-        assert base != F.fingerprint([self.PROTO, self.PROTO], data)
+        assert base != fp([self.PROTO, self.PROTO], data)
 
     @pytest.mark.parametrize("name, value", [
         ("BATCH_SIZE", 16), ("ADV_STEPS", 6), ("PRETRAIN_LR", 0.2),
     ])
     def test_changed_by_the_training_constants(self, monkeypatch, name, value):
         data = small_data()
-        base = F.fingerprint([self.PROTO], data)
+        base = F.fingerprint([self.PROTO], data, pretrain_epochs=30)
         monkeypatch.setattr(F, name, value)
-        assert base != F.fingerprint([self.PROTO], data)
+        assert base != F.fingerprint([self.PROTO], data, pretrain_epochs=30)
 
 
 # ---------------------------------------------------------------------------
 # lockstep training against the one-prototype-at-a-time code it replaced
 # ---------------------------------------------------------------------------
 #
-# Frozen copies of ``_pgd_batch``, ``_sgd_epochs``, ``pretrain``,
-# ``fine_tune_collect`` and ``build_ensemble``'s loop, which trained each
-# prototype alone through one-member passes, with the weight branch of the
-# one-member backward pass they used.
+# Frozen copies of ``_pgd_batch``, ``_sgd_epochs``, the one-member
+# pretraining and fine-tuning calls and ``build_ensemble``'s loop, which
+# trained each prototype alone through one-member passes, with the weight
+# branch of the one-member backward pass they used.
 
 
 def frozen_ce_grad(w, X, y, weights):
@@ -507,14 +516,14 @@ def frozen_sgd_epochs(w, cfg, lr, data, rng, epochs):
     return snapshots
 
 
-def frozen_pretrain(cfg, data, epochs):
+def frozen_prototype(cfg, data, epochs):
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF0]))
     w0 = M.init_weights(cfg.spec, rng)
     snapshots = frozen_sgd_epochs(w0, cfg, F.PRETRAIN_LR, data, rng, epochs)
     return snapshots[-1] if snapshots else w0
 
 
-def frozen_fine_tune_collect(cfg, pretrained, data):
+def frozen_snapshots(cfg, pretrained, data):
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF1]))
     return frozen_sgd_epochs(pretrained, cfg, cfg.lr, data, rng, cfg.epochs)
 
@@ -523,8 +532,8 @@ def frozen_build_ensemble(prototypes, data, pretrain_epochs):
     """(components, pretrained) as ``build_ensemble`` trained them."""
     components, pres = [], []
     for cfg in prototypes:
-        pre = frozen_pretrain(cfg, data, pretrain_epochs)
-        components.append(frozen_fine_tune_collect(cfg, pre, data))
+        pre = frozen_prototype(cfg, data, pretrain_epochs)
+        components.append(frozen_snapshots(cfg, pre, data))
         pres.append(pre)
     return components, pres
 

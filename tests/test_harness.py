@@ -2,6 +2,7 @@
 
 import json
 import platform
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -186,6 +187,10 @@ def test_experiment_config_validation(tmp_path):
         small_config(tmp_path, methods=("mifgsm", "bogus"))
     with pytest.raises(ValueError):
         small_config(tmp_path, methods=("mifgsm",))  # primary method missing
+    for epochs in (-3, 2.5):
+        with pytest.raises(ValueError, match=re.escape(
+                f"pretrain epochs must be an integer >= 0, got {epochs}")):
+            small_config(tmp_path, pretrain_epochs=epochs)
     with pytest.raises(ValueError):
         H.run_experiment(small_config(tmp_path), phases={"attack", "plot"})
 
@@ -424,14 +429,17 @@ def test_run_record(tmp_path):
 @pytest.mark.parametrize("targeted", [False, True])
 def test_saved_ensembles_are_reused_not_retrained(tmp_path, monkeypatch,
                                                   targeted):
+    # count calls of forge._train, the loop every way in to training runs
+    builds = []
+    real = F._train
+    monkeypatch.setattr(F, "_train",
+                        lambda *a, **k: builds.append(1) or real(*a, **k))
     cfg = small_config(tmp_path / "fresh", seeds=(0, 1), targeted=targeted)
     H.run_experiment(cfg)
+    assert builds  # the hook sees a fresh run's training
     reused = replace(cfg, out_dir=str(tmp_path / "reused"))
     H.run_experiment(reused, phases={"forge"})
-    builds = []
-    real = F.build_ensembles
-    monkeypatch.setattr(F, "build_ensembles",
-                        lambda *a, **k: builds.append(1) or real(*a, **k))
+    builds.clear()
     written = H.run_experiment(reused, phases=H.ALL_PHASES - {"forge"})
     assert builds == []
     fresh, got = tmp_path / "fresh", tmp_path / "reused"
