@@ -77,22 +77,18 @@ class AttackConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not 0 <= self.gamma < np.inf:
-            raise ValueError("gamma must be >= 0 and finite")
-        if not 0 < self.beta_x < np.inf:
-            raise ValueError("beta_x must be > 0 and finite")
-        if not 0 <= self.beta_eps < np.inf:
-            raise ValueError("beta_eps must be >= 0 and finite")
-        for name in ("inner_T", "n_ls", "n_iter"):
-            value = getattr(self, name)
-            if value is not None and not (isinstance(value, (int, np.integer))
-                                          and value >= 0):
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-        if not 0 <= self.mu < np.inf:
-            raise ValueError("mu must be >= 0 and finite")
-        if not 0 < self.micro_step < np.inf:
-            raise ValueError("micro_step must be > 0 and finite")
+        M.check_real("gamma", self.gamma, 0)
+        M.check_real("beta_x", self.beta_x, 0, above=True)
+        M.check_real("beta_eps", self.beta_eps, 0)
+        M.check_count("inner_T", self.inner_T, 0)
+        M.check_count("n_ls", self.n_ls, 0)
+        if self.n_iter is not None:
+            M.check_count("n_iter", self.n_iter, 0)
+        M.check_count("seed", self.seed, 0)
+        M.check_real("mu", self.mu, 0)
+        M.check_real("micro_step", self.micro_step, 0, above=True)
+        if not isinstance(self.targeted, bool):
+            raise ValueError(f"targeted must be a bool, got {self.targeted!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.schedule_mode not in ("trajectory", "random"):
@@ -152,8 +148,7 @@ class AttackState:
 
 def project(x_hat: np.ndarray, x: np.ndarray, gamma: float) -> np.ndarray:
     """Clamp into the gamma-infinity ball around x intersected with [0,1]^d."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    M.check_real("gamma", gamma, 0)
     lo = np.maximum(x - gamma, 0.0)
     hi = np.minimum(x + gamma, 1.0)
     return np.clip(x_hat, lo, hi)
@@ -251,8 +246,8 @@ def predict_ngrad(method: str, n_iter: int, num_components: int,
     epochs unless the run is so short (n_iter / I <= 5) that the inner
     loop never starts.
     """
-    if n_iter < 0 or num_components < 1:
-        raise ValueError("need n_iter >= 0 and num_components >= 1")
+    M.check_count("n_iter", n_iter, 0)
+    M.check_count("num_components", num_components, 1)
     I = num_components
     if method in ("ifgsm", "mifgsm"):
         return n_iter * I
@@ -358,8 +353,7 @@ def _schedule(method, plan, ensemble, models, cfg):
 
     if plan.models != "snapshot":
         n_iter = K if cfg.n_iter is None else cfg.n_iter
-        if n_iter < 1:
-            raise ValueError("n_iter must be >= 1")
+        M.check_count("n_iter", n_iter, 1)
         listed = plan.models == "list"
         predicted = predict_ngrad(method, n_iter, len(models) if listed else I,
                                   T=cfg.inner_T, late_start=cfg.n_ls)

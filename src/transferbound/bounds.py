@@ -147,6 +147,8 @@ def _check_grid(t_grid: np.ndarray) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t grid must be a nonempty vector")
+    if not np.isfinite(t_grid).all():
+        raise ValueError("t grid must be finite")
     if not np.any(t_grid == 0.0):
         raise ValueError("t grid must contain 0")
     return t_grid
@@ -351,8 +353,8 @@ def feasibility(c1: float, c2: float, losses: np.ndarray,
     """
     if phi not in PHIS:
         raise ValueError(f"unknown phi {phi!r}")
-    if c1 <= 0:
-        raise ValueError("c1 must be > 0")
+    M.check_real("c1", c1, 0, above=True)
+    M.check_real("c2", c2)
     losses = np.asarray(losses, dtype=np.float64)
     if phi == "tv":
         threshold = 0.0
@@ -430,17 +432,13 @@ def eps_pac(d: int, K: int, gamma: float, rho: float, delta: float,
     Decreases in K and in rho (for gamma > 0); the gamma = 0 case drops
     the geometry term entirely.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if K < 2:
-        raise ValueError("K must be >= 2")
+    M.check_count("d", d, 1)
+    M.check_count("K", K, 2)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    # written so that NaN fails every check
-    if not 0 < rho < math.inf:
-        raise ValueError("rho must be > 0 and finite")
-    if not (0 <= gamma < math.inf and 0 <= r < math.inf):
-        raise ValueError("gamma and r must be >= 0 and finite")
+    M.check_real("rho", rho, 0, above=True)
+    M.check_real("gamma", gamma, 0)
+    M.check_real("r", r, 0)
     logK = math.log(K)
     geometry = (d / 2.0) * math.log1p(
         (gamma * gamma / (rho * rho)) * (1.0 + math.sqrt(logK / d)) ** 2)
@@ -471,10 +469,9 @@ def sharpness(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
     stops, and leaves the later passes, when its gradient vanishes.  Each
     row equals a one-restart run bit for bit.
     """
-    if not 0 <= rho < math.inf:
-        raise ValueError("rho must be >= 0 and finite")
-    if steps < 0 or restarts < 0:
-        raise ValueError("steps and restarts must be >= 0")
+    M.check_real("rho", rho, 0)
+    M.check_count("steps", steps, 0)
+    M.check_count("restarts", restarts, 0)
     if rho == 0 or restarts == 0:
         return 0.0
     kind = M.bounded_error(label)
@@ -536,15 +533,11 @@ class BoundConfig:
         c1, c2 = PHI_DEFAULTS[self.phi]
         self.c1 = c1 if self.c1 is None else self.c1
         self.c2 = c2 if self.c2 is None else self.c2
-        # written so that NaN fails every check
-        if not 0 < self.c1 < math.inf:
-            raise ValueError("c1 must be > 0 and finite")
-        if not -math.inf < self.c2 < math.inf:
-            raise ValueError("c2 must be finite")
+        M.check_real("c1", self.c1, 0, above=True)
+        M.check_real("c2", self.c2)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        if not 0 < self.rho < math.inf:
-            raise ValueError("rho must be > 0 and finite")
+        M.check_real("rho", self.rho, 0, above=True)
 
 
 @dataclass
@@ -596,8 +589,8 @@ def assemble_bound(x_hat: np.ndarray, x: np.ndarray, gamma: float,
     assembled value (a warning, not an error: the certificate holds with
     probability 1 - delta).
     """
-    if not (0 <= gamma < math.inf and 0 <= r < math.inf):
-        raise ValueError("gamma and r must be >= 0 and finite")
+    M.check_real("gamma", gamma, 0)
+    M.check_real("r", r, 0)
     targets = M.member_stack(target_models)
     prof = profile(x_hat, ensemble, label, targets)
     losses_here = prof.all_losses

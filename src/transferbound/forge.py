@@ -63,14 +63,11 @@ def make_dataset(kind: str, n_train: int, n_test: int, seed: int, *,
     """
     if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}")
-    if n_train < 1 or n_test < 1:
-        raise ValueError("need at least one train and one test sample")
-    if num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
-    if input_dim < 1:
-        raise ValueError("input_dim must be >= 1")
-    if not np.isfinite(separation):
-        raise ValueError("separation must be finite")
+    M.check_count("n_train", n_train, 1)
+    M.check_count("n_test", n_test, 1)
+    M.check_count("input_dim", input_dim, 1)
+    M.check_count("num_classes", num_classes, 2)
+    M.check_real("separation", separation)
     rng = np.random.default_rng(seed)
     n = n_train + n_test
 
@@ -127,17 +124,10 @@ class PrototypeConfig:
     def __post_init__(self):
         if self.training not in TRAINING_MODES:
             raise ValueError(f"unknown training mode {self.training!r}")
-        if self.training == "adversarial" and not 0 < self.adv_eps < np.inf:
-            raise ValueError("adversarial training needs adv_eps > 0 and finite")
-        if not 0 <= self.lr < np.inf:
-            raise ValueError("learning rate must be >= 0 and finite")
-        check_count("epochs", self.epochs, 1)
-
-
-def check_count(name: str, value, low: int) -> None:
-    """Raise ValueError unless ``value`` is an integer >= ``low``."""
-    if not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.training == "adversarial":
+            M.check_real("adv_eps", self.adv_eps, 0, above=True)
+        M.check_real("learning rate", self.lr, 0)
+        M.check_count("epochs", self.epochs, 1)
 
 
 def _train(P: np.ndarray, cfgs: Sequence[PrototypeConfig], lr: np.ndarray,
@@ -290,13 +280,13 @@ class SurrogateEnsemble:
             raise M.CheckpointError(f"{manifest}: no {', '.join(missing)}")
         try:
             I, n = int(kv["I"]), int(kv["n"])
+            M.check_count("I", I, 1)
+            M.check_count("n", n, 1)
             specs = [kv[f"component_{i}_spec"] for i in range(I)]
             seeds = [int(kv[f"component_{i}_seed"]) for i in range(I)]
             seed = int(kv["seed"])
         except (KeyError, ValueError) as exc:
             raise M.CheckpointError(f"{manifest}: malformed: {exc!r}") from exc
-        if I < 1 or n < 1:
-            raise M.CheckpointError(f"{manifest}: I and n must be >= 1")
 
         def read(path, spec):
             if not os.path.isfile(path):
@@ -375,7 +365,7 @@ def build_ensembles(prototype_sets: Sequence[Sequence[PrototypeConfig]],
     """``build_ensemble`` of each prototype set, trained in lockstep: the
     distinct prototypes of all sets that share a spec and an epoch count
     train as one (M, P) stack, each to the numbers it would get alone."""
-    check_count("pretrain epochs", pretrain_epochs, 0)
+    M.check_count("pretrain epochs", pretrain_epochs, 0)
     if not prototype_sets or not all(prototype_sets):
         raise ValueError("need at least one prototype in every set")
     groups, trained = {}, {}

@@ -159,17 +159,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
-        if not 1 <= self.n_examples <= self.n_test:
+        for name in ("n_train", "n_test", "input_dim", "components", "snapshots",
+                     "n_examples"):
+            M.check_count(name, getattr(self, name), 1)
+        M.check_count("num_classes", self.num_classes, 2)
+        if self.n_examples > self.n_test:
             raise ValueError(f"n_examples must be in [1, n_test = {self.n_test}], "
                              f"got {self.n_examples}")
-        if self.bound_examples < 0:
-            raise ValueError("bound_examples must be >= 0")
+        M.check_count("bound_examples", self.bound_examples, 0)
         if self.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}")
         if self.dataset == "cifar10" and not self.dataset_path:
             raise ValueError("cifar10 needs dataset_path")
-        if self.components < 1 or self.snapshots < 1:
-            raise ValueError("components and snapshots must be >= 1")
         bad = [m for m in self.methods if m not in A.METHODS]
         if bad:
             raise ValueError(f"unknown methods {bad}")
@@ -179,11 +180,11 @@ class ExperimentConfig:
             raise ValueError(f"methods repeat a method: {list(self.methods)}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds repeat a seed: {list(self.seeds)}")
-        if min(self.seeds) < 0:
-            raise ValueError("seeds must be >= 0")
-        F.check_count("pretrain epochs", self.pretrain_epochs, 0)
-        if self.bound_r is not None and not 0 <= self.bound_r < np.inf:
-            raise ValueError("r (bound_r) must be >= 0 and finite")
+        for seed in self.seeds:
+            M.check_count("seeds", seed, 0)
+        M.check_count("pretrain epochs", self.pretrain_epochs, 0)
+        if self.bound_r is not None:
+            M.check_real("r (bound_r)", self.bound_r, 0)
         if self.attack.method not in self.methods:
             # bound diagnostics run on the primary configured method
             raise ValueError(

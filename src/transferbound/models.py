@@ -30,6 +30,9 @@ per input row to the global counter, ``stack.size * B`` for a (B, d)
 batch or B rows, so an ``input_gradient`` at one point counts one.  That
 count is the unit in which attack query budgets are measured.  Weight
 gradients used for training do not touch the counter.
+
+Every module checks its settings with ``check_count`` and ``check_real``,
+the one owner of the rule for counts and finite reals.
 """
 
 from __future__ import annotations
@@ -52,6 +55,26 @@ CHECKPOINT_MAGIC = b"FXW1"
 
 class CheckpointError(ValueError):
     """Raised when a weight checkpoint is malformed."""
+
+
+# ---------------------------------------------------------------------------
+# the settings rule
+# ---------------------------------------------------------------------------
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``low``."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_real(name: str, value, low: float = -np.inf, above: bool = False) -> None:
+    """Raise ValueError unless ``value`` is finite and >= ``low`` (> ``low``
+    when ``above``); the comparisons are written so that NaN fails."""
+    if not (-np.inf < value < np.inf and (value > low if above else value >= low)):
+        floor = "" if low == -np.inf else f"{'>' if above else '>='} {low} and "
+        raise ValueError(f"{name} must be {floor}finite")
 
 
 # ---------------------------------------------------------------------------
@@ -126,21 +149,18 @@ class ModelSpec:
             raise ValueError(f"unknown architecture {self.arch!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        check_count("input_dim", self.input_dim, 1)
+        check_count("num_classes", self.num_classes, 2)
         if self.arch == "mlp":
             if not 1 <= len(self.hidden) <= 2:
                 raise ValueError("mlp takes one or two hidden layers")
-            if any(h < 1 for h in self.hidden):
-                raise ValueError("hidden sizes must be positive")
+            for h in self.hidden:
+                check_count("hidden size", h, 1)
         elif self.hidden:
             raise ValueError(f"{self.arch} takes no hidden sizes")
+        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if self.arch == "conv_tiny":
-            if self.channels < 1:
-                raise ValueError("conv_tiny needs channels >= 1")
+            check_count("channels", self.channels, 1)
         elif self.channels:
             raise ValueError(f"{self.arch} takes no channels")
 

@@ -55,9 +55,17 @@ class TestPrimitives:
             A.AttackConfig(inner_T=-1)
         with pytest.raises(ValueError):
             A.AttackConfig(method="pgd")
-        for name, value in (("n_ls", 2.5), ("inner_T", 2.5), ("n_iter", 3.5)):
+        for name, value in (("n_ls", 2.5), ("inner_T", 2.5), ("n_iter", 3.5),
+                            ("n_ls", None), ("inner_T", None), ("n_ls", True),
+                            ("seed", 2.5)):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 A.AttackConfig(**{name: value})
+        with pytest.raises(ValueError, match="targeted must be a bool"):
+            A.AttackConfig(targeted="no")
+        with pytest.raises(ValueError, match="gamma must be >= 0 and finite"):
+            A.project(np.zeros(2), np.zeros(2), np.nan)
+        with pytest.raises(ValueError, match="n_iter must be an integer"):
+            A.predict_ngrad("ifgsm", 2.5, 1)
 
 
 class TestInnerMax:

@@ -113,6 +113,11 @@ def test_feasibility_tv_and_chi2():
         B.feasibility(0.0, 1.0, two_point, "kl")
     with pytest.raises(ValueError):
         B.feasibility(-1.0, 1.0, two_point, "tv")
+    # NaN coefficients are refused, not reported infeasible with a NaN margin
+    for c1, c2, message in ((math.nan, 1.0, "c1 must be > 0 and finite"),
+                            (1.0, math.nan, "c2 must be finite")):
+        with pytest.raises(ValueError, match=message):
+            B.feasibility(c1, c2, two_point, "chi2")
 
 
 def test_feasibility_chi2_degenerate_losses():
@@ -458,6 +463,10 @@ def test_estimator_validation():
         B.d_kl([np.array([])], [np.array([0.1])])
     with pytest.raises(ValueError):
         B.d_kl([np.array([0.1])], [np.array([0.2])], np.array([1.0, 2.0]))
+    # one non-finite grid point would zero the estimate (0.530 on [0, 1])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="t grid must be finite"):
+            B.d_kl([[0.1, 0.2, 0.3]], [[0.6, 0.7, 0.9]], t_grid=[bad, 0.0, 1.0])
     with pytest.raises(ValueError):
         d_phi_grid("wasserstein", [], [])
     assert B.d_tv([], []) == 0.0
@@ -556,6 +565,10 @@ def test_eps_pac_validation():
                      (4, 10, 0.1, 0.1, 0.05, bad)):
             with pytest.raises(ValueError, match="finite"):
                 B.eps_pac(*args)
+    for args, message in (((2.5, 10, 0.1, 0.1, 0.05, 0.1), "d must be an integer"),
+                          ((4, 2.5, 0.1, 0.1, 0.05, 0.1), "K must be an integer")):
+        with pytest.raises(ValueError, match=message):
+            B.eps_pac(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -810,11 +823,14 @@ def test_sharpness_rejects_a_label_out_of_range(quad_setup):
 
 
 @pytest.mark.parametrize("bad, message", [
-    (dict(steps=-1), "steps and restarts must be >= 0"),
-    (dict(restarts=-1), "steps and restarts must be >= 0"),
+    (dict(steps=-1), "steps must be an integer >= 0, got -1"),
+    (dict(restarts=-1), "restarts must be an integer >= 0, got -1"),
     (dict(rho=math.nan), "rho must be >= 0 and finite"),
     (dict(rho=math.inf), "rho must be >= 0 and finite"),
-], ids=["negative_steps", "negative_restarts", "nan_rho", "inf_rho"])
+    (dict(steps=2.5), "steps must be an integer >= 0, got 2.5"),
+    (dict(restarts=2.5), "restarts must be an integer >= 0, got 2.5"),
+], ids=["negative_steps", "negative_restarts", "nan_rho", "inf_rho",
+        "fractional_steps", "fractional_restarts"])
 def test_sharpness_rejects_bad_settings(quad_setup, bad, message):
     ens, data = quad_setup
     with M.GRAD_CALLS.scope() as tally, pytest.raises(ValueError, match=message):

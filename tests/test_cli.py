@@ -190,7 +190,7 @@ def test_more_examples_than_the_test_split_exits_2(tmp_path, capsys):
     ("seeds = 0,0\n", "seeds repeat a seed"),
     ("pretrain_epochs = -3\n",
      "pretrain epochs must be an integer >= 0, got -3"),
-    ("seed = -1\n", "seeds must be >= 0"),
+    ("seed = -1\n", "seeds must be an integer >= 0, got -1"),
     ("c2 = inf\n", "c2 must be finite"),
     ("c2 = nan\n", "c2 must be finite"),
 ], ids=["two_rings_in_1d", "two_rings_with_3_classes", "negative_proto_lr",
@@ -556,7 +556,7 @@ def test_negative_bound_examples_exits_2(tmp_path, capsys):
     cfg.write_text(tiny_with("bound_examples = -1\n"), encoding="utf-8")
     rc = cli.main(["bound", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
-    assert "bound_examples must be >= 0" in capsys.readouterr().err
+    assert "bound_examples must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "o" / "bounds.csv").exists()
 
 

@@ -73,10 +73,12 @@ class TestDatasets:
 @pytest.mark.parametrize("change, message", [
     (dict(lr=np.nan), "learning rate must be >= 0 and finite"),
     (dict(lr=np.inf), "learning rate must be >= 0 and finite"),
-    (dict(training="adversarial", adv_eps=np.nan), "adv_eps > 0 and finite"),
-    (dict(training="adversarial", adv_eps=np.inf), "adv_eps > 0 and finite"),
+    (dict(training="adversarial", adv_eps=np.nan), "adv_eps must be > 0 and finite"),
+    (dict(training="adversarial", adv_eps=np.inf), "adv_eps must be > 0 and finite"),
     (dict(epochs=2.5), "epochs must be an integer >= 1, got 2.5"),
-], ids=["nan_lr", "inf_lr", "nan_adv_eps", "inf_adv_eps", "fractional_epochs"])
+    (dict(epochs=True), "epochs must be an integer >= 1, got True"),
+], ids=["nan_lr", "inf_lr", "nan_adv_eps", "inf_adv_eps", "fractional_epochs",
+        "bool_epochs"])
 def test_prototype_config_rejects_non_finite_settings(change, message):
     with pytest.raises(ValueError, match=message):
         F.PrototypeConfig(spec=M.ModelSpec("linear", 2, 2), **change)

@@ -187,6 +187,12 @@ def test_experiment_config_validation(tmp_path):
         small_config(tmp_path, methods=("mifgsm", "bogus"))
     with pytest.raises(ValueError):
         small_config(tmp_path, methods=("mifgsm",))  # primary method missing
+    for name in ("components", "snapshots", "n_examples", "bound_examples",
+                 "n_train", "n_test", "input_dim", "num_classes"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            small_config(tmp_path, **{name: 2.5})
+    with pytest.raises(ValueError, match="seeds must be an integer"):
+        small_config(tmp_path, seeds=(1.5,))
     for epochs in (-3, 2.5):
         with pytest.raises(ValueError, match=re.escape(
                 f"pretrain epochs must be an integer >= 0, got {epochs}")):

@@ -1,6 +1,9 @@
+import ast
 import math
+import re
 import struct
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +105,20 @@ class TestForward:
             M.ModelSpec("conv_tiny", 5, 2)
         with pytest.raises(ValueError):
             M.ModelSpec("linear", 5, 2, activation="gelu")
+        for args, kw, message in (
+                (("mlp", 3, 2), dict(hidden=(2.5,)), "hidden size must be an integer"),
+                (("mlp", 3, 2), dict(hidden=(True,)), "hidden size must be an integer"),
+                (("linear", 2.5, 2), {}, "input_dim must be an integer"),
+                (("linear", 3, 2.5), {}, "num_classes must be an integer"),
+                (("conv_tiny", 3, 2), dict(channels=1.5),
+                 "channels must be an integer")):
+            with pytest.raises(ValueError, match=message):
+                M.ModelSpec(*args, **kw)
+        # a numpy integer size is accepted and stored as int, so the spec's
+        # repr (and every fingerprint over it) is that of the plain int
+        spec = M.ModelSpec("mlp", 3, 2, hidden=(np.int64(4),))
+        assert type(spec.hidden[0]) is int
+        assert repr(spec) == repr(M.ModelSpec("mlp", 3, 2, hidden=(4,)))
 
     def test_wrong_input_dim_rejected(self):
         rng = np.random.default_rng(0)
@@ -696,3 +713,73 @@ class TestCheckpoints:
         path.write_bytes(bytes(blob))
         with pytest.raises(M.CheckpointError):
             M.load_weights(path)
+
+
+# ---------------------------------------------------------------------------
+# the settings rule
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("check, args, message", [
+    (M.check_count, ("n", 2.5, 1), "n must be an integer >= 1, got 2.5"),
+    (M.check_count, ("n", True, 0), "n must be an integer >= 0, got True"),
+    (M.check_count, ("n", None, 0), "n must be an integer >= 0, got None"),
+    (M.check_count, ("n", np.int64(-1), 0), "n must be an integer >= 0, got"),
+    (M.check_real, ("g", math.nan, 0), "g must be >= 0 and finite"),
+    (M.check_real, ("g", 0.0, 0, True), "g must be > 0 and finite"),
+    (M.check_real, ("g", math.inf), "g must be finite"),
+    (M.check_real, ("g", -math.inf), "g must be finite"),
+], ids=["fraction", "bool", "none", "numpy_negative", "nan", "at_open_floor",
+        "inf", "minus_inf"])
+def test_settings_rule_refuses(check, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check(*args)
+
+
+def test_settings_rule_accepts():
+    M.check_count("n", 0, 0)
+    M.check_count("n", np.int64(3), 1)
+    M.check_real("g", 0.0, 0)
+    M.check_real("g", np.float64(1e-300), 0, above=True)
+    M.check_real("g", -1e308)
+
+
+# Range and finiteness messages belong to the two helpers; the two
+# interval checks and the t-grid check are the only hand-written ones.
+HAND_WRITTEN = re.compile(r"must be (an integer |in |finite|[<>])|and finite")
+ALLOWED = {"delta must be in (0, 1)", "n_examples must be in [1, n_test = {}], got {}",
+           "t grid must be finite"}
+
+
+def string_literals(tree, exempt):
+    """(line, text) of each string outside docstrings and the functions
+    named in ``exempt``; an f-string is one text with {} for each field."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in exempt:
+            skip.update(map(id, ast.walk(node)))
+        elif isinstance(node, ast.JoinedStr):
+            skip.update(id(part) for part in ast.walk(node) if part is not node)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) \
+                and ast.get_docstring(node) is not None:
+            skip.add(id(node.body[0].value))
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.JoinedStr):
+            yield node.lineno, "".join(
+                part.value if isinstance(part, ast.Constant) else "{}"
+                for part in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.lineno, node.value
+
+
+def test_settings_rule_has_one_owner():
+    found = []
+    for path in sorted(Path(M.__file__).parent.glob("*.py")):
+        exempt = ("check_count", "check_real") if path.name == "models.py" else ()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for line, text in string_literals(tree, exempt):
+            if HAND_WRITTEN.search(text) and text not in ALLOWED:
+                found.append(f"{path.name}:{line}: {text!r}")
+    assert found == []
