@@ -248,6 +248,9 @@ def predict_ngrad(method: str, n_iter: int, num_components: int,
     """
     M.check_count("n_iter", n_iter, 0)
     M.check_count("num_components", num_components, 1)
+    for name, value in (("T", T), ("late_start", late_start)):
+        if value is not None:
+            M.check_count(name, value, 0)
     I = num_components
     if method in ("ifgsm", "mifgsm"):
         return n_iter * I

@@ -6,14 +6,14 @@ example can exceed its surrogate risk.  Risk is always the bounded loss
 [0, 1] and the variational estimators below are well defined.  Each model
 set is scored as a ``models.MemberStack``, by one ``models.loss_matrix``
 call per point set (a stacked forward per spec group).  The surrogates
-are ``ensemble.stack``, grouped when the ensemble was made;
-``assemble_bound`` groups the target list it is given, once, and passes
-that stack to ``profile`` and ``candidate_losses``, which take a stack
-only.  The profile scores all surrogates at once, and candidate
-filtering keeps their loss columns, so ``candidate_losses`` scores only
-the targets.  Sharpness runs its restarts as rows: one
-``models.vjp_stack`` call per step for all restarts, and one last
-scoring pass; x_hat's own risk is row 0 of the first pass.
+are ``ensemble.stack``, grouped when the ensemble was made.  The
+profile scores all surrogates at x_hat at once, and candidate filtering
+keeps their loss columns, so ``candidate_losses`` scores only the
+targets.  ``assemble_bound`` groups the target list it is given, once,
+and scores that stack at x_hat and at the candidates.  Sharpness runs
+its restarts as rows: one ``models.vjp_stack`` call per step for all
+restarts, and one last scoring pass; x_hat's own risk is row 0 of the
+first pass.
 
 The discrepancy between surrogate and target is measured only over a
 candidate set of perturbed inputs whose surrogate risk stays below a
@@ -71,10 +71,9 @@ class InfeasibleError(ValueError):
 
 @dataclass
 class LossProfile:
-    """Bounded losses of one input across an ensemble (and optional targets)."""
+    """Bounded losses of one input across an ensemble, by component."""
 
     losses_by_component: list
-    target_losses: Optional[np.ndarray] = None
 
     @property
     def all_losses(self) -> np.ndarray:
@@ -86,16 +85,10 @@ class LossProfile:
         return float(np.mean([float(np.mean(c)) for c in self.losses_by_component]))
 
 
-def profile(x_hat: np.ndarray, ensemble: SurrogateEnsemble, label: int,
-            target_models: Optional[M.MemberStack] = None) -> LossProfile:
-    kind = M.bounded_error(label)
-    point = x_hat[None]
-    comps = list(M.loss_matrix(ensemble.stack, point, kind)
-                 .reshape(ensemble.num_components, -1))
-    target = None
-    if target_models is not None:
-        target = M.loss_matrix(target_models, point, kind)[:, 0]
-    return LossProfile(comps, target)
+def profile(x_hat: np.ndarray, ensemble: SurrogateEnsemble,
+            label: int) -> LossProfile:
+    losses = M.loss_matrix(ensemble.stack, x_hat[None], M.bounded_error(label))
+    return LossProfile(list(losses.reshape(ensemble.num_components, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +109,10 @@ class CandidateSetXr:
     def build(cls, pool: Sequence[np.ndarray], ensemble: SurrogateEnsemble,
               label: int, r: float, x: np.ndarray,
               gamma: float) -> "CandidateSetXr":
-        pts = np.asarray(pool, dtype=np.float64).reshape(-1, x.size)
+        pts = np.asarray(pool, dtype=np.float64)
+        if pts.size != len(pool) * x.size:
+            raise ValueError(f"pool must hold {x.size}-wide points, got {pts.shape}")
+        pts = pts.reshape(len(pool), x.size)
         pts = pts[np.max(np.abs(pts - x), axis=1) <= gamma + 1e-12]
         losses = M.loss_matrix(ensemble.stack, pts, M.bounded_error(label))
         keep = losses.mean(axis=0) <= r
@@ -582,17 +578,19 @@ def assemble_bound(x_hat: np.ndarray, x: np.ndarray, gamma: float,
 
     assembled = (risk + sharpness) + d_hat / c1 + c2 * r + eps_pac
 
-    The target list is grouped once here, and its profile and candidate
-    losses share that stack.  Raises InfeasibleError when (c1, c2)
-    violates the validity condition for the chosen phi.  The realized
-    target risk is recorded alongside and soft-checked against the
-    assembled value (a warning, not an error: the certificate holds with
-    probability 1 - delta).
+    The target list is grouped once here, and that stack gives both the
+    realized target risk at x_hat and the candidates' target losses.
+    Raises InfeasibleError when (c1, c2) violates the validity condition
+    for the chosen phi.  The realized target risk is recorded alongside
+    and soft-checked against the assembled value (a warning, not an
+    error: the certificate holds with probability 1 - delta).
     """
     M.check_real("gamma", gamma, 0)
     M.check_real("r", r, 0)
+    M.check_count("sharpness_steps", sharpness_steps, 0)
+    M.check_count("sharpness_restarts", sharpness_restarts, 0)
     targets = M.member_stack(target_models)
-    prof = profile(x_hat, ensemble, label, targets)
+    prof = profile(x_hat, ensemble, label)
     losses_here = prof.all_losses
     feas = require_feasible(cfg, losses_here)
 
@@ -618,7 +616,8 @@ def assemble_bound(x_hat: np.ndarray, x: np.ndarray, gamma: float,
     slack = eps_pac(d=x_hat.size, K=ensemble.size, gamma=gamma, rho=cfg.rho,
                     delta=cfg.delta, r=r)
     assembled = (risk + sharp) + d_hat / cfg.c1 + cfg.c2 * r + slack
-    realized = float(np.mean(prof.target_losses))
+    realized = float(np.mean(
+        M.loss_matrix(targets, x_hat[None], M.bounded_error(label))[:, 0]))
     in_space = risk <= r + 1e-12
     if not in_space:
         log.warning("surrogate risk %.4f exceeds the localization threshold "

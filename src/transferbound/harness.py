@@ -115,15 +115,17 @@ def evaluate_asr(x_hat, labels, target_sets: Mapping[str, Sequence[M.Weights]],
             raise ValueError("target labels must align with labels")
     if not target_sets:
         raise ValueError("need at least one target set")
+    compared = target_labels if targeted else labels
+    what = "target labels" if targeted else "labels"
     rows = {}
     for name, models in target_sets.items():
         if len(models) == 0:
             raise ValueError(f"target set {name!r} is empty")
+        k = models[0].spec.num_classes
+        if not np.all((compared >= 0) & (compared < k)):
+            raise ValueError(f"{what} must lie in [0, {k}) for target set {name!r}")
         pred = M.predict_matrix(M.member_stack(models), x_hat)
-        if targeted:
-            hits = int(np.sum(pred == target_labels))
-        else:
-            hits = int(np.sum(pred != labels))
+        hits = int(np.sum((pred == compared) if targeted else (pred != compared)))
         rows[(method, name)] = AsrCell(hits / (len(models) * labels.size),
                                        int(labels.size), 1)
     return AsrTable(rows)

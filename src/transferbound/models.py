@@ -481,10 +481,11 @@ class LossKind:
     def __post_init__(self):
         if self.variant not in ("neg_ce", "ce", "bounded"):
             raise ValueError(f"unknown loss variant {self.variant!r}")
-        if isinstance(self.label, (int, np.integer)):
-            lowest = top = self.label
+        label = self.label
+        if isinstance(label, (int, np.integer)) and not isinstance(label, bool):
+            lowest = top = label
         else:
-            label = np.array(self.label)
+            label = np.array(label)
             if label.dtype.kind not in "iu" or label.size == 0:
                 raise ValueError("label must be a class index or an array of them")
             label.flags.writeable = False

@@ -66,6 +66,12 @@ class TestPrimitives:
             A.project(np.zeros(2), np.zeros(2), np.nan)
         with pytest.raises(ValueError, match="n_iter must be an integer"):
             A.predict_ngrad("ifgsm", 2.5, 1)
+        for args, kwargs, name in ((("drap", 40, 4), {"T": -3}, "T"),
+                                   (("drap", 40, 4), {"T": 2.5}, "T"),
+                                   (("rap", 10, 2), {"T": 1, "late_start": -2},
+                                    "late_start")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                A.predict_ngrad(*args, **kwargs)
 
 
 class TestInnerMax:

@@ -914,7 +914,7 @@ def test_profile_matches_direct_loop(tiny_setup):
     x = data.X_test[1]
     y = int(data.y_test[1])
     targets = list(ens.components[0])
-    prof = B.profile(x, ens, y, target_models=M.member_stack(targets))
+    prof = B.profile(x, ens, y)
     kind = M.bounded_error(y)
     means = []
     for comp in ens.components:
@@ -922,7 +922,13 @@ def test_profile_matches_direct_loop(tiny_setup):
     assert prof.surrogate_risk == pytest.approx(float(np.mean(means)), abs=1e-15)
     assert prof.all_losses.size == ens.size
     assert np.all(prof.all_losses >= 0.0) and np.all(prof.all_losses <= 1.0)
-    assert prof.target_losses.size == len(targets)
+    # the targets are scored at x_hat where the bound is assembled
+    rep = B.assemble_bound(x, x, 0.1, ens, targets, y, B.BoundConfig(), 1.0,
+                           sharpness_steps=0)
+    direct = [M.loss(w, x, kind) for w in targets]
+    assert len(direct) == len(targets)
+    assert rep.realized_target_risk == pytest.approx(float(np.mean(direct)),
+                                                     abs=1e-15)
 
 
 def test_candidate_set_filters_and_nesting(tiny_setup):
@@ -986,6 +992,10 @@ def test_candidate_set_empty_pool_and_pool_outside_ball(tiny_setup):
     assert all(np.max(np.abs(c - x)) > 0.1 for c in far)
     assert B.CandidateSetXr.build(far, ens, y, r=1.0, x=x,
                                   gamma=0.1).candidates.shape == (0, x.size)
+    # a (3, 4) pool is not six 2-wide candidates
+    assert x.size == 2
+    with pytest.raises(ValueError, match="pool must hold 2-wide points"):
+        B.CandidateSetXr.build(np.zeros((3, 4)), ens, y, r=1.0, x=x, gamma=0.1)
 
 
 # csv_row of the bounds below, recorded before the empty-set branches went
@@ -1013,17 +1023,23 @@ def test_assemble_bound_with_no_candidate_kept(quad_setup, phi):
     assert rep.csv_row() == NO_CANDIDATE_ROWS[phi]
 
 
-@pytest.mark.parametrize("gamma", [np.nan, np.inf, -0.1],
-                         ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("name, setting", [
+    ("gamma", {"gamma": np.nan}), ("gamma", {"gamma": np.inf}),
+    ("gamma", {"gamma": -0.1}),
+    ("sharpness_steps", {"sharpness_steps": 2.5}),
+    ("sharpness_restarts", {"sharpness_restarts": -1}),
+], ids=["nan", "inf", "negative", "fractional_steps", "negative_restarts"])
 def test_assemble_bound_checks_gamma_before_any_work(quad_setup, monkeypatch,
-                                                     gamma):
+                                                     name, setting):
     ens, data = quad_setup
     x, y = data.X_test[2], int(data.y_test[2])
     monkeypatch.setattr(B, "profile", lambda *a, **k: pytest.fail("profiled"))
+    kwargs = {"gamma": 0.1, **setting}
+    gamma = kwargs.pop("gamma")
     before = M.GRAD_CALLS.value
-    with pytest.raises(ValueError, match="gamma"):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
         B.assemble_bound(x, x, gamma, ens, ens.pretrained, y, B.BoundConfig(),
-                         0.5)
+                         0.5, **kwargs)
     assert M.GRAD_CALLS.value == before
 
 
@@ -1032,19 +1048,19 @@ def test_assemble_bound_checks_gamma_before_any_work(quad_setup, monkeypatch,
 # ---------------------------------------------------------------------------
 #
 # Frozen copies of the replaced code: ``profile`` with one ``loss_matrix``
-# call per component, ``CandidateSetXr.build`` without its loss columns, and
+# call per component and the target losses it also returned,
+# ``CandidateSetXr.build`` without its loss columns, and
 # ``candidate_losses`` re-scoring the candidates on the surrogate members.
 
 
-def frozen_profile(x_hat, ensemble, label, target_models=None):
+def frozen_profile(x_hat, ensemble, label, target_models):
+    """The surrogate profile and the target loss column at x_hat."""
     kind = M.bounded_error(label)
     point = x_hat[None]
     comps = [M.loss_matrix(M.member_stack(comp), point, kind)[:, 0]
              for comp in ensemble.components]
-    target = None
-    if target_models is not None:
-        target = M.loss_matrix(M.member_stack(target_models), point, kind)[:, 0]
-    return B.LossProfile(comps, target)
+    target = M.loss_matrix(M.member_stack(target_models), point, kind)[:, 0]
+    return B.LossProfile(comps), target
 
 
 def frozen_candidates(pool, ensemble, label, r, x=None, gamma=None):
@@ -1088,10 +1104,15 @@ def test_one_pass_scoring_equals_per_component_code_bitwise(request, setup,
             cfg = A.AttackConfig(gamma=gamma, beta_x=0.02, method="mifgsm",
                                  seed=idx, record_trace=False)
             x_hat = A.run_attack(x, y, ens, cfg).x_hat
-        prof = B.profile(x_hat, ens, y, M.member_stack(targets))
-        want = frozen_profile(x_hat, ens, y, targets)
+        prof = B.profile(x_hat, ens, y)
+        want, want_targets = frozen_profile(x_hat, ens, y, targets)
         assert bits(prof.losses_by_component) == bits(want.losses_by_component)
-        assert bits([prof.target_losses]) == bits([want.target_losses])
+        # the bound scores the targets at x_hat; its realized risk is their mean
+        rep = B.assemble_bound(x_hat, x, gamma, ens, targets, y, B.BoundConfig(),
+                               1.0, seed=idx, sharpness_steps=0)
+        assert want_targets.size == len(targets)
+        assert (np.float64(rep.realized_target_risk).tobytes()
+                == np.float64(np.mean(want_targets)).tobytes())
 
         rng = np.random.default_rng(idx)
         pool = [x_hat] + [np.clip(x + rng.uniform(-gamma, gamma, size=x.size),

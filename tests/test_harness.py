@@ -89,7 +89,7 @@ def constant_model(favored, d=2, k=2):
     return M.Weights(spec, params)
 
 
-def test_asr_trivial_cases():
+def test_asr_trivial_cases(monkeypatch):
     x = np.random.default_rng(0).uniform(size=(5, 2))
     zeros = np.zeros(5, dtype=int)
     ones = np.ones(5, dtype=int)
@@ -111,6 +111,18 @@ def test_asr_trivial_cases():
         H.evaluate_asr(x, zeros, {"t": [model0]}, targeted=True)
     with pytest.raises(ValueError, match="nonempty"):
         H.evaluate_asr(x[:0], zeros[:0], {"t": [model0]})
+    # labels the success test compares must be classes of the set, checked
+    # before its forward pass
+    monkeypatch.setattr(M, "predict_matrix",
+                        lambda *a: pytest.fail("forward pass"))
+    for labels, kwargs, what in ((np.full(5, 7), {}, "labels"),
+                                 (np.full(5, -1), {}, "labels"),
+                                 (zeros, {"targeted": True,
+                                          "target_labels": np.full(5, 5)},
+                                  "target labels")):
+        with pytest.raises(ValueError,
+                           match=rf"^{what} must lie in \[0, 2\) for target set 't'"):
+            H.evaluate_asr(x, labels, {"t": [model0]}, **kwargs)
 
 
 def test_asr_matches_manual_count(tiny_setup):

@@ -171,6 +171,8 @@ class TestLosses:
             M.neg_cross_entropy(np.array([0, 2, -1]))
         with pytest.raises(ValueError, match="class index"):
             M.bounded_error(np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="class index"):
+            M.targeted_cross_entropy(True)
         kind = M.targeted_cross_entropy(np.array([[0], [3], [1]]))
         with pytest.raises(ValueError, match="label 3 out of range for 3"):
             M.loss_from_logits(np.zeros((3, 1, 3)), kind)

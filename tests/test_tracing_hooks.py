@@ -1,12 +1,18 @@
-"""The traced benchmark run replaces package attributes by name; every
-name it lists must exist, and uninstalling must restore each original."""
+"""The benchmark reads the package by name.  Every attribute it reads must
+exist and every keyword it passes must be a parameter; the traced run
+replaces package attributes by name, and uninstalling must restore each
+original."""
 
+import ast
 import importlib
+import inspect
 from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
 
 def test_tracer_swaps_every_wrapped_attribute_and_restores_it(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+    monkeypatch.syspath_prepend(str(BENCHMARK))
     tracing = importlib.import_module("tracing")
     originals = [vars(owner)[attr] for owner, attr, _, _ in tracing.WRAPPED]
     tracer = tracing.Tracer()
@@ -18,3 +24,49 @@ def test_tracer_swaps_every_wrapped_attribute_and_restores_it(monkeypatch):
         tracer.uninstall()
     for (owner, attr, name, _), raw in zip(tracing.WRAPPED, originals):
         assert vars(owner)[attr] is raw, name
+
+
+def package_reads(tree):
+    """(dotted name, object, call node or None) for each outermost
+    attribute chain rooted at a ``from transferbound import m as X`` alias;
+    an attribute the package lacks is an AttributeError here."""
+    aliases = {a.asname or a.name: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "transferbound"
+               for a in node.names}
+    calls = {id(node.func): node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)}
+    inner = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue
+        parts, root = [], node
+        while isinstance(root, ast.Attribute):
+            parts.append(root.attr)
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in aliases:
+            obj = importlib.import_module(f"transferbound.{aliases[root.id]}")
+            name = aliases[root.id]
+            for attr in reversed(parts):
+                name += "." + attr
+                obj = getattr(obj, attr)
+            yield name, obj, calls.get(id(node))
+
+
+def test_every_package_name_the_benchmark_reads_exists():
+    seen = set()
+    for path in sorted(BENCHMARK.glob("*.py")):
+        for name, obj, call in package_reads(ast.parse(path.read_text())):
+            seen.add(name)
+            if call is None:
+                continue
+            params = inspect.signature(obj).parameters
+            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                continue
+            for kw in call.keywords:
+                assert kw.arg is None or kw.arg in params, f"{path.name}: {name}({kw.arg}=)"
+    # a positive control: the scan sees the reads the workloads depend on
+    assert {"attacks.predict_ngrad", "bounds.assemble_bound", "bounds.profile",
+            "cli.PHI_DEFAULTS", "forge.SurrogateEnsemble.load",
+            "harness.ALL_PHASES", "models.GRAD_CALLS.value",
+            "models.batch_ce_value_and_weight_grad"} <= seen
