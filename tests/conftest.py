@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from transferbound import forge as F
 from transferbound import models as M
+
+# the property tests draw the same examples on every run, so a run of the
+# suite cannot pass or fail on the luck of a draw
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def build_tiny_setup():

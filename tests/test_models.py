@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import re
 import struct
@@ -440,6 +441,137 @@ class TestStackedCore:
             M.member_stack(models + [wider])
 
 
+# ---------------------------------------------------------------------------
+# one dense stack for every architecture, against the code it replaced
+# ---------------------------------------------------------------------------
+#
+# Frozen copies of the core that kept one branch per architecture: the
+# forward and backward passes, the layer shapes and the checkpoint header.
+
+
+def frozen_dense_shapes(spec):
+    if spec.arch == "linear":
+        return [(spec.num_classes, spec.input_dim)]
+    if spec.arch == "mlp":
+        fans = (spec.input_dim,) + spec.hidden
+        return list(zip(spec.hidden, fans)) + [(spec.num_classes, fans[-1])]
+    return [(spec.channels, spec.kernel_size), (spec.num_classes, spec.channels)]
+
+
+def frozen_spec_header(spec):
+    if spec.arch == "mlp":
+        extra = spec.hidden
+    elif spec.arch == "conv_tiny":
+        extra = (spec.channels,)
+    else:
+        extra = ()
+    fields = [M._ARCH_TAGS[spec.arch], spec.input_dim, spec.num_classes,
+              M._ACT_TAGS[spec.activation], len(extra), *extra]
+    return struct.pack(f"<{len(fields)}I", *fields)
+
+
+def frozen_forward_stack(spec, layers, xb):
+    cache = {"x": xb, "layers": layers}
+    if spec.arch == "linear":
+        (W, b), = layers
+        return xb @ W.swapaxes(-1, -2) + b, cache
+    if spec.arch == "mlp":
+        h = xb
+        pre, post = [], []
+        for W, b in layers[:-1]:
+            a = h @ W.swapaxes(-1, -2) + b
+            h = M._act(spec, a)
+            pre.append(a)
+            post.append(h)
+        W, b = layers[-1]
+        cache["pre"], cache["post"] = pre, post
+        return h @ W.swapaxes(-1, -2) + b, cache
+    (K, cb), (W, b) = layers
+    ksz, d = spec.kernel_size, spec.input_dim
+    pad = (ksz - 1) // 2
+    xpad = np.pad(xb, [(0, 0)] * (xb.ndim - 1) + [(pad, pad + ksz - 1 - pad)])
+    a = cb[..., None] + K[..., None, :, 0, None] * xpad[..., None, 0:d]
+    for j in range(1, ksz):
+        a += K[..., None, :, j, None] * xpad[..., None, j : j + d]
+    h = M._act(spec, a)
+    pooled = h.mean(axis=-1)
+    cache.update(xpad=xpad, pre=a, post=h, pooled=pooled)
+    return pooled @ W.swapaxes(-1, -2) + b, cache
+
+
+def frozen_backward_stack(spec, cache, dlogits, weights=False):
+    layers, xb = cache["layers"], cache["x"]
+    grads = []
+    if spec.arch == "linear":
+        (W, _), = layers
+        if weights:
+            return M._flat([(dlogits.swapaxes(-1, -2) @ xb, dlogits.sum(axis=-2))])
+        return dlogits @ W
+    if spec.arch == "mlp":
+        pre, post = cache["pre"], cache["post"]
+        dh = dlogits
+        for i in range(len(layers) - 1, -1, -1):
+            if i < len(layers) - 1:
+                dh = dh * M._act_grad(spec, pre[i], post[i])
+            if weights:
+                below = post[i - 1] if i else xb
+                grads.append((dh.swapaxes(-1, -2) @ below, dh.sum(axis=-2)))
+                if i == 0:
+                    return M._flat(grads)
+            dh = dh @ layers[i][0]
+        return dh
+    (K, _), (W, _) = layers
+    ksz, d = spec.kernel_size, spec.input_dim
+    pad = (ksz - 1) // 2
+    xpad, pre, post = cache["xpad"], cache["pre"], cache["post"]
+    if weights:
+        grads.append((dlogits.swapaxes(-1, -2) @ cache["pooled"],
+                      dlogits.sum(axis=-2)))
+    da = ((dlogits @ W)[..., None] / d) * M._act_grad(spec, pre, post)
+    if weights:
+        xpad = np.broadcast_to(xpad, da.shape[:-2] + xpad.shape[-1:])
+        dK = [np.einsum("mbcp,mbp->mc", da, xpad[..., j : j + d]) for j in range(ksz)]
+        grads.append((np.stack(dK, axis=-1), da.sum(axis=(1, 3))))
+        return M._flat(grads)
+    dxpad = np.zeros(da.shape[:-2] + xpad.shape[-1:])
+    for j in range(ksz):
+        dxpad[..., j : j + d] += np.einsum("m...cp,m...c->m...p", da, K[..., j])
+    return dxpad[..., pad : pad + d]
+
+
+def test_one_dense_stack_equals_the_per_architecture_core_bitwise():
+    # 800 specs over the three architectures, one or two hidden layers,
+    # relu and tanh, kernels of 1 to 3 taps, and 1 to 4 members; each at a
+    # (B, d) batch, (B, 1, d) rows and per-member (M, B, d) batches, with
+    # input gradients everywhere and weight gradients on the batches
+    rng = np.random.default_rng(2028)
+    cases = 0
+    for n in range(800):
+        arch = ("linear", "mlp", "conv_tiny")[n % 3]
+        d, k = int(rng.integers(1, 9)), int(rng.integers(2, 6))
+        hidden = tuple(int(h) for h in rng.integers(1, 7, 1 + n // 3 % 2))
+        spec = M.ModelSpec(arch, d, k, hidden=hidden if arch == "mlp" else (),
+                           channels=int(rng.integers(1, 5)) if arch == "conv_tiny" else 0,
+                           activation=("relu", "tanh")[n // 6 % 2])
+        assert M._dense_shapes(spec) == frozen_dense_shapes(spec)
+        assert M._spec_header(spec) == frozen_spec_header(spec)
+        members, B = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        P = np.array([M.init_weights(spec, rng).params for _ in range(members)])
+        for shape, lead, weights in (((B, d), 0, True), ((B, 1, d), 1, False),
+                                     ((members, B, d), 0, True)):
+            x = rng.uniform(0, 1, shape)
+            layers = M._layers(spec, P, lead)
+            got, cache = M._forward_stack(spec, layers, x)
+            want, frozen = frozen_forward_stack(spec, layers, x)
+            assert got.tobytes() == want.tobytes()
+            dl = rng.normal(size=got.shape)
+            for mode in (False, True) if weights else (False,):
+                assert (M._backward_stack(spec, cache, dl, mode).tobytes()
+                        == frozen_backward_stack(spec, frozen, dl, mode).tobytes())
+                cases += 1
+    assert cases == 800 * 5
+
+
 def central_difference(f, x, h=1e-4):
     g = np.zeros_like(x)
     for i in range(x.size):
@@ -703,6 +835,26 @@ class TestCheckpoints:
                          + bytes(8 * count))
         with pytest.raises(M.CheckpointError, match="spec.fxw: bad spec header"):
             M.load_weights(path)
+
+    @pytest.mark.parametrize("activation, arch, hidden, digest", [
+        ("relu", "linear", (), "f28ce9a2048ce6e6b9366b90ab4c0d4eacdc9391640bb9b5a67cc783f4c8ba5b"),
+        ("relu", "mlp", (4,), "ff2dfd10c7b6e171f6aed4532602657c41791b3fcc9b1ed79555a05fd8077a98"),
+        ("relu", "mlp", (4, 6), "225526280f3697541a96420c5227fba665f8b39ded6e06d600fae9761f0c44cb"),
+        ("relu", "conv_tiny", (), "7dad10c57d88e49a1374188f0e0bf23dad6470439470ac4109ca347433bdc828"),
+        ("tanh", "linear", (), "7072d6c3b95c18259acd1e59e0b8aa2a906ded590aab7828cd8c41f8f139c2fc"),
+        ("tanh", "mlp", (4,), "fd00b591dbb6528755bf194673204db2fa2277806431a9d4118ba4ec19a2549e"),
+        ("tanh", "mlp", (4, 6), "0ff5e1fd5790e344679de5c985b022be3ca7f0908e338d61341e07b6c158ef0c"),
+        ("tanh", "conv_tiny", (), "51a6e97372e1bf175e63a66c947efee4735063a220e26ede776438c6a263a13b"),
+    ])
+    def test_file_bytes_are_pinned(self, tmp_path, activation, arch, hidden, digest):
+        # a header change shared by save_weights and load_weights would
+        # still round-trip; these SHA-256 digests pin the bytes on disk
+        spec = M.ModelSpec(arch, 5, 3, hidden=hidden,
+                           channels=2 if arch == "conv_tiny" else 0,
+                           activation=activation)
+        path = tmp_path / "w.fxw"
+        M.save_weights(M.init_weights(spec, np.random.default_rng(7)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_count_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(53)
