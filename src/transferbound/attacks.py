@@ -83,7 +83,7 @@ class AttackConfig:
         M.check_count("inner_T", self.inner_T, 0)
         M.check_count("n_ls", self.n_ls, 0)
         if self.n_iter is not None:
-            M.check_count("n_iter", self.n_iter, 0)
+            M.check_count("n_iter", self.n_iter, 1)
         M.check_count("seed", self.seed, 0)
         M.check_real("mu", self.mu, 0)
         M.check_real("micro_step", self.micro_step, 0, above=True)
@@ -356,7 +356,6 @@ def _schedule(method, plan, ensemble, models, cfg):
 
     if plan.models != "snapshot":
         n_iter = K if cfg.n_iter is None else cfg.n_iter
-        M.check_count("n_iter", n_iter, 1)
         listed = plan.models == "list"
         predicted = predict_ngrad(method, n_iter, len(models) if listed else I,
                                   T=cfg.inner_T, late_start=cfg.n_ls)

@@ -589,6 +589,8 @@ def assemble_bound(x_hat: np.ndarray, x: np.ndarray, gamma: float,
     M.check_real("r", r, 0)
     M.check_count("sharpness_steps", sharpness_steps, 0)
     M.check_count("sharpness_restarts", sharpness_restarts, 0)
+    if np.shape(x) != np.shape(x_hat):
+        raise ValueError(f"x has shape {np.shape(x)}, x_hat has shape {np.shape(x_hat)}")
     targets = M.member_stack(target_models)
     prof = profile(x_hat, ensemble, label)
     losses_here = prof.all_losses

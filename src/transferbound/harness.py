@@ -107,12 +107,17 @@ def evaluate_asr(x_hat, labels, target_sets: Mapping[str, Sequence[M.Weights]],
     labels = np.asarray(labels)
     if x_hat.ndim != 2 or len(x_hat) == 0 or labels.shape != (len(x_hat),):
         raise ValueError("need a nonempty (n, d) batch with one label per row")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must have an integer dtype, got {labels.dtype}")
     if targeted:
         if target_labels is None:
             raise ValueError("targeted evaluation needs target labels")
         target_labels = np.asarray(target_labels)
         if target_labels.shape != labels.shape:
             raise ValueError("target labels must align with labels")
+        if target_labels.dtype.kind not in "iu":
+            raise ValueError(f"target labels must have an integer dtype, "
+                             f"got {target_labels.dtype}")
     if not target_sets:
         raise ValueError("need at least one target set")
     compared = target_labels if targeted else labels

@@ -3,7 +3,10 @@
 Everything runs on float64 numpy. Three architectures are supported --
 a linear softmax classifier, an MLP with one or two hidden layers, and a
 small 1-D convolutional net -- all exposed through the same flat-parameter
-interface so ensembles can mix them freely.
+interface so ensembles can mix them freely.  Every architecture ends in
+one dense stack of (W, b) layers over its features: linear is that stack
+with no hidden layer, and conv_tiny feeds it the pooled channels of its
+convolution.
 
 One forward/backward core runs on a (M, P) stack of one spec's parameter
 vectors.  The scorers take a model set only as its ``MemberStack``, which
@@ -170,14 +173,13 @@ class ModelSpec:
 
 
 def _dense_shapes(spec: ModelSpec):
-    """(fan_out, fan_in) of each layer in flat-parameter order; conv_tiny's
-    first layer is its (channels, kernel_size) kernel."""
-    if spec.arch == "linear":
-        return [(spec.num_classes, spec.input_dim)]
-    if spec.arch == "mlp":
-        fans = (spec.input_dim,) + spec.hidden
-        return list(zip(spec.hidden, fans)) + [(spec.num_classes, fans[-1])]
-    return [(spec.channels, spec.kernel_size), (spec.num_classes, spec.channels)]
+    """(fan_out, fan_in) of each layer in flat-parameter order: conv_tiny's
+    (channels, kernel_size) kernel, then the dense stack from the features
+    (the input, or conv_tiny's pooled channels) through the hidden sizes to
+    the classes."""
+    conv = [(spec.channels, spec.kernel_size)] if spec.arch == "conv_tiny" else []
+    fans = (spec.channels or spec.input_dim,) + spec.hidden
+    return conv + list(zip(spec.hidden, fans)) + [(spec.num_classes, fans[-1])]
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -267,33 +269,28 @@ def _forward_stack(spec: ModelSpec, layers, xb: np.ndarray):
     Matmuls run per member, and on rows per member and row, so each row of
     a (B, 1, d) input equals a one-point call bitwise; a (B, d) batch is
     one (B, d) product per member and may round differently."""
-    cache = {"x": xb, "layers": layers}
-    if spec.arch == "linear":
-        (W, b), = layers
-        return xb @ W.swapaxes(-1, -2) + b, cache
-    if spec.arch == "mlp":
-        h = xb
-        pre, post = [], []
-        for W, b in layers[:-1]:
-            a = h @ W.swapaxes(-1, -2) + b
-            h = _act(spec, a)
-            pre.append(a)
-            post.append(h)
-        W, b = layers[-1]
-        cache["pre"], cache["post"] = pre, post
-        return h @ W.swapaxes(-1, -2) + b, cache
-    # conv_tiny: 'same' zero padding, activation, global average pool
-    (K, cb), (W, b) = layers
-    ksz, d = spec.kernel_size, spec.input_dim
-    pad = (ksz - 1) // 2
-    xpad = np.pad(xb, [(0, 0)] * (xb.ndim - 1) + [(pad, pad + ksz - 1 - pad)])
-    a = cb[..., None] + K[..., None, :, 0, None] * xpad[..., None, 0:d]
-    for j in range(1, ksz):
-        a += K[..., None, :, j, None] * xpad[..., None, j : j + d]
-    h = _act(spec, a)
-    pooled = h.mean(axis=-1)
-    cache.update(xpad=xpad, pre=a, post=h, pooled=pooled)
-    return pooled @ W.swapaxes(-1, -2) + b, cache
+    cache = {"x": xb, "layers": layers, "pre": [], "post": []}
+    h, dense = xb, layers
+    if spec.arch == "conv_tiny":
+        # 'same' zero padding, activation, global average pool
+        (K, cb), *dense = layers
+        ksz, d = spec.kernel_size, spec.input_dim
+        pad = (ksz - 1) // 2
+        xpad = np.pad(xb, [(0, 0)] * (xb.ndim - 1) + [(pad, pad + ksz - 1 - pad)])
+        a = cb[..., None] + K[..., None, :, 0, None] * xpad[..., None, 0:d]
+        for j in range(1, ksz):
+            a += K[..., None, :, j, None] * xpad[..., None, j : j + d]
+        h = _act(spec, a)
+        # conv_tiny has no hidden dense layer, so these hold its conv layer
+        cache.update(xpad=xpad, pre=a, post=h)
+        h = cache["pooled"] = h.mean(axis=-1)
+    for W, b in dense[:-1]:
+        a = h @ W.swapaxes(-1, -2) + b
+        h = _act(spec, a)
+        cache["pre"].append(a)
+        cache["post"].append(h)
+    W, b = dense[-1]
+    return h @ W.swapaxes(-1, -2) + b, cache
 
 
 def _backward_stack(spec: ModelSpec, cache, dlogits: np.ndarray, weights: bool = False):
@@ -301,34 +298,26 @@ def _backward_stack(spec: ModelSpec, cache, dlogits: np.ndarray, weights: bool =
     of a cotangent shaped like its logits, or with ``weights`` the (M, P)
     flat weight gradients of the members at a (B, d) batch or at their
     (M, B, d) batches, each summed over its batch."""
-    layers, xb = cache["layers"], cache["x"]
+    layers, pre, post = cache["layers"], cache["pre"], cache["post"]
+    conv = spec.arch == "conv_tiny"
+    dense, features = (layers[1:], cache["pooled"]) if conv else (layers, cache["x"])
     grads = []  # (dW, db) per layer, last layer first
-    if spec.arch == "linear":
-        (W, _), = layers
+    dh = dlogits
+    for i in range(len(dense) - 1, -1, -1):
+        if i < len(dense) - 1:
+            dh = dh * _act_grad(spec, pre[i], post[i])
         if weights:
-            return _flat([(dlogits.swapaxes(-1, -2) @ xb, dlogits.sum(axis=-2))])
-        return dlogits @ W
-    if spec.arch == "mlp":
-        pre, post = cache["pre"], cache["post"]
-        dh = dlogits
-        for i in range(len(layers) - 1, -1, -1):
-            if i < len(layers) - 1:
-                dh = dh * _act_grad(spec, pre[i], post[i])
-            if weights:
-                below = post[i - 1] if i else xb
-                grads.append((dh.swapaxes(-1, -2) @ below, dh.sum(axis=-2)))
-                if i == 0:
-                    return _flat(grads)
-            dh = dh @ layers[i][0]
+            below = post[i - 1] if i else features
+            grads.append((dh.swapaxes(-1, -2) @ below, dh.sum(axis=-2)))
+            if i == 0 and not conv:
+                return _flat(grads)
+        dh = dh @ dense[i][0]
+    if not conv:
         return dh
-    (K, _), (W, _) = layers
+    # dh is the gradient at the pooled features
+    K, xpad = layers[0][0], cache["xpad"]
     ksz, d = spec.kernel_size, spec.input_dim
-    pad = (ksz - 1) // 2
-    xpad, pre, post = cache["xpad"], cache["pre"], cache["post"]
-    if weights:
-        grads.append((dlogits.swapaxes(-1, -2) @ cache["pooled"],
-                      dlogits.sum(axis=-2)))
-    da = ((dlogits @ W)[..., None] / d) * _act_grad(spec, pre, post)
+    da = (dh[..., None] / d) * _act_grad(spec, pre, post)
     if weights:
         xpad = np.broadcast_to(xpad, da.shape[:-2] + xpad.shape[-1:])
         dK = [np.einsum("mbcp,mbp->mc", da, xpad[..., j : j + d]) for j in range(ksz)]
@@ -337,6 +326,7 @@ def _backward_stack(spec: ModelSpec, cache, dlogits: np.ndarray, weights: bool =
     dxpad = np.zeros(da.shape[:-2] + xpad.shape[-1:])
     for j in range(ksz):
         dxpad[..., j : j + d] += np.einsum("m...cp,m...c->m...p", da, K[..., j])
+    pad = (ksz - 1) // 2
     return dxpad[..., pad : pad + d]
 
 
@@ -631,12 +621,7 @@ def batch_ce_value_and_weight_grad(w: Weights, X: np.ndarray, y: np.ndarray):
 
 
 def _spec_header(spec: ModelSpec) -> bytes:
-    if spec.arch == "mlp":
-        extra = spec.hidden
-    elif spec.arch == "conv_tiny":
-        extra = (spec.channels,)
-    else:
-        extra = ()
+    extra = spec.hidden + ((spec.channels,) if spec.channels else ())
     fields = [
         _ARCH_TAGS[spec.arch],
         spec.input_dim,

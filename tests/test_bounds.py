@@ -1043,6 +1043,16 @@ def test_assemble_bound_checks_gamma_before_any_work(quad_setup, monkeypatch,
     assert M.GRAD_CALLS.value == before
 
 
+def test_assemble_bound_checks_the_shape_of_x_before_any_work(quad_setup, monkeypatch):
+    ens, data = quad_setup
+    x_hat, y = data.X_test[2], int(data.y_test[2])
+    counts = count_calls(monkeypatch, "_forward_stack")
+    with pytest.raises(ValueError, match=r"^x has shape \(5,\), x_hat has shape \(6,\)"):
+        B.assemble_bound(x_hat, x_hat[:5], 0.1, ens, ens.pretrained, y,
+                         B.BoundConfig(), 0.5)
+    assert counts == {"_forward_stack": 0}
+
+
 # ---------------------------------------------------------------------------
 # one scoring pass per model set, against the code it replaced
 # ---------------------------------------------------------------------------

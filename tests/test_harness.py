@@ -111,17 +111,24 @@ def test_asr_trivial_cases(monkeypatch):
         H.evaluate_asr(x, zeros, {"t": [model0]}, targeted=True)
     with pytest.raises(ValueError, match="nonempty"):
         H.evaluate_asr(x[:0], zeros[:0], {"t": [model0]})
-    # labels the success test compares must be classes of the set, checked
-    # before its forward pass
+    # labels the success test compares must be an integer array of classes
+    # of the set, checked before its forward pass: a float label never
+    # equals a prediction, and a bool one reads as a class
     monkeypatch.setattr(M, "predict_matrix",
                         lambda *a: pytest.fail("forward pass"))
-    for labels, kwargs, what in ((np.full(5, 7), {}, "labels"),
-                                 (np.full(5, -1), {}, "labels"),
-                                 (zeros, {"targeted": True,
-                                          "target_labels": np.full(5, 5)},
-                                  "target labels")):
-        with pytest.raises(ValueError,
-                           match=rf"^{what} must lie in \[0, 2\) for target set 't'"):
+    in_range = r"must lie in \[0, 2\) for target set 't'"
+    for labels, kwargs, message in (
+            (np.full(5, 7), {}, "labels " + in_range),
+            (np.full(5, -1), {}, "labels " + in_range),
+            (zeros, {"targeted": True, "target_labels": np.full(5, 5)},
+             "target labels " + in_range),
+            (np.full(5, 0.5), {}, "labels must have an integer dtype"),
+            (ones.astype(bool), {}, "labels must have an integer dtype"),
+            (zeros, {"targeted": True, "target_labels": np.full(5, 0.5)},
+             "target labels must have an integer dtype"),
+            (zeros, {"targeted": True, "target_labels": zeros.astype(bool)},
+             "target labels must have an integer dtype")):
+        with pytest.raises(ValueError, match=f"^{message}"):
             H.evaluate_asr(x, labels, {"t": [model0]}, **kwargs)
 
 
