@@ -56,8 +56,8 @@ class TestPrimitives:
         with pytest.raises(ValueError):
             A.AttackConfig(method="pgd")
         for name, value in (("n_ls", 2.5), ("inner_T", 2.5), ("n_iter", 3.5),
-                            ("n_iter", 0), ("n_ls", None), ("inner_T", None), ("n_ls", True),
-                            ("seed", 2.5)):
+                            ("n_iter", 0), ("n_ls", None), ("inner_T", None),
+                            ("n_ls", True), ("seed", 2.5)):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 A.AttackConfig(**{name: value})
         with pytest.raises(ValueError, match="targeted must be a bool"):
