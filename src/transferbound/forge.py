@@ -4,9 +4,9 @@ A surrogate ensemble approximates I model posteriors by fine-tuning I
 prototype classifiers with constant-rate SGD and keeping one snapshot per
 epoch: component i contributes n snapshots, K = I * n models total.
 ``build_ensembles`` is the one way in to training (``build_ensemble`` is
-its one-set call). It trains several sets at once, such as a seed's
-surrogate and target, each spec's prototypes in lockstep as one stack:
-pretrained for the caller's ``pretrain_epochs``, then fine-tuned.
+its one-pair call). It trains every seed's (prototype set, dataset)
+pairs at once, each spec's prototypes in lockstep as one stack of members
+on their own datasets: pretrained for ``pretrain_epochs``, then fine-tuned.
 """
 
 from __future__ import annotations
@@ -131,62 +131,74 @@ class PrototypeConfig:
 
 
 def _train(P: np.ndarray, cfgs: Sequence[PrototypeConfig], lr: np.ndarray,
-           data: Dataset, rngs: Sequence, epochs: int) -> list:
+           X: np.ndarray, y: np.ndarray, src: np.ndarray, rngs: Sequence,
+           epochs: int) -> list:
     """SGD in place on the (M, P) stack of one spec's prototypes ``cfgs``
-    (normal ones first), one step for all per minibatch: member i draws
-    its permutations from rngs[i], steps at lr[i] and, if adversarial, on
-    PGD examples at its adv_eps.  Returns a copy of P after each epoch;
-    raises DivergenceError after the first epoch at which any member's
-    parameters or training loss leave the reals."""
-    spec, X, y = cfgs[0].spec, data.X_train, data.y_train
-    if (spec.input_dim, spec.num_classes) != (data.input_dim, data.num_classes):
-        raise ValueError("dataset and model disagree on input dim or class count")
-    na = sum(cfg.training == "normal" for cfg in cfgs)
+    (normal ones first), one step for all per minibatch: member i trains on
+    rows X[src[i]], y[src[i]] of (S, N, d) and (S, N) stacks, draws its
+    permutations from rngs[i], steps at lr[i] and, if adversarial, on PGD
+    examples at its adv_eps.  Returns a copy of P after each epoch; raises
+    DivergenceError, naming whose, after the first epoch at which any
+    member's parameters or training loss leave the reals."""
+    spec, na = cfgs[0].spec, sum(cfg.training == "normal" for cfg in cfgs)
     eps = np.array([cfg.adv_eps for cfg in cfgs[na:]])[:, None, None]
     step = 2.5 * eps / ADV_STEPS
     layers, adv = M._layers(spec, P, 0), M._layers(spec, P[na:], 0)
     snapshots = []
     for epoch in range(epochs):
-        perms = np.array([rng.permutation(len(X)) for rng in rngs])
-        for start in range(0, len(X), BATCH_SIZE):
+        perms = np.array([rng.permutation(X.shape[1]) for rng in rngs])
+        for start in range(0, X.shape[1], BATCH_SIZE):
             idx = perms[:, start : start + BATCH_SIZE]
-            Xb, kind = X[idx], M.targeted_cross_entropy(y[idx])
+            Xb, yb = X[src[:, None], idx], y[src[:, None], idx]
             if na < len(P):  # PGD in each adversarial member's eps-ball
-                Xa, ka = Xb[na:], M.targeted_cross_entropy(y[idx[na:]])
+                Xa, ka = Xb[na:], M.targeted_cross_entropy(yb[na:])
                 lo, hi = np.clip(Xa - eps, 0, 1), np.clip(Xa + eps, 0, 1)
                 for _ in range(ADV_STEPS):
                     g = M.batch_ce_grads(spec, adv, Xa, ka)[1]
                     Xa = np.clip(Xa + step * np.sign(g), lo, hi)
                 Xb[na:] = Xa
+            kind = M.targeted_cross_entropy(yb)
             P -= lr[:, None] * M.batch_ce_grads(spec, layers, Xb, kind, True)[1]
-        if not np.all(np.isfinite(P)):
-            raise DivergenceError(f"training diverged at epoch {epoch}")
-        logits = M._forward_stack(spec, layers, X)[0]
-        check = np.mean(M.loss_from_logits(logits, M.targeted_cross_entropy(y)), axis=-1)
-        if not np.all(np.isfinite(check)):
+        bad, loss = ~np.all(np.isfinite(P), axis=1), ""
+        if not bad.any():
+            check = np.empty(len(P))
+            for s, m in enumerate(src == np.arange(len(X))[:, None]):  # m: s's members
+                z = M._forward_stack(spec, [(W[m], b[m]) for W, b in layers], X[s])[0]
+                check[m] = np.mean(M.loss_from_logits(
+                    z, M.targeted_cross_entropy(y[s])), axis=-1)
+            bad, loss = ~np.isfinite(check), f": loss={check.tolist()}"
+        if bad.any():
             raise DivergenceError(
-                f"training diverged at epoch {epoch}: loss={check.tolist()}")
+                f"training diverged at epoch {epoch} for prototype seeds "
+                f"{[cfg.seed for cfg, b in zip(cfgs, bad) if b]}{loss}")
         snapshots.append(P.copy())
     return snapshots
 
 
-def _train_group(cfgs: Sequence[PrototypeConfig], data: Dataset,
-                 pretrain_epochs: int) -> list:
-    """Pretrain one spec group's prototypes ``cfgs`` (normal ones first) as
-    one (M, P) stack from random init, then fine-tune it: each member's
-    (pretrained Weights, snapshot Weights)."""
+def _train_group(members: Sequence[tuple], pretrain_epochs: int) -> list:
+    """Pretrain one group's (prototype, dataset) ``members`` (normal ones
+    first, datasets of one size) as one (M, P) stack from random init, then
+    fine-tune it: each member's (pretrained Weights, snapshot Weights)."""
+    cfgs, spec = [cfg for cfg, _ in members], members[0][0].spec
+    datasets = list({id(data): data for _, data in members}.values())
+    if any((d.input_dim, d.num_classes) != (spec.input_dim, spec.num_classes)
+           for d in datasets):
+        raise ValueError("dataset and model disagree on input dim or class count")
+    src = np.array([[id(d) for d in datasets].index(id(data)) for _, data in members])
+    X = np.stack([data.X_train for data in datasets])
+    y = np.stack([data.y_train for data in datasets])
     pre_rngs, rngs = [[np.random.default_rng(np.random.SeedSequence([cfg.seed, stage]))
                        for cfg in cfgs] for stage in (0xF0, 0xF1)]
     P = np.array([M.init_weights(cfg.spec, rng).params
                   for cfg, rng in zip(cfgs, pre_rngs)])
-    _train(P, cfgs, np.full(len(cfgs), PRETRAIN_LR), data, pre_rngs,
+    _train(P, cfgs, np.full(len(cfgs), PRETRAIN_LR), X, y, src, pre_rngs,
            pretrain_epochs)
     pres = [M.Weights(cfg.spec, p) for cfg, p in zip(cfgs, P)]
-    stacks = _train(P, cfgs, np.array([cfg.lr for cfg in cfgs]), data, rngs,
+    stacks = _train(P, cfgs, np.array([cfg.lr for cfg in cfgs]), X, y, src, rngs,
                     cfgs[0].epochs)
     out = [(pre, [M.Weights(cfg.spec, S[i]) for S in stacks])
            for i, (cfg, pre) in enumerate(zip(cfgs, pres))]
-    for pre, snapshots in out:
+    for (pre, snapshots), (_, data) in zip(out, members):
         acc = [accuracy(w, data.X_test, data.y_test) for w in [pre, *snapshots]]
         if np.mean(acc[1:]) < acc[0] - 0.05:
             log.warning("snapshot accuracy %.3f fell more than 5 points below "
@@ -360,32 +372,36 @@ def fingerprint(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
     return h.hexdigest()
 
 
-def build_ensembles(prototype_sets: Sequence[Sequence[PrototypeConfig]],
-                    data: Dataset, *, pretrain_epochs: int) -> list:
-    """``build_ensemble`` of each prototype set, trained in lockstep: the
-    distinct prototypes of all sets that share a spec and an epoch count
-    train as one (M, P) stack, each to the numbers it would get alone."""
+def build_ensembles(pairs: Sequence[tuple], *, pretrain_epochs: int) -> list:
+    """``build_ensemble`` of each (prototype set, dataset) pair, trained in
+    lockstep: the distinct prototypes (a config on one dataset object) of
+    all pairs that share a spec, an epoch count and a training-set size
+    train as one (M, P) stack, each on its own dataset and to the numbers
+    it would get alone."""
     M.check_count("pretrain epochs", pretrain_epochs, 0)
-    if not prototype_sets or not all(prototype_sets):
+    if not pairs or not all(protos for protos, _ in pairs):
         raise ValueError("need at least one prototype in every set")
+    # a Dataset holds arrays and cannot be hashed: one object is one dataset
+    unique = {(cfg, id(data)): (cfg, data) for protos, data in pairs for cfg in protos}
     groups, trained = {}, {}
-    unique = dict.fromkeys(cfg for protos in prototype_sets for cfg in protos)
-    for cfg in sorted(unique, key=lambda cfg: cfg.training != "normal"):
-        groups.setdefault((cfg.spec, cfg.epochs), []).append(cfg)
-    for cfgs in groups.values():
-        trained.update(zip(cfgs, _train_group(cfgs, data, pretrain_epochs)))
+    for key in sorted(unique, key=lambda key: key[0].training != "normal"):
+        cfg, data = unique[key]
+        groups.setdefault((cfg.spec, cfg.epochs, len(data.X_train)), []).append(key)
+    for keys in groups.values():
+        trained.update(zip(keys, _train_group([unique[k] for k in keys],
+                                              pretrain_epochs)))
     return [SurrogateEnsemble(
-        [trained[cfg][1] for cfg in protos], seed=protos[0].seed,
-        pretrained=[trained[cfg][0] for cfg in protos],
+        [trained[cfg, id(data)][1] for cfg in protos], seed=protos[0].seed,
+        pretrained=[trained[cfg, id(data)][0] for cfg in protos],
         component_seeds=[cfg.seed for cfg in protos],
         fingerprint=fingerprint(protos, data, pretrain_epochs=pretrain_epochs))
-        for protos in prototype_sets]
+        for protos, data in pairs]
 
 
 def build_ensemble(prototypes: Sequence[PrototypeConfig], data: Dataset, *,
                    pretrain_epochs: int) -> SurrogateEnsemble:
     """Pretrain each prototype, then fine-tune it into a snapshot component."""
-    return build_ensembles([prototypes], data, pretrain_epochs=pretrain_epochs)[0]
+    return build_ensembles([(prototypes, data)], pretrain_epochs=pretrain_epochs)[0]
 
 
 def desk_prototypes(input_dim: int, num_classes: int, gamma: float,

@@ -198,7 +198,9 @@ class ExperimentConfig:
                 f"primary method {self.attack.method!r} missing from methods")
 
 
-def _dataset_for(cfg: ExperimentConfig, seed: int) -> F.Dataset:
+def _datasets(cfg: ExperimentConfig) -> dict:
+    """seed -> Dataset.  The seeds share one Dataset of a CIFAR batch, read
+    once, holding copies of only the rows it uses."""
     if cfg.dataset == "cifar10":
         X, y = load_cifar10_binary(cfg.dataset_path)
         need = cfg.n_train + cfg.n_test
@@ -206,13 +208,14 @@ def _dataset_for(cfg: ExperimentConfig, seed: int) -> F.Dataset:
             raise ValueError(
                 f"cifar batch {cfg.dataset_path} holds {X.shape[0]} "
                 f"records, need {need}")
-        return F.Dataset(X[: cfg.n_train], y[: cfg.n_train],
-                         X[cfg.n_train : need], y[cfg.n_train : need],
-                         num_classes=10)
-    return F.make_dataset(cfg.dataset, cfg.n_train, cfg.n_test, seed,
-                          input_dim=cfg.input_dim,
-                          num_classes=cfg.num_classes,
-                          separation=cfg.separation)
+        n, X, y = cfg.n_train, X[:need].copy(), y[:need].copy()
+        data = F.Dataset(X[:n], y[:n], X[n:], y[n:], num_classes=10)
+        return dict.fromkeys(cfg.seeds, data)
+    return {seed: F.make_dataset(cfg.dataset, cfg.n_train, cfg.n_test, seed,
+                                 input_dim=cfg.input_dim,
+                                 num_classes=cfg.num_classes,
+                                 separation=cfg.separation)
+            for seed in cfg.seeds}
 
 
 def _prototypes(cfg: ExperimentConfig, data: F.Dataset, base_seed: int) -> list:
@@ -232,46 +235,49 @@ def _prototypes(cfg: ExperimentConfig, data: F.Dataset, base_seed: int) -> list:
 ROLE_SEEDS = (("surrogate", 17), ("target", 563))  # base_seed offsets
 
 
-def _ensembles(cfg: ExperimentConfig, data: F.Dataset, seed: int, root: Path,
-               reuse: bool) -> tuple:
-    """The seed's surrogate and target ensembles, and "loaded" or "built".
-
-    With ``reuse`` set and both ``root/surrogate`` and ``root/target``
-    present, they are loaded, and each must carry the fingerprint this
-    config would train; anything else saved there (one role only, an
-    unreadable checkpoint, another fingerprint or shape) raises CheckpointError
-    rather than retraining.  Otherwise both are trained.
-    """
-    protos = {role: _prototypes(cfg, data, base_seed=1000 * seed + offset)
-              for role, offset in ROLE_SEEDS}
-    saved = [role for role in protos if (root / role).exists()]
-    if not reuse or not saved:
-        return (*F.build_ensembles(list(protos.values()), data,
-                                   pretrain_epochs=cfg.pretrain_epochs), "built")
+def _ensembles(cfg: ExperimentConfig, datasets: dict, out: Path,
+               reuse: bool) -> dict:
+    """seed -> (surrogate, target, "loaded" or "built").  With ``reuse``, a
+    seed with anything saved under ``out/ensembles/seed<s>`` loads both,
+    each checked against the fingerprint and shape this config trains; one
+    role only, an unreadable checkpoint or a mismatch raises CheckpointError
+    rather than retraining.  Every seed is checked before the other seeds
+    train, in one lockstep call."""
     rerun = "; re-run `forge` with this config"
-    if len(saved) < len(protos):
-        raise M.CheckpointError(
-            f"{root}: holds only {saved[0]}/ of the saved ensembles{rerun}")
-    loaded = []
-    for role, p in protos.items():
-        try:
-            ens = F.SurrogateEnsemble.load(root / role)
-        except M.CheckpointError as exc:
-            raise M.CheckpointError(f"{exc}{rerun}") from exc
-        want = F.fingerprint(p, data, pretrain_epochs=cfg.pretrain_epochs)
-        if ens.fingerprint != want:
+    ensembles, pairs = {}, []
+    for seed, data in datasets.items():
+        root = out / "ensembles" / f"seed{seed}"
+        protos = {role: _prototypes(cfg, data, base_seed=1000 * seed + offset)
+                  for role, offset in ROLE_SEEDS}
+        saved = [role for role in protos if (root / role).exists()]
+        if not reuse or not saved:
+            pairs += [(p, data) for p in protos.values()]
+            continue
+        if len(saved) < len(protos):
             raise M.CheckpointError(
-                f"{root / role}: saved ensemble has fingerprint "
-                f"{ens.fingerprint[:12]}..., this config trains "
-                f"{want[:12]}...{rerun}")
-        shape = (ens.num_components, ens.snapshots_per_component)
-        if shape != (cfg.components, cfg.snapshots):
-            raise M.CheckpointError(
-                f"{root / role}: saved ensemble holds I = {shape[0]}, n = "
-                f"{shape[1]}, this config trains I = {cfg.components}, n = "
-                f"{cfg.snapshots}{rerun}")
-        loaded.append(ens)
-    return (*loaded, "loaded")
+                f"{root}: holds only {saved[0]}/ of the saved ensembles{rerun}")
+        for role, p in protos.items():
+            try:
+                ens = F.SurrogateEnsemble.load(root / role)
+            except M.CheckpointError as exc:
+                raise M.CheckpointError(f"{exc}{rerun}") from exc
+            want = F.fingerprint(p, data, pretrain_epochs=cfg.pretrain_epochs)
+            if ens.fingerprint != want:
+                raise M.CheckpointError(
+                    f"{root / role}: saved ensemble has fingerprint "
+                    f"{ens.fingerprint[:12]}..., this config trains "
+                    f"{want[:12]}...{rerun}")
+            shape = (ens.num_components, ens.snapshots_per_component)
+            if shape != (cfg.components, cfg.snapshots):
+                raise M.CheckpointError(
+                    f"{root / role}: saved ensemble holds I = {shape[0]}, n = "
+                    f"{shape[1]}, this config trains I = {cfg.components}, n = "
+                    f"{cfg.snapshots}{rerun}")
+            ensembles.setdefault(seed, []).append(ens)
+    built = iter(F.build_ensembles(pairs, pretrain_epochs=cfg.pretrain_epochs)
+                 if pairs else ())
+    return {seed: (*ensembles[seed], "loaded") if seed in ensembles
+            else (next(built), next(built), "built") for seed in datasets}
 
 
 def _method_config(cfg: ExperimentConfig, method: str, seed: int,
@@ -332,9 +338,10 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
     per-example gradient-call accounting.  Default: everything.  Without
     "forge", a seed whose ensembles were saved reuses them (checked by
     fingerprint; a mismatch raises CheckpointError) and a seed without
-    them trains both in memory.  Whenever attacks run, ``run.json``
-    records the config, the Python and numpy versions, seconds per phase
-    ("forge" covers building or loading), per method the examples, wall
+    them trains both in memory, all seeds in one forge pass before any
+    attack.  Whenever attacks run, ``run.json`` records the config, the
+    Python and numpy versions, seconds per phase ("forge" covers that
+    pass), per method the examples, wall
     seconds and gradient calls (predicted and observed) summed over seeds,
     and per seed whether its ensembles were "loaded" or "built" and the
     surrogate's fingerprint.
@@ -361,28 +368,24 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
                             0.0)
     totals = {m: {"examples": 0, "seconds": 0.0, "grad_calls_predicted": 0,
                   "grad_calls_observed": 0} for m in cfg.methods}
-    sources = {}
 
-    for seed in cfg.seeds:
-        t0 = time.perf_counter()
-        data = _dataset_for(cfg, seed)
-        root = out / "ensembles" / f"seed{seed}"
-        surrogate, target_ens, source = _ensembles(
-            cfg, data, seed, root, reuse="forge" not in phases)
-        # nothing is written before the first seed's data and ensembles exist
-        out.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
+    datasets = _datasets(cfg)
+    ensembles = _ensembles(cfg, datasets, out, reuse="forge" not in phases)
+    # nothing is written before every seed's data and ensembles exist
+    out.mkdir(parents=True, exist_ok=True)
+    if "forge" in phases:
+        written["ensembles"] = root = out / "ensembles"
+        for seed, (surrogate, target_ens, _) in ensembles.items():
+            surrogate.save(root / f"seed{seed}" / "surrogate")
+            target_ens.save(root / f"seed{seed}" / "target")
+    phase_s["forge"] = time.perf_counter() - t0
+    sources = {str(seed): {"source": source, "fingerprint": surrogate.fingerprint}
+               for seed, (surrogate, _, source) in ensembles.items()}
+
+    for seed in cfg.seeds if need_attacks else ():
+        data, (surrogate, target_ens, _) = datasets[seed], ensembles[seed]
         targets = {"heldout": list(target_ens.all_members())}
-        sources[str(seed)] = {"source": source,
-                              "fingerprint": surrogate.fingerprint}
-
-        if "forge" in phases:
-            surrogate.save(root / "surrogate")
-            target_ens.save(root / "target")
-            written.setdefault("ensembles", out / "ensembles")
-        phase_s["forge"] += time.perf_counter() - t0
-        if not need_attacks:
-            continue
-
         X = data.X_test[: cfg.n_examples]
         y = data.y_test[: cfg.n_examples].astype(int)
         y_t = (y + 1) % data.num_classes

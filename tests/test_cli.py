@@ -1,6 +1,7 @@
 """Command-line interface: config files, flag overrides, exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -367,6 +368,31 @@ def test_commands_after_forge_match_a_fresh_out(tmp_path, count_builds, extra):
     for row in (saved / "bench.csv").read_text().splitlines()[2:]:
         cells = row.split(",")
         assert cells[4] == cells[5]
+
+
+def test_a_three_seed_forge_trains_once_and_saves_what_one_seed_forges_save(
+        tmp_path, count_builds):
+    def checkpoints(root):
+        return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted((root / "ensembles").rglob("*")) if p.is_file()}
+
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text(tiny_with("seeds = 0,1,2\n"), encoding="utf-8")
+    out = tmp_path / "three"
+    assert cli.main(["forge", "--config", str(cfg), "--out", str(out)]) \
+        == cli.EXIT_OK
+    # every seed's linear and mlp prototypes pretrain and fine-tune as two
+    # lockstep groups
+    assert len(count_builds) == 4
+    want = {}
+    for seed in range(3):
+        one = tmp_path / f"seed{seed}"
+        assert cli.main(["forge", "--config", str(cfg), "--seed", str(seed),
+                         "--out", str(one)]) == cli.EXIT_OK
+        want.update(checkpoints(one))
+    got = checkpoints(out)
+    assert len(got) == 3 * 2 * (1 + 4 * (4 + 1))
+    assert got == want
 
 
 def test_forge_then_eval_as_separate_processes(tiny_config, tmp_path):

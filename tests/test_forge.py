@@ -88,12 +88,13 @@ def test_training_entry_points_check_their_settings():
     data = small_data(n_train=40, n_test=10)
     cfg = F.PrototypeConfig(spec=M.ModelSpec("linear", 2, 2), epochs=1)
     for build in (lambda: F.build_ensemble([cfg], data, pretrain_epochs=2.5),
-                  lambda: F.build_ensembles([[cfg]], data, pretrain_epochs=-1)):
+                  lambda: F.build_ensembles([([cfg], data)], pretrain_epochs=-1)):
         with pytest.raises(ValueError, match="pretrain epochs must be an integer"):
             build()
     for sets in ([[]], [], [[cfg], []]):
         with pytest.raises(ValueError, match="at least one prototype"):
-            F.build_ensembles(sets, data, pretrain_epochs=1)
+            F.build_ensembles([(protos, data) for protos in sets],
+                              pretrain_epochs=1)
     with pytest.raises(ValueError, match="at least one prototype"):
         F.build_ensemble([], data, pretrain_epochs=1)
 
@@ -155,13 +156,19 @@ class TestFineTune:
                 if r.name == F.log.name] == logged
 
     def test_one_diverging_member_stops_its_lockstep_group(self):
-        data = small_data()
+        data, other = small_data(), small_data(seed=6)
         spec = M.ModelSpec("mlp", 2, 2, hidden=(8,))
         calm = F.PrototypeConfig(spec=spec, lr=0.05, epochs=3, seed=11)
         wild = F.PrototypeConfig(spec=spec, lr=1e305, epochs=3, seed=12)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(F.DivergenceError, match="epoch"):
                 F.build_ensemble([calm, wild], data, pretrain_epochs=2)
+            # one group spans both datasets; the error names whose run it was
+            with pytest.raises(F.DivergenceError) as err:
+                F.build_ensembles([([calm], data), ([wild], other)],
+                                  pretrain_epochs=2)
+        assert str(err.value).startswith(
+            "training diverged at epoch 0 for prototype seeds [12]")
 
     def test_epoch_check_takes_no_weight_gradient(self, monkeypatch):
         data = small_data()
@@ -219,7 +226,8 @@ class TestFineTune:
         rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF1]))
                 for cfg in cfgs]
         P = np.array([pre.params for pre in want[1]])
-        snapshots = F._train(P, cfgs, np.full(2, 0.05), data, rngs, 1)
+        snapshots = F._train(P, cfgs, np.full(2, 0.05), data.X_train[None],
+                             data.y_train[None], np.zeros(2, int), rngs, 1)
         # both minibatches' 5 PGD steps and weight steps share the views of
         # the group stack and of its adversarial slice
         assert sliced == [(2, 0), (1, 0)]
@@ -542,8 +550,10 @@ def frozen_build_ensemble(prototypes, data, pretrain_epochs):
 
 @st.composite
 def prototype_sets(draw):
-    """1-2 sets of 1-4 prototypes over mixed specs on one dataset, with
-    per-set epoch counts and a ragged last minibatch."""
+    """1-3 (set, dataset) pairs of 1-4 prototypes over mixed specs, with
+    per-set epoch counts and a ragged last minibatch: a set shares the
+    last set's dataset object, or draws its own of the same or another
+    size, so that a lockstep group often spans several datasets."""
     d, k = draw(st.integers(2, 5)), draw(st.integers(2, 3))
     specs = [M.ModelSpec("linear", d, k),
              M.ModelSpec("mlp", d, k, hidden=(5,), activation="relu"),
@@ -551,9 +561,12 @@ def prototype_sets(draw):
              M.ModelSpec("conv_tiny", d, k, channels=2)]
     # two specs at a time, so that groups of several members are common
     specs = draw(st.sampled_from([specs[:2], specs[1:3], specs[2:], specs[::3]]))
-    sets, seed = [], 0
-    for _ in range(draw(st.integers(1, 2))):
-        epochs, protos = draw(st.integers(1, 2)), []
+    pairs, seed, n_train = [], 0, draw(st.integers(20, 70))
+    for i in range(draw(st.sampled_from([3, 2, 1]))):
+        # a set keeps the last one's epochs, or draws its own
+        if not i or draw(st.booleans()):
+            epochs = draw(st.integers(1, 2))
+        protos = []
         for _ in range(draw(st.integers(1, 4))):
             adversarial = draw(st.booleans())
             protos.append(F.PrototypeConfig(
@@ -564,18 +577,26 @@ def prototype_sets(draw):
                 adv_eps=draw(st.sampled_from([0.03, 0.1, 0.2])) if adversarial
                 else 0.0))
             seed += 1
-        sets.append(protos)
-    data = F.make_dataset("gaussian_mixture", draw(st.integers(20, 70)), 10,
-                          draw(st.integers(0, 3)), input_dim=d, num_classes=k)
-    return sets, data, draw(st.integers(0, 2))
+        source = draw(st.sampled_from(["same_size", "shared", "own_size"])
+                      if i else st.just("own_size"))
+        if source == "shared":
+            data = pairs[-1][1]
+        else:
+            if source == "own_size":
+                n_train = draw(st.integers(20, 70))
+            data = F.make_dataset("gaussian_mixture", n_train, 10,
+                                  draw(st.integers(0, 3)), input_dim=d,
+                                  num_classes=k)
+        pairs.append((protos, data))
+    return pairs, draw(st.integers(0, 2))
 
 
 @settings(max_examples=50, deadline=None)
 @given(case=prototype_sets())
 def test_lockstep_training_equals_one_prototype_at_a_time_bitwise(case):
-    sets, data, pretrain_epochs = case
-    built = F.build_ensembles(sets, data, pretrain_epochs=pretrain_epochs)
-    for protos, ens in zip(sets, built):
+    pairs, pretrain_epochs = case
+    built = F.build_ensembles(pairs, pretrain_epochs=pretrain_epochs)
+    for (protos, data), ens in zip(pairs, built):
         components, pres = frozen_build_ensemble(protos, data, pretrain_epochs)
         assert [[w.params.tobytes() for w in comp] for comp in ens.components] \
             == [[w.params.tobytes() for w in comp] for comp in components]

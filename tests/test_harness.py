@@ -10,6 +10,7 @@ import pytest
 
 from transferbound import attacks as A
 from transferbound import bounds as B
+from transferbound import cli
 from transferbound import forge as F
 from transferbound import harness as H
 from transferbound import models as M
@@ -73,7 +74,7 @@ def test_cifar_short_batch_names_the_file(tmp_path):
                        dataset_path=str(batch), n_train=2, n_test=2,
                        n_examples=1, bound_examples=1)
     with pytest.raises(ValueError) as err:
-        H._dataset_for(cfg, 0)
+        H._datasets(cfg)[0]
     assert str(err.value) == f"cifar batch {batch} holds 3 records, need 4"
 
 
@@ -323,6 +324,30 @@ def test_run_experiment_cifar_branch(tmp_path):
         H.run_experiment(cfg_short, phases={"attack"})
 
 
+def test_cifar_seeds_share_one_dataset_of_the_rows_they_use(tmp_path,
+                                                            monkeypatch):
+    batch = tmp_path / "batch.bin"
+    batch.write_bytes(b"".join(make_record(i % 10, i + 1) for i in range(30)))
+    cfg = small_config(
+        tmp_path / "cifar", dataset="cifar10", dataset_path=str(batch),
+        n_train=24, n_test=4, n_examples=2, components=1, snapshots=2,
+        pretrain_epochs=2, methods=("drap",), seeds=(0, 1))
+    datasets = H._datasets(cfg)
+    assert datasets[0] is datasets[1]
+    data, (X, y) = datasets[0], H.load_cifar10_binary(batch)
+    # views of a copy of the 28 rows used, not of the 30-record batch
+    assert data.X_train.base.shape == (28, 3072)
+    assert data.X_test.base is data.X_train.base
+    assert data.X_train.tobytes() + data.X_test.tobytes() == X[:28].tobytes()
+    assert data.y_train.tolist() + data.y_test.tolist() == y[:28].tolist()
+    # both seeds' prototypes train on the one stacked dataset
+    stacks, train = [], F._train
+    monkeypatch.setattr(F, "_train", lambda P, cfgs, lr, X, *a: stacks.append(
+        X.shape) or train(P, cfgs, lr, X, *a))
+    H.run_experiment(cfg, phases={"attack"})
+    assert stacks == [(1, 24, 3072)] * 2
+
+
 def test_run_experiment_creates_missing_dirs(tmp_path):
     nested = tmp_path / "a" / "b" / "c"
     written = H.run_experiment(small_config(nested, methods=("drap",)),
@@ -333,7 +358,7 @@ def test_run_experiment_creates_missing_dirs(tmp_path):
 def test_five_components_reuse_the_first_desk_prototype_reseeded(tmp_path,
                                                                   monkeypatch):
     cfg = small_config(tmp_path / "five", components=5, methods=A.METHODS)
-    data = H._dataset_for(cfg, 0)
+    data = H._datasets(cfg)[0]
     desk = F.desk_prototypes(2, 2, gamma=cfg.attack.gamma, base_seed=17,
                              epochs=cfg.snapshots, lr=cfg.proto_lr)
     assert H._prototypes(cfg, data, base_seed=17) == desk + [
@@ -369,7 +394,7 @@ def frozen_per_example_attacks(cfg, out):
     (out / "traces").mkdir(parents=True)
     bench_lines = []
     for seed in cfg.seeds:
-        data = H._dataset_for(cfg, seed)
+        data = H._datasets(cfg)[seed]
         surrogate = F.build_ensemble(
             H._prototypes(cfg, data, base_seed=1000 * seed + 17), data,
             pretrain_epochs=cfg.pretrain_epochs)
@@ -484,3 +509,25 @@ def test_saved_ensembles_are_reused_not_retrained(tmp_path, monkeypatch,
         {"0": "loaded", "1": "loaded"}
     assert {s: e["fingerprint"] for s, e in record["ensembles"].items()} == \
         {s: e["fingerprint"] for s, e in want["ensembles"].items()}
+
+
+def test_a_later_seeds_damaged_checkpoint_fails_before_any_attack(tmp_path,
+                                                                  capsys):
+    config = tmp_path / "two_seeds.cfg"
+    config.write_text("input_dim = 2\nnum_classes = 2\nn_train = 120\n"
+                      "n_test = 30\nn_examples = 2\nbound_examples = 1\n"
+                      "pretrain_epochs = 4\ncomponents = 2\nn = 2\n"
+                      "seeds = 0,1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["--config", str(config), "--out", str(out)]
+    assert cli.main(["forge", *args]) == cli.EXIT_OK
+    manifest = out / "ensembles" / "seed1" / "target" / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("n = 2\n", "n = 3\n"))
+    capsys.readouterr()
+    assert cli.main(["eval", *args]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(out / "ensembles" / "seed1") in err and "re-run `forge`" in err
+    # seed 0 loaded cleanly, yet nothing of it was attacked or written
+    assert list(out.glob("adv_*")) == []
+    assert not (out / "traces").exists()
+    assert not (out / "asr.csv").exists()
