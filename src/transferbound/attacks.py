@@ -486,8 +486,3 @@ def trace_to_csv(state: AttackState, cfg: AttackConfig) -> str:
         buf.write(f"{row.iter},{row.component},{row.snapshot},"
                   f"{row.loss_pre:.17g},{row.loss_post:.17g},{row.grad_calls}\n")
     return buf.getvalue()
-
-
-def write_trace(state: AttackState, cfg: AttackConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trace_to_csv(state, cfg))

@@ -219,11 +219,12 @@ def _kl_search(grid: np.ndarray, S: np.ndarray, mean_t: np.ndarray) -> np.ndarra
     fine pass evaluates every grid point from one neighbour to the other.
     Computed values carry rounding error of at most ``noise``.  A coarse
     interval whose two ends both read more than 2 * noise below the
-    coarse max holds no point that can beat it (by concavity); every
-    other interval is evaluated too.  So the result is the full-grid max
-    bit for bit, and on a clear peak only the two intervals next to the
-    coarse argmax are evaluated.  A non-finite coarse value falls back to
-    the full grid.
+    coarse max holds no point that can beat it (by concavity); the fine
+    pass evaluates every grid point from the first interval not ruled out
+    to the last, where no point is NaN if the coarse values are finite.
+    So the result is the full-grid max bit for bit, and on a clear peak
+    only the two intervals next to the coarse argmax are evaluated.  A
+    non-finite coarse value falls back to the full grid.
 
     Both passes run over all candidates at once: the coarse pass over
     every (candidate, coarse point) pair, the fine pass over each
@@ -242,21 +243,19 @@ def _kl_search(grid: np.ndarray, S: np.ndarray, mean_t: np.ndarray) -> np.ndarra
     near = np.ones_like(vals, dtype=bool)
     top = vals[finite].max(axis=1) - 2 * noise[finite]
     near[finite] = vals[finite] >= top[:, None]
-    # coarse point j covers the segments on both sides of it; a run of
-    # covered segments is one interval of grid points
+    # coarse point j covers the segments on both sides of it; every
+    # candidate covers at least one, and its fine interval runs from the
+    # first covered segment to the last
     if coarse.size == 1:
         covered, seg_lo, seg_hi = near, coarse, coarse
     else:
         covered, seg_lo, seg_hi = near[:, :-1] | near[:, 1:], coarse[:-1], coarse[1:]
-    edge = np.diff(covered.astype(np.int8), axis=1, prepend=0, append=0)
-    run_cand, first = np.nonzero(edge == 1)
-    last = np.nonzero(edge == -1)[1] - 1
-    lo, size = seg_lo[first], seg_hi[last] - seg_lo[first] + 1
+    lo = seg_lo[np.argmax(covered, axis=1)]
+    size = seg_hi[-1 - np.argmax(covered[:, ::-1], axis=1)] - lo + 1
     start = np.cumsum(size) - size
     idx = np.arange(size.sum()) - np.repeat(start - lo, size)
-    fine = _kl_pairs(grid[idx], np.repeat(run_cand, size), S, mean_t)
-    # every candidate has a run, and its runs are consecutive
-    return np.maximum.reduceat(fine, start[np.diff(run_cand, prepend=-1) != 0])
+    fine = _kl_pairs(grid[idx], np.repeat(np.arange(C), size), S, mean_t)
+    return np.maximum.reduceat(fine, start)
 
 
 def d_kl(s_losses: Sequence[np.ndarray], t_losses: Sequence[np.ndarray],
@@ -554,14 +553,10 @@ class BoundReport:
     in_localized_space: bool
 
     def csv_row(self) -> str:
-        def fmt(v):
-            return "inf" if math.isinf(v) else f"{v:.17g}"
-        return ",".join([
-            self.phi, fmt(self.r), fmt(self.c1), fmt(self.c2),
-            fmt(self.sharpness), fmt(self.d_hat), fmt(self.k_s_at_c1),
-            fmt(self.eps_pac), fmt(self.assembled),
-            fmt(self.realized_target_risk),
-        ])
+        return ",".join([self.phi, *(f"{v:.17g}" for v in (
+            self.r, self.c1, self.c2, self.sharpness, self.d_hat,
+            self.k_s_at_c1, self.eps_pac, self.assembled,
+            self.realized_target_risk))])
 
 
 # random points drawn around x into each candidate pool, next to x_hat

@@ -188,10 +188,10 @@ def main(argv=None) -> int:
     try:
         cfg = _experiment_config(args)
         written = H.run_experiment(cfg, phases=COMMANDS[args.command][0])
-    except (ConfigError, B.InfeasibleError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, InfeasibleError, CheckpointError
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (A.NumericError, DivergenceError, FloatingPointError) as exc:
+    except (A.NumericError, DivergenceError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     for line in _summarize(written):

@@ -43,9 +43,11 @@ ALL_PHASES = frozenset({"forge", "attack", "asr", "bounds", "bench"})
 # ---------------------------------------------------------------------------
 
 
-def load_cifar10_binary(path) -> tuple:
-    """Read a CIFAR-10 binary batch: 3073-byte records of one label byte
-    followed by 3072 channel-planar pixel bytes, scaled to [0, 1]."""
+def load_cifar10_binary(path, records: int) -> tuple:
+    """Read the first ``records`` records of a CIFAR-10 binary batch:
+    3073-byte records of one label byte followed by 3072 channel-planar
+    pixel bytes, scaled to [0, 1].  Every record's label is checked; only
+    the rows returned are converted."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -56,15 +58,16 @@ def load_cifar10_binary(path) -> tuple:
             f"corrupt batch file {path}: {len(raw) - offset} trailing bytes "
             f"at byte offset {offset} (records are {CIFAR_RECORD} bytes)")
     buf = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
-    labels = buf[:, 0].astype(np.int64)
-    bad = np.nonzero(labels > 9)[0]
+    bad = np.nonzero(buf[:, 0] > 9)[0]
     if bad.size:
         i = int(bad[0])
         raise ValueError(
-            f"{path}: invalid label {int(labels[i])} at byte offset "
+            f"{path}: invalid label {int(buf[i, 0])} at byte offset "
             f"{i * CIFAR_RECORD}")
-    pixels = buf[:, 1:].astype(np.float64) / 255.0
-    return pixels, labels
+    if len(buf) < records:
+        raise ValueError(
+            f"cifar batch {path} holds {len(buf)} records, need {records}")
+    return buf[:records, 1:] / 255.0, buf[:records, 0].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +203,10 @@ class ExperimentConfig:
 
 def _datasets(cfg: ExperimentConfig) -> dict:
     """seed -> Dataset.  The seeds share one Dataset of a CIFAR batch, read
-    once, holding copies of only the rows it uses."""
+    once, holding only the rows it uses."""
     if cfg.dataset == "cifar10":
-        X, y = load_cifar10_binary(cfg.dataset_path)
-        need = cfg.n_train + cfg.n_test
-        if X.shape[0] < need:
-            raise ValueError(
-                f"cifar batch {cfg.dataset_path} holds {X.shape[0]} "
-                f"records, need {need}")
-        n, X, y = cfg.n_train, X[:need].copy(), y[:need].copy()
+        n = cfg.n_train
+        X, y = load_cifar10_binary(cfg.dataset_path, n + cfg.n_test)
         data = F.Dataset(X[:n], y[:n], X[n:], y[n:], num_classes=10)
         return dict.fromkeys(cfg.seeds, data)
     return {seed: F.make_dataset(cfg.dataset, cfg.n_train, cfg.n_test, seed,
@@ -350,10 +348,11 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
     unknown = phases - ALL_PHASES
     if unknown:
         raise ValueError(f"unknown phases {sorted(unknown)}")
-    if "bounds" in phases and cfg.components * cfg.snapshots < 2:
-        raise ValueError(f"bounds need components * n >= 2 (K >= 2 snapshots), "
-                         f"got components = {cfg.components}, n = {cfg.snapshots}")
     if "bounds" in phases:
+        if cfg.components * cfg.snapshots < 2:
+            raise ValueError(
+                f"bounds need components * n >= 2 (K >= 2 snapshots), "
+                f"got components = {cfg.components}, n = {cfg.snapshots}")
         # exact for tv and kl; for chi2 only c2 >= 0, the rest needs losses
         B.require_feasible(cfg.bound, [])
     out = Path(cfg.out_dir)
@@ -391,14 +390,14 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
         y_t = (y + 1) % data.num_classes
 
         labels = y_t if cfg.attack.targeted else y
-        states_by_method = {}
         for method in cfg.methods:
             acfg = _method_config(cfg, method, seed, surrogate)
             t0 = time.perf_counter()
             # one run over every example; example 0's trace is written
             state = A.run_attack(X, labels, surrogate, acfg)
             seconds = time.perf_counter() - t0
-            states_by_method[method] = state
+            if method == cfg.attack.method:
+                adv = state.x_hat  # the bounds run on the primary method
             tally = totals[method]
             tally["examples"] += cfg.n_examples
             tally["seconds"] += seconds
@@ -409,8 +408,8 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
                 np.save(out / f"adv_{method}_seed{seed}.npy", state.x_hat)
                 trace_dir = out / "traces"
                 trace_dir.mkdir(exist_ok=True)
-                A.write_trace(state.example(0), acfg,
-                              trace_dir / f"trace_{method}_seed{seed}.csv")
+                (trace_dir / f"trace_{method}_seed{seed}.csv").write_text(
+                    A.trace_to_csv(state.example(0), acfg), encoding="utf-8")
                 written.setdefault("traces", trace_dir)
             if "bench" in phases:
                 s0 = state.example(0)
@@ -420,22 +419,19 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
                     f"{s0.predicted_grad_calls},{s0.grad_calls}")
             phase_s["attack"] += time.perf_counter() - t0
 
-        if "asr" in phases:
-            t0 = time.perf_counter()
-            for method in cfg.methods:
-                adv = states_by_method[method].x_hat
-                table = evaluate_asr(adv, y, targets,
+            if "asr" in phases:
+                t0 = time.perf_counter()
+                table = evaluate_asr(state.x_hat, y, targets,
                                      targeted=cfg.attack.targeted,
                                      target_labels=y_t, method=method)
                 for (meth, name), cell in sorted(table.rows.items()):
                     asr_lines.append(f"{meth},{name},{seed},{cell.examples},"
                                      f"{100.0 * cell.rate:.1f}")
                     asr_cells.setdefault((meth, name), []).append(cell)
-            phase_s["asr"] += time.perf_counter() - t0
+                phase_s["asr"] += time.perf_counter() - t0
 
         if "bounds" in phases:
             t0 = time.perf_counter()
-            adv = states_by_method[cfg.attack.method].x_hat
             for idx in range(min(cfg.bound_examples, cfg.n_examples)):
                 x_hat = adv[idx]
                 lbl = int(y[idx])

@@ -55,6 +55,8 @@ class TestPrimitives:
             A.AttackConfig(inner_T=-1)
         with pytest.raises(ValueError):
             A.AttackConfig(method="pgd")
+        with pytest.raises(ValueError, match="unknown schedule mode 'cyclic'"):
+            A.AttackConfig(schedule_mode="cyclic")
         for name, value in (("n_ls", 2.5), ("inner_T", 2.5), ("n_iter", 3.5),
                             ("n_iter", 0), ("n_ls", None), ("inner_T", None),
                             ("n_ls", True), ("seed", 2.5)):
@@ -333,6 +335,8 @@ class TestRunners:
         assert via.x_hat.tobytes() == again.x_hat.tobytes()
         cfg_rap = small_cfg(method="rap", n_iter=3)
         assert A.run_attack(x, y, ens, cfg_rap).method == "rap"
+        with pytest.raises(ValueError, match="rap needs a model batch"):
+            A.run_attack(x, y, replace(ens, pretrained=[]), cfg_rap)
         # ifgsm/mifgsm attack an explicit model list, else sweep the schedule
         listed = A.run_attack(x, y, ens, small_cfg(method="mifgsm", n_iter=3),
                               models=ens.pretrained)

@@ -113,6 +113,8 @@ def test_feasibility_tv_and_chi2():
         B.feasibility(0.0, 1.0, two_point, "kl")
     with pytest.raises(ValueError):
         B.feasibility(-1.0, 1.0, two_point, "tv")
+    with pytest.raises(ValueError, match="unknown phi 'js'"):
+        B.feasibility(1.0, 1.0, two_point, "js")
     # NaN coefficients are refused, not reported infeasible with a NaN margin
     for c1, c2, message in ((math.nan, 1.0, "c1 must be > 0 and finite"),
                             (1.0, math.nan, "c2 must be finite")):
@@ -440,7 +442,7 @@ def test_row_estimators_equal_the_per_candidate_loops(case):
     assert same_float(B.d_kl(s, t), frozen_d_kl(s, t))
 
 
-def test_kl_search_memory_stays_flat():
+def test_kl_search_memory_stays_flat(monkeypatch):
     rng = np.random.default_rng(8)
     s = [rng.beta(2.0, 5.0, 40) for _ in range(65)]
     t = [rng.beta(2.0, 4.0, 40) for _ in range(65)]
@@ -454,6 +456,16 @@ def test_kl_search_memory_stays_flat():
     assert got == frozen_d_kl(s, t, grid)
     # the passes run KL_CHUNK elements at a time, not (65, points, 40)
     assert peak < 1 << 20
+    # 65 candidates x 126 coarse points, then 33 fine points each
+    pairs, kl_pairs = [], B._kl_pairs
+
+    def counted(t, cand, *rest):
+        pairs.append(cand.size)
+        return kl_pairs(t, cand, *rest)
+
+    monkeypatch.setattr(B, "_kl_pairs", counted)
+    assert B.d_kl(s, t, grid) == got
+    assert pairs == [8190, 2145]
 
 
 def test_estimator_validation():
@@ -463,6 +475,8 @@ def test_estimator_validation():
         B.d_kl([np.array([])], [np.array([0.1])])
     with pytest.raises(ValueError):
         B.d_kl([np.array([0.1])], [np.array([0.2])], np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="t grid must be a nonempty vector"):
+        B.d_kl([np.array([0.1])], [np.array([0.2])], np.array([]))
     # one non-finite grid point would zero the estimate (0.530 on [0, 1])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="t grid must be finite"):

@@ -77,8 +77,9 @@ class TestDatasets:
     (dict(training="adversarial", adv_eps=np.inf), "adv_eps must be > 0 and finite"),
     (dict(epochs=2.5), "epochs must be an integer >= 1, got 2.5"),
     (dict(epochs=True), "epochs must be an integer >= 1, got True"),
+    (dict(training="mixup"), "unknown training mode 'mixup'"),
 ], ids=["nan_lr", "inf_lr", "nan_adv_eps", "inf_adv_eps", "fractional_epochs",
-        "bool_epochs"])
+        "bool_epochs", "unknown_training"])
 def test_prototype_config_rejects_non_finite_settings(change, message):
     with pytest.raises(ValueError, match=message):
         F.PrototypeConfig(spec=M.ModelSpec("linear", 2, 2), **change)
@@ -97,6 +98,9 @@ def test_training_entry_points_check_their_settings():
                               pretrain_epochs=1)
     with pytest.raises(ValueError, match="at least one prototype"):
         F.build_ensemble([], data, pretrain_epochs=1)
+    wide = F.PrototypeConfig(spec=M.ModelSpec("linear", 3, 2), epochs=1)
+    with pytest.raises(ValueError, match="disagree on input dim"):
+        F.build_ensemble([wide], data, pretrain_epochs=1)
 
 
 class TestFineTune:
@@ -267,6 +271,8 @@ class TestEnsemble:
         bad[0] = bad[0][:-1]
         with pytest.raises(ValueError):
             F.SurrogateEnsemble(bad)
+        with pytest.raises(ValueError, match="at least one non-empty component"):
+            F.SurrogateEnsemble([list(ens.components[0]), []])
 
     def test_save_load_round_trip(self, tmp_path):
         ens, _ = self.build()

@@ -3,6 +3,7 @@
 import json
 import platform
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ def test_cifar_loader_parses_records(tmp_path):
     rec0 = bytes([3, 255]) + bytes(3071)  # first pixel byte 255
     rec1 = make_record(9, 7)
     path.write_bytes(rec0 + rec1)
-    X, y = H.load_cifar10_binary(path)
+    X, y = H.load_cifar10_binary(path, 2)
     assert X.shape == (2, 3072) and y.tolist() == [3, 9]
     assert X[0, 0] == 1.0  # 255 scales to exactly 1.0
     assert X[0, 1] == 0.0
@@ -42,29 +43,43 @@ def test_cifar_loader_truncated(tmp_path):
     path = tmp_path / "short.bin"
     path.write_bytes(bytes(3072))
     with pytest.raises(ValueError, match="byte offset 0"):
-        H.load_cifar10_binary(path)
+        H.load_cifar10_binary(path, 1)
 
 
 def test_cifar_loader_trailing_bytes(tmp_path):
     path = tmp_path / "trailing.bin"
     path.write_bytes(make_record(1, 3) + bytes(5))
     with pytest.raises(ValueError, match="byte offset 3073"):
-        H.load_cifar10_binary(path)
+        H.load_cifar10_binary(path, 1)
 
 
 def test_cifar_loader_bad_label(tmp_path):
     path = tmp_path / "badlabel.bin"
     path.write_bytes(make_record(1, 3) + make_record(12, 3))
     with pytest.raises(ValueError, match="label 12 at byte offset 3073"):
-        H.load_cifar10_binary(path)
+        H.load_cifar10_binary(path, 1)
 
 
 def test_cifar_bad_label_names_the_file(tmp_path):
     path = tmp_path / "badlabel.bin"
     path.write_bytes(make_record(12, 3))
     with pytest.raises(ValueError) as err:
-        H.load_cifar10_binary(path)
+        H.load_cifar10_binary(path, 1)
     assert str(err.value).startswith(f"{path}: invalid label 12")
+
+
+def test_cifar_loader_converts_only_the_rows_it_returns(tmp_path):
+    path = tmp_path / "batch.bin"
+    path.write_bytes(make_record(3, 5) * 1000)
+    tracemalloc.start()
+    try:
+        X, y = H.load_cifar10_binary(path, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.shape == (50, 3072) and y.tolist() == [3] * 50
+    # the 3.1 MB file and 50 float rows (1.2 MB), not 1,000 (24.6 MB)
+    assert peak < 8 << 20
 
 
 def test_cifar_short_batch_names_the_file(tmp_path):
@@ -128,7 +143,9 @@ def test_asr_trivial_cases(monkeypatch):
             (zeros, {"targeted": True, "target_labels": np.full(5, 0.5)},
              "target labels must have an integer dtype"),
             (zeros, {"targeted": True, "target_labels": zeros.astype(bool)},
-             "target labels must have an integer dtype")):
+             "target labels must have an integer dtype"),
+            (zeros, {"targeted": True, "target_labels": zeros[:3]},
+             "target labels must align with labels")):
         with pytest.raises(ValueError, match=f"^{message}"):
             H.evaluate_asr(x, labels, {"t": [model0]}, **kwargs)
 
@@ -207,6 +224,8 @@ def test_experiment_config_validation(tmp_path):
         small_config(tmp_path, methods=("mifgsm", "bogus"))
     with pytest.raises(ValueError):
         small_config(tmp_path, methods=("mifgsm",))  # primary method missing
+    with pytest.raises(ValueError, match="methods must be nonempty"):
+        small_config(tmp_path, methods=())
     for name in ("components", "snapshots", "n_examples", "bound_examples",
                  "n_train", "n_test", "input_dim", "num_classes"):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
@@ -334,7 +353,7 @@ def test_cifar_seeds_share_one_dataset_of_the_rows_they_use(tmp_path,
         pretrain_epochs=2, methods=("drap",), seeds=(0, 1))
     datasets = H._datasets(cfg)
     assert datasets[0] is datasets[1]
-    data, (X, y) = datasets[0], H.load_cifar10_binary(batch)
+    data, (X, y) = datasets[0], H.load_cifar10_binary(batch, 28)
     # views of a copy of the 28 rows used, not of the 30-record batch
     assert data.X_train.base.shape == (28, 3072)
     assert data.X_test.base is data.X_train.base
@@ -410,8 +429,8 @@ def frozen_per_example_attacks(cfg, out):
                       for i in range(cfg.n_examples)]
             np.save(out / f"adv_{method}_seed{seed}.npy",
                     np.stack([s.x_hat for s in states]))
-            A.write_trace(states[0], acfg,
-                          out / "traces" / f"trace_{method}_seed{seed}.csv")
+            (out / "traces" / f"trace_{method}_seed{seed}.csv").write_text(
+                A.trace_to_csv(states[0], acfg), encoding="utf-8")
             s0 = states[0]
             bench_lines.append(
                 f"{method},{len(s0.trace)},{surrogate.num_components},"

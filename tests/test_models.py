@@ -112,9 +112,15 @@ class TestForward:
                 (("linear", 2.5, 2), {}, "input_dim must be an integer"),
                 (("linear", 3, 2.5), {}, "num_classes must be an integer"),
                 (("conv_tiny", 3, 2), dict(channels=1.5),
-                 "channels must be an integer")):
+                 "channels must be an integer"),
+                (("resnet", 3, 2), {}, "unknown architecture 'resnet'"),
+                (("linear", 3, 2), dict(hidden=(4,)), "linear takes no hidden sizes"),
+                (("mlp", 3, 2), dict(hidden=(4,), channels=2),
+                 "mlp takes no channels")):
             with pytest.raises(ValueError, match=message):
                 M.ModelSpec(*args, **kw)
+        with pytest.raises(ValueError, match="length 7, spec requires 8"):
+            M.Weights(M.ModelSpec("linear", 3, 2), np.zeros(7))
         # a numpy integer size is accepted and stored as int, so the spec's
         # repr (and every fingerprint over it) is that of the plain int
         spec = M.ModelSpec("mlp", 3, 2, hidden=(np.int64(4),))
@@ -166,8 +172,12 @@ class TestLosses:
             M.loss(w, np.zeros(4), M.bounded_error(3))
         with pytest.raises(ValueError):
             M.input_gradient(w, np.zeros(4), M.neg_cross_entropy(5))
+        with pytest.raises(ValueError, match="labels must match the batch size"):
+            M.batch_ce_value_and_weight_grad(w, np.zeros((2, 4)), np.array([0]))
 
     def test_label_vectors_are_checked_per_entry(self):
+        with pytest.raises(ValueError, match="unknown loss variant 'hinge'"):
+            M.LossKind("hinge", 0)
         with pytest.raises(ValueError, match="class index"):
             M.neg_cross_entropy(np.array([0, 2, -1]))
         with pytest.raises(ValueError, match="class index"):
@@ -427,6 +437,8 @@ class TestStackedCore:
             M.vjp_stack(stack, rng.uniform(0, 1, (4, 2, d)))
         with pytest.raises(ValueError, match="rows"):
             M.vjp_stack(stack, rng.uniform(0, 1, (4, 1, d + 1)))
+        with pytest.raises(ValueError, match="input batch has shape"):
+            M.vjp_stack(stack, rng.uniform(0, 1, (4, d + 1)))
 
     def test_rejects_empty_list_unbatched_points_and_mixed_classes(self):
         models, rng, d, k = self.interleaved(0, 3)
@@ -436,6 +448,8 @@ class TestStackedCore:
             M.member_stack([])
         with pytest.raises(ValueError, match="batch"):
             M.loss_matrix(M.member_stack(models), X[0], M.bounded_error(0))
+        with pytest.raises(ValueError, match="batch"):
+            M.predict_matrix(M.member_stack(models), X[0])
         wider = M.init_weights(M.ModelSpec("linear", d, k + 1), rng)
         with pytest.raises(ValueError, match="classes"):
             M.member_stack(models + [wider])
@@ -807,10 +821,13 @@ class TestCheckpoints:
         path = tmp_path / "w.fxw"
         M.save_weights(w, path)
         blob = path.read_bytes()
-        for cut in (6, 20, len(blob) - 3):
+        # 24: right after the spec header, before the parameter count
+        for cut, message in ((6, "truncated header"), (20, "truncated header"),
+                             (24, "truncated header"),
+                             (len(blob) - 3, "truncated parameter payload")):
             clipped = tmp_path / "cut.fxw"
             clipped.write_bytes(blob[:cut])
-            with pytest.raises(M.CheckpointError):
+            with pytest.raises(M.CheckpointError, match=message):
                 M.load_weights(clipped)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -822,18 +839,22 @@ class TestCheckpoints:
         with pytest.raises(M.CheckpointError, match="trailing"):
             M.load_weights(path)
 
-    @pytest.mark.parametrize("fields, count", [
-        ((2, 4, 2, 0, 0), 0), ((1, 4, 2, 0, 0), 0), ((0, 4, 1, 0, 0), 0),
-        ((0, 0, 2, 0, 0), 0), ((0, 4, 2, 0, 1, 7), 10), ((2, 4, 2, 0, 2, 3, 5), 20)],
+    @pytest.mark.parametrize("fields, count, message", [
+        ((2, 4, 2, 0, 0), 0, "bad spec header"), ((1, 4, 2, 0, 0), 0, "bad spec header"),
+        ((0, 4, 1, 0, 0), 0, "bad spec header"), ((0, 0, 2, 0, 0), 0, "bad spec header"),
+        ((0, 4, 2, 0, 1, 7), 10, "bad spec header"),
+        ((2, 4, 2, 0, 2, 3, 5), 20, "bad spec header"),
+        ((7, 4, 2, 0, 0), 0, "unknown architecture or activation tag")],
         ids=["conv_no_channels", "mlp_no_hidden", "one_class", "no_input_dim",
-             "linear_with_an_extra_field", "conv_with_two_extra_fields"])
-    def test_bad_spec_header_rejected(self, tmp_path, fields, count):
+             "linear_with_an_extra_field", "conv_with_two_extra_fields",
+             "unknown_arch_tag"])
+    def test_bad_spec_header_rejected(self, tmp_path, fields, count, message):
         # magic, then arch tag, d, k, activation tag, n_extra and the extra
         # fields; the last two carry a payload sized for the spec they name
         path = tmp_path / "spec.fxw"
         path.write_bytes(M.CHECKPOINT_MAGIC + struct.pack(f"<{len(fields)}IQ", *fields, count)
                          + bytes(8 * count))
-        with pytest.raises(M.CheckpointError, match="spec.fxw: bad spec header"):
+        with pytest.raises(M.CheckpointError, match=f"spec.fxw: {message}"):
             M.load_weights(path)
 
     @pytest.mark.parametrize("activation, arch, hidden, digest", [

@@ -8,6 +8,9 @@ import importlib
 import inspect
 from pathlib import Path
 
+from transferbound import attacks as A
+from transferbound import bounds as B
+
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
 
@@ -70,3 +73,26 @@ def test_every_package_name_the_benchmark_reads_exists():
             "cli.PHI_DEFAULTS", "forge.SurrogateEnsemble.load",
             "harness.ALL_PHASES", "models.GRAD_CALLS.value",
             "models.batch_ce_value_and_weight_grad"} <= seen
+
+
+def test_the_traced_spans_read_what_the_calls_return(monkeypatch, quad_setup):
+    # the scan above sees module attributes only; the span attributes come
+    # from call results (``result.method``, ``result.candidates``) and fail
+    # only at run time, so one real call of each is traced here
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    tracing = importlib.import_module("tracing")
+    ens, data = quad_setup
+    X, y = data.X_test[:3], data.y_test[:3].astype(int)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        x_hat = A.run_attack(X, y, ens, A.AttackConfig(method="mifgsm")).x_hat[0]
+        r = B.profile(x_hat, ens, int(y[0])).surrogate_risk + 0.05
+        B.assemble_bound(x_hat, X[0], 0.1, ens, ens.pretrained, int(y[0]),
+                         B.BoundConfig(), r, sharpness_steps=1)
+    finally:
+        tracer.uninstall()
+    attrs = {s.name: s.attrs for s in tracer.spans}
+    assert attrs["attacks.run_attack"] == {"method": "mifgsm"}
+    kept = attrs["bounds.CandidateSetXr.build"]
+    assert kept["pool"] == B.N_CANDIDATES + 1 and 0 < kept["kept"] <= kept["pool"]
