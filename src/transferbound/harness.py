@@ -384,6 +384,7 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
 
     for seed in cfg.seeds if need_attacks else ():
         data, (surrogate, target_ens, _) = datasets[seed], ensembles[seed]
+        adv = None  # set by the primary method, which cfg.methods holds
         targets = {"heldout": list(target_ens.all_members())}
         X = data.X_test[: cfg.n_examples]
         y = data.y_test[: cfg.n_examples].astype(int)

@@ -70,14 +70,19 @@ def test_cifar_bad_label_names_the_file(tmp_path):
 
 def test_cifar_loader_converts_only_the_rows_it_returns(tmp_path):
     path = tmp_path / "batch.bin"
-    path.write_bytes(make_record(3, 5) * 1000)
+    records = [make_record(i % 10, i + 1) for i in range(1000)]
+    path.write_bytes(b"".join(records))
     tracemalloc.start()
     try:
         X, y = H.load_cifar10_binary(path, 50)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert X.shape == (50, 3072) and y.tolist() == [3] * 50
+    # the first 50 records, each converted on its own
+    assert y.tolist() == [r[0] for r in records[:50]]
+    assert X.tobytes() == b"".join(
+        (np.frombuffer(r[1:], dtype=np.uint8) / 255.0).tobytes()
+        for r in records[:50])
     # the 3.1 MB file and 50 float rows (1.2 MB), not 1,000 (24.6 MB)
     assert peak < 8 << 20
 
@@ -353,7 +358,7 @@ def test_cifar_seeds_share_one_dataset_of_the_rows_they_use(tmp_path,
         pretrain_epochs=2, methods=("drap",), seeds=(0, 1))
     datasets = H._datasets(cfg)
     assert datasets[0] is datasets[1]
-    data, (X, y) = datasets[0], H.load_cifar10_binary(batch, 28)
+    data, (X, y) = datasets[0], H.load_cifar10_binary(batch, 30)
     # views of a copy of the 28 rows used, not of the 30-record batch
     assert data.X_train.base.shape == (28, 3072)
     assert data.X_test.base is data.X_train.base
