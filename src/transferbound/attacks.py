@@ -39,8 +39,6 @@ import numpy as np
 from . import models as M
 from .models import _l2_rows
 
-METHODS = ("ifgsm", "mifgsm", "rap", "flat_rap", "flat_cwa", "drap")
-
 MOMENTUM_NORM_FLOOR = 1e-12
 
 TRACE_COLUMNS = "iter,component,snapshot,loss_pre,loss_post,grad_calls"
@@ -299,11 +297,12 @@ class _Plan:
 _PLANS = {
     "ifgsm": _Plan("snapshot", False, False, "sign"),
     "mifgsm": _Plan("snapshot", False, False, "momentum"),
-    "drap": _Plan("snapshot", False, True, "momentum"),
     "rap": _Plan("list", False, True, "sign"),
     "flat_rap": _Plan("components", True, True, "momentum"),
     "flat_cwa": _Plan("components", True, False, "walk"),
+    "drap": _Plan("snapshot", False, True, "momentum"),
 }
+METHODS = tuple(_PLANS)
 
 
 def _start(x, label, method, cfg) -> AttackState:

@@ -382,22 +382,6 @@ def require_feasible(cfg: "BoundConfig", losses) -> FeasibilityCheck:
     return feas
 
 
-def bernoulli_undercoverage(p: float, q: float) -> float:
-    """KL(Bernoulli(p) || Bernoulli(q)): the floor any kl discrepancy
-    estimate must respect when the target puts mass p on a region the
-    surrogate covers with mass q."""
-    if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
-        raise ValueError("p and q must be probabilities")
-    if q in (0.0, 1.0):
-        return 0.0 if p == q else math.inf
-    out = 0.0
-    if p > 0.0:
-        out += p * math.log(p / q)
-    if p < 1.0:
-        out += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
-    return out
-
-
 @dataclass
 class VarianceSplit:
     between: float

@@ -15,7 +15,7 @@ import hashlib
 import logging
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -132,19 +132,18 @@ class PrototypeConfig:
 
 def _train(P: np.ndarray, cfgs: Sequence[PrototypeConfig], lr: np.ndarray,
            X: np.ndarray, y: np.ndarray, src: np.ndarray, rngs: Sequence,
-           epochs: int) -> list:
+           epochs: int) -> Iterator[np.ndarray]:
     """SGD in place on the (M, P) stack of one spec's prototypes ``cfgs``
     (normal ones first), one step for all per minibatch: member i trains on
     rows X[src[i]], y[src[i]] of (S, N, d) and (S, N) stacks, draws its
     permutations from rngs[i], steps at lr[i] and, if adversarial, on PGD
-    examples at its adv_eps.  Returns a copy of P after each epoch; raises
-    DivergenceError, naming whose, after the first epoch at which any
-    member's parameters or training loss leave the reals."""
+    examples at its adv_eps.  Yields P itself (no copy) after each epoch,
+    and raises DivergenceError, naming whose, after the first epoch at
+    which any member's parameters or training loss leave the reals."""
     spec, na = cfgs[0].spec, sum(cfg.training == "normal" for cfg in cfgs)
     eps = np.array([cfg.adv_eps for cfg in cfgs[na:]])[:, None, None]
     step = 2.5 * eps / ADV_STEPS
     layers, adv = M._layers(spec, P, 0), M._layers(spec, P[na:], 0)
-    snapshots = []
     for epoch in range(epochs):
         perms = np.array([rng.permutation(X.shape[1]) for rng in rngs])
         for start in range(0, X.shape[1], BATCH_SIZE):
@@ -171,14 +170,15 @@ def _train(P: np.ndarray, cfgs: Sequence[PrototypeConfig], lr: np.ndarray,
             raise DivergenceError(
                 f"training diverged at epoch {epoch} for prototype seeds "
                 f"{[cfg.seed for cfg, b in zip(cfgs, bad) if b]}{loss}")
-        snapshots.append(P.copy())
-    return snapshots
+        yield P
 
 
 def _train_group(members: Sequence[tuple], pretrain_epochs: int) -> list:
     """Pretrain one group's (prototype, dataset) ``members`` (normal ones
     first, datasets of one size) as one (M, P) stack from random init, then
-    fine-tune it: each member's (pretrained Weights, snapshot Weights)."""
+    fine-tune it: each member's (pretrained Weights, snapshot Weights).
+    Pretraining keeps no epoch's stack; each snapshot copies its row of
+    the stack once, when its epoch ends."""
     cfgs, spec = [cfg for cfg, _ in members], members[0][0].spec
     datasets = list({id(data): data for _, data in members}.values())
     if any((d.input_dim, d.num_classes) != (spec.input_dim, spec.num_classes)
@@ -191,13 +191,14 @@ def _train_group(members: Sequence[tuple], pretrain_epochs: int) -> list:
                        for cfg in cfgs] for stage in (0xF0, 0xF1)]
     P = np.array([M.init_weights(cfg.spec, rng).params
                   for cfg, rng in zip(cfgs, pre_rngs)])
-    _train(P, cfgs, np.full(len(cfgs), PRETRAIN_LR), X, y, src, pre_rngs,
-           pretrain_epochs)
-    pres = [M.Weights(cfg.spec, p) for cfg, p in zip(cfgs, P)]
-    stacks = _train(P, cfgs, np.array([cfg.lr for cfg in cfgs]), X, y, src, rngs,
-                    cfgs[0].epochs)
-    out = [(pre, [M.Weights(cfg.spec, S[i]) for S in stacks])
-           for i, (cfg, pre) in enumerate(zip(cfgs, pres))]
+    for _ in _train(P, cfgs, np.full(len(cfgs), PRETRAIN_LR), X, y, src,
+                    pre_rngs, pretrain_epochs):
+        pass
+    out = [(M.Weights(spec, p), []) for p in P]
+    for stack in _train(P, cfgs, np.array([cfg.lr for cfg in cfgs]), X, y, src,
+                        rngs, cfgs[0].epochs):
+        for (_, snapshots), p in zip(out, stack):
+            snapshots.append(M.Weights(spec, p))
     for (pre, snapshots), (_, data) in zip(out, members):
         acc = [accuracy(w, data.X_test, data.y_test) for w in [pre, *snapshots]]
         if np.mean(acc[1:]) < acc[0] - 0.05:

@@ -33,7 +33,7 @@ ASR_COLUMNS = "method,target_set,seed,examples,asr_percent"
 ASR_SUMMARY_COLUMNS = "method,target_set,seeds,examples,asr_percent"
 BENCH_COLUMNS = "method,n_iter,components,snapshots,predicted,observed"
 
-DATASETS = ("gaussian_mixture", "two_rings", "cifar10")
+DATASETS = (*F.DATASET_KINDS, "cifar10")
 
 ALL_PHASES = frozenset({"forge", "attack", "asr", "bounds", "bench"})
 
@@ -332,17 +332,16 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
     phases selects what gets produced: "forge" trains and saves the
     ensembles under ``out/ensembles/seed<s>/``, "attack" saves adversarial
     batches and traces (example 0's), "asr" the success tables, "bounds"
-    the bound-diagnostic rows (for the primary method), "bench" the
-    per-example gradient-call accounting.  Default: everything.  Without
-    "forge", a seed whose ensembles were saved reuses them (checked by
-    fingerprint; a mismatch raises CheckpointError) and a seed without
-    them trains both in memory, all seeds in one forge pass before any
-    attack.  Whenever attacks run, ``run.json`` records the config, the
-    Python and numpy versions, seconds per phase ("forge" covers that
-    pass), per method the examples, wall
-    seconds and gradient calls (predicted and observed) summed over seeds,
-    and per seed whether its ensembles were "loaded" or "built" and the
-    surrogate's fingerprint.
+    the bound-diagnostic rows (the primary method's, as its run ends),
+    "bench" the per-example gradient-call accounting.  Default:
+    everything.  Without "forge", a seed whose ensembles were saved reuses
+    them (checked by fingerprint; a mismatch raises CheckpointError) and a
+    seed without them trains both in memory, all seeds in one forge pass
+    before any attack.  Whenever attacks run, ``run.json`` records the
+    config, the Python and numpy versions, seconds per phase ("forge"
+    covers that pass), per method the examples, wall seconds and gradient
+    calls (predicted and observed) summed over seeds, and per seed whether
+    its ensembles were "loaded" or "built" and the surrogate's fingerprint.
     """
     phases = ALL_PHASES if phases is None else frozenset(phases)
     unknown = phases - ALL_PHASES
@@ -384,7 +383,6 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
 
     for seed in cfg.seeds if need_attacks else ():
         data, (surrogate, target_ens, _) = datasets[seed], ensembles[seed]
-        adv = None  # set by the primary method, which cfg.methods holds
         targets = {"heldout": list(target_ens.all_members())}
         X = data.X_test[: cfg.n_examples]
         y = data.y_test[: cfg.n_examples].astype(int)
@@ -397,8 +395,6 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
             # one run over every example; example 0's trace is written
             state = A.run_attack(X, labels, surrogate, acfg)
             seconds = time.perf_counter() - t0
-            if method == cfg.attack.method:
-                adv = state.x_hat  # the bounds run on the primary method
             tally = totals[method]
             tally["examples"] += cfg.n_examples
             tally["seconds"] += seconds
@@ -431,21 +427,21 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
                     asr_cells.setdefault((meth, name), []).append(cell)
                 phase_s["asr"] += time.perf_counter() - t0
 
-        if "bounds" in phases:
-            t0 = time.perf_counter()
-            for idx in range(min(cfg.bound_examples, cfg.n_examples)):
-                x_hat = adv[idx]
-                lbl = int(y[idx])
-                r = cfg.bound_r if cfg.bound_r is not None else (
-                    B.profile(x_hat, surrogate, lbl).surrogate_risk + 0.05)
-                rep = B.assemble_bound(
-                    x_hat, X[idx], cfg.attack.gamma, surrogate,
-                    targets["heldout"], lbl, cfg.bound, r,
-                    seed=1000 * seed + idx)
-                bound_lines.append(f"# seed={seed} example={idx} "
-                                   f"method={cfg.attack.method}")
-                bound_lines.append(rep.csv_row())
-            phase_s["bounds"] += time.perf_counter() - t0
+            if "bounds" in phases and method == cfg.attack.method:
+                t0 = time.perf_counter()
+                for idx in range(min(cfg.bound_examples, cfg.n_examples)):
+                    x_hat = state.x_hat[idx]
+                    lbl = int(y[idx])
+                    r = cfg.bound_r if cfg.bound_r is not None else (
+                        B.profile(x_hat, surrogate, lbl).surrogate_risk + 0.05)
+                    rep = B.assemble_bound(
+                        x_hat, X[idx], cfg.attack.gamma, surrogate,
+                        targets["heldout"], lbl, cfg.bound, r,
+                        seed=1000 * seed + idx)
+                    bound_lines.append(f"# seed={seed} example={idx} "
+                                       f"method={method}")
+                    bound_lines.append(rep.csv_row())
+                phase_s["bounds"] += time.perf_counter() - t0
 
     if "asr" in phases:
         written["asr"] = _write_csv(out / "asr.csv", ASR_COLUMNS, asr_lines)

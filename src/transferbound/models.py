@@ -47,11 +47,9 @@ from typing import Sequence
 
 import numpy as np
 
+# a name's position in these tuples is its tag in a checkpoint header
 ARCHITECTURES = ("linear", "mlp", "conv_tiny")
 ACTIVATIONS = ("relu", "tanh")
-
-_ARCH_TAGS = {"linear": 0, "mlp": 1, "conv_tiny": 2}
-_ACT_TAGS = {"relu": 0, "tanh": 1}
 
 CHECKPOINT_MAGIC = b"FXW1"
 
@@ -623,10 +621,10 @@ def batch_ce_value_and_weight_grad(w: Weights, X: np.ndarray, y: np.ndarray):
 def _spec_header(spec: ModelSpec) -> bytes:
     extra = spec.hidden + ((spec.channels,) if spec.channels else ())
     fields = [
-        _ARCH_TAGS[spec.arch],
+        ARCHITECTURES.index(spec.arch),
         spec.input_dim,
         spec.num_classes,
-        _ACT_TAGS[spec.activation],
+        ACTIVATIONS.index(spec.activation),
         len(extra),
         *extra,
     ]
@@ -661,11 +659,9 @@ def load_weights(path) -> Weights:
 
     arch_tag, d, k, act_tag, n_extra = u32s(5)
     extra = u32s(n_extra)
-    archs = {v: a for a, v in _ARCH_TAGS.items()}
-    acts = {v: a for a, v in _ACT_TAGS.items()}
-    if arch_tag not in archs or act_tag not in acts:
+    if arch_tag >= len(ARCHITECTURES) or act_tag >= len(ACTIVATIONS):
         raise CheckpointError(f"{path}: unknown architecture or activation tag")
-    arch = archs[arch_tag]
+    arch = ARCHITECTURES[arch_tag]
     try:
         spec = ModelSpec(
             arch=arch,
@@ -673,7 +669,7 @@ def load_weights(path) -> Weights:
             num_classes=int(k),
             hidden=extra if arch == "mlp" else (),
             channels=extra[0] if arch == "conv_tiny" and extra else 0,
-            activation=acts[act_tag],
+            activation=ACTIVATIONS[act_tag],
         )
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad spec header: {exc}") from exc

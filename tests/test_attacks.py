@@ -396,6 +396,51 @@ class TestLabelCheck:
             assert M.GRAD_CALLS.value == before
 
 
+class TestNumericGuards:
+    """Each ``NumericError`` of the step loop fires on its own fault."""
+
+    def run(self, tiny_setup):
+        ens, data = tiny_setup
+        return A.run_attack(data.X_test[:3], data.y_test[:3], ens,
+                            small_cfg(method="ifgsm"))
+
+    def test_non_finite_step_gradient(self, tiny_setup, monkeypatch):
+        vjp_stack = M.vjp_stack
+
+        def nan_pullback(stack, x):
+            logits, pullback = vjp_stack(stack, x)
+            return logits, lambda dl: pullback(dl) * np.nan
+
+        monkeypatch.setattr(M, "vjp_stack", nan_pullback)
+        with pytest.raises(A.NumericError,
+                           match="non-finite gradient of the step objective"):
+            self.run(tiny_setup)
+
+    def test_grad_call_drift(self, tiny_setup, monkeypatch):
+        predict = A.predict_ngrad
+        monkeypatch.setattr(A, "predict_ngrad",
+                            lambda *a, **k: predict(*a, **k) + 1)
+        with pytest.raises(A.NumericError, match="accounting drifted: "
+                           "observed 18, cost model predicts 21"):
+            self.run(tiny_setup)
+
+    def test_non_finite_adversarial_example(self, tiny_setup, monkeypatch):
+        # the start's projection, then one per step of the 6-snapshot
+        # sweep: only the last step's result is NaN, so no gradient sees it
+        calls, project = [], A.project
+
+        def nan_last(x_hat, x, gamma):
+            calls.append(1)
+            out = project(x_hat, x, gamma)
+            return out * np.nan if len(calls) == 1 + 6 else out
+
+        monkeypatch.setattr(A, "project", nan_last)
+        with pytest.raises(A.NumericError,
+                           match="non-finite adversarial example"):
+            self.run(tiny_setup)
+        assert len(calls) == 1 + 6
+
+
 class TestTrace:
     def test_trace_csv_shape(self, tiny_setup):
         ens, data = tiny_setup

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -230,13 +231,31 @@ class TestFineTune:
         rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF1]))
                 for cfg in cfgs]
         P = np.array([pre.params for pre in want[1]])
-        snapshots = F._train(P, cfgs, np.full(2, 0.05), data.X_train[None],
-                             data.y_train[None], np.zeros(2, int), rngs, 1)
+        (stack,) = F._train(P, cfgs, np.full(2, 0.05), data.X_train[None],
+                            data.y_train[None], np.zeros(2, int), rngs, 1)
         # both minibatches' 5 PGD steps and weight steps share the views of
         # the group stack and of its adversarial slice
         assert sliced == [(2, 0), (1, 0)]
-        assert [s.tobytes() for s in snapshots[0]] == [
+        assert [s.tobytes() for s in stack] == [
             comp[0].params.tobytes() for comp in want[0]]
+
+    def test_training_holds_no_copy_of_the_stack_per_epoch(self):
+        # one wide prototype: its parameters dwarf a 16-row minibatch's
+        # activations, so an epoch's stack copy would show in the peak
+        data = F.make_dataset("gaussian_mixture", 16, 8, 3, input_dim=64)
+        spec = M.ModelSpec("mlp", 64, 2, hidden=(512,))
+        cfg = F.PrototypeConfig(spec=spec, epochs=1, seed=3)
+        epochs, stack_bytes = 60, 8 * M.param_count(spec)
+        tracemalloc.start()
+        try:
+            ens = F.build_ensemble([cfg], data, pretrain_epochs=epochs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.size == 1
+        # per-epoch copies of the pretraining stack alone would hold
+        # epochs * stack_bytes at once
+        assert peak < 16 * stack_bytes < epochs * stack_bytes
 
 
 class TestEnsemble:

@@ -479,8 +479,9 @@ def frozen_spec_header(spec):
         extra = (spec.channels,)
     else:
         extra = ()
-    fields = [M._ARCH_TAGS[spec.arch], spec.input_dim, spec.num_classes,
-              M._ACT_TAGS[spec.activation], len(extra), *extra]
+    fields = [{"linear": 0, "mlp": 1, "conv_tiny": 2}[spec.arch],
+              spec.input_dim, spec.num_classes,
+              {"relu": 0, "tanh": 1}[spec.activation], len(extra), *extra]
     return struct.pack(f"<{len(fields)}I", *fields)
 
 
