@@ -71,7 +71,6 @@ class AttackConfig:
     seed: int = 0
     schedule_mode: str = "trajectory"
     micro_step: float = 50.0
-    record_trace: bool = True
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -110,8 +109,8 @@ class TraceRow:
 class AttackState:
     """A run on a batch (x of shape (B, d), a (B,) label array), or one
     example of it (x of shape (d,), an int label).  A batched run's
-    gradient-call counts are totals over its examples, and its trace is
-    row 0's; ``example`` splits it."""
+    gradient-call counts are totals over its examples; every run traces
+    row 0.  ``example`` splits it, and only ``example(0)`` keeps the trace."""
 
     x: np.ndarray
     label: int | np.ndarray
@@ -314,14 +313,13 @@ def _start(x, label, method, cfg) -> AttackState:
     if label.shape != x.shape[:-1]:
         raise ValueError(f"need one label per example: {label.size} labels "
                          f"for {x.size // x.shape[-1]} examples")
-    if x.min() < 0.0 or x.max() > 1.0:
+    if not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails
         raise ValueError("benign input must lie in [0,1]^d")
     x = np.atleast_2d(x)
     state = AttackState(x=x, label=label.reshape(-1), targeted=cfg.targeted,
-                        method=method)
+                        method=method, trace=[])
     state.x_hat = project(x.copy(), x, cfg.gamma)
     state.m = np.zeros_like(x)
-    state.trace = [] if cfg.record_trace else None
     state.iterates = [] if cfg.keep_iterates else None
     return state
 
@@ -441,8 +439,7 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
     with M.GRAD_CALLS.scope() as tally:
         for step, comp, snap, batch, late in steps:
             stack = fixed or M.member_stack(batch)
-            if state.trace is not None:
-                loss_pre = _objective(stack, state.x_hat[0], kind0, plan.fused)
+            loss_pre = _objective(stack, state.x_hat[0], kind0, plan.fused)
             if plan.update == "walk":
                 state.x_hat = _cwa_step(state, batch, stack, kind, cfg)
             else:
@@ -457,11 +454,9 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
                                       state.x, cfg.gamma)
             if state.iterates is not None:
                 state.iterates.append(state.x_hat.copy())
-            if state.trace is not None:
-                loss_post = _objective(stack, state.x_hat[0], kind0,
-                                       plan.fused)
-                state.trace.append(TraceRow(step, comp, snap, loss_pre,
-                                            loss_post, tally.count // B))
+            loss_post = _objective(stack, state.x_hat[0], kind0, plan.fused)
+            state.trace.append(TraceRow(step, comp, snap, loss_pre, loss_post,
+                                        tally.count // B))
     _finish(state, tally, B * predicted)
     return state if np.ndim(x) == 2 else state.example(0)
 
@@ -472,8 +467,9 @@ def run_attack(x, label, ensemble, cfg: AttackConfig,
 
 
 def trace_to_csv(state: AttackState, cfg: AttackConfig) -> str:
+    """Row 0's trace of a run, as CSV text under a header of its settings."""
     if state.trace is None:
-        raise ValueError("run was configured without a trace")
+        raise ValueError("example(i) with i > 0 carries no trace")
     buf = io.StringIO()
     buf.write(
         f"# method={state.method} targeted={state.targeted} "

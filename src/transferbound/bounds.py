@@ -570,6 +570,8 @@ def assemble_bound(x_hat: np.ndarray, x: np.ndarray, gamma: float,
     M.check_count("sharpness_restarts", sharpness_restarts, 0)
     if np.shape(x) != np.shape(x_hat):
         raise ValueError(f"x has shape {np.shape(x)}, x_hat has shape {np.shape(x_hat)}")
+    if not (np.isfinite(x_hat).all() and np.isfinite(x).all()):
+        raise ValueError("x_hat or x holds non-finite values")
     targets = M.member_stack(target_models)
     prof = profile(x_hat, ensemble, label)
     losses_here = prof.all_losses

@@ -13,6 +13,7 @@ at the top of each CSV; ``run.json`` holds wall times and so differs.
 from __future__ import annotations
 
 import datetime
+import itertools
 import json
 import platform
 import time
@@ -110,6 +111,8 @@ def evaluate_asr(x_hat, labels, target_sets: Mapping[str, Sequence[M.Weights]],
     labels = np.asarray(labels)
     if x_hat.ndim != 2 or len(x_hat) == 0 or labels.shape != (len(x_hat),):
         raise ValueError("need a nonempty (n, d) batch with one label per row")
+    if not np.isfinite(x_hat).all():
+        raise ValueError("x_hat holds non-finite values")
     if labels.dtype.kind not in "iu":
         raise ValueError(f"labels must have an integer dtype, got {labels.dtype}")
     if targeted:
@@ -217,17 +220,13 @@ def _datasets(cfg: ExperimentConfig) -> dict:
 
 
 def _prototypes(cfg: ExperimentConfig, data: F.Dataset, base_seed: int) -> list:
-    d = data.input_dim
-    k = data.num_classes
-    desk = F.desk_prototypes(d, k, gamma=cfg.attack.gamma, base_seed=base_seed,
-                             epochs=cfg.snapshots, lr=cfg.proto_lr)
-    protos = []
-    for i in range(cfg.components):
-        proto = desk[i % len(desk)]
-        if i >= len(desk):
-            proto = replace(proto, seed=proto.seed + 7919 * (i // len(desk)))
-        protos.append(proto)
-    return protos
+    """Desk sets from base seeds base_seed + 7919 * r, cut to cfg.components."""
+    sets = (F.desk_prototypes(data.input_dim, data.num_classes,
+                              gamma=cfg.attack.gamma, epochs=cfg.snapshots,
+                              base_seed=base_seed + 7919 * r, lr=cfg.proto_lr)
+            for r in itertools.count())
+    return list(itertools.islice(itertools.chain.from_iterable(sets),
+                                 cfg.components))
 
 
 ROLE_SEEDS = (("surrogate", 17), ("target", 563))  # base_seed offsets
@@ -286,8 +285,7 @@ def _method_config(cfg: ExperimentConfig, method: str, seed: int,
         # standard schedule (no late start on short runs, 5 epochs otherwise)
         n_ls = 0 if ensemble.snapshots_per_component <= 5 else 5
     # every method runs its default length: one step per surrogate member
-    return replace(cfg.attack, method=method, seed=seed, n_iter=None,
-                   n_ls=n_ls, record_trace=True)
+    return replace(cfg.attack, method=method, seed=seed, n_iter=None, n_ls=n_ls)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +390,7 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
         for method in cfg.methods:
             acfg = _method_config(cfg, method, seed, surrogate)
             t0 = time.perf_counter()
-            # one run over every example; example 0's trace is written
+            # one run over every example; its trace is example 0's
             state = A.run_attack(X, labels, surrogate, acfg)
             seconds = time.perf_counter() - t0
             tally = totals[method]
@@ -406,7 +404,7 @@ def run_experiment(cfg: ExperimentConfig, phases=None) -> dict:
                 trace_dir = out / "traces"
                 trace_dir.mkdir(exist_ok=True)
                 (trace_dir / f"trace_{method}_seed{seed}.csv").write_text(
-                    A.trace_to_csv(state.example(0), acfg), encoding="utf-8")
+                    A.trace_to_csv(state, acfg), encoding="utf-8")
                 written.setdefault("traces", trace_dir)
             if "bench" in phases:
                 s0 = state.example(0)

@@ -690,5 +690,5 @@ def load_weights(path) -> Weights:
         raise CheckpointError(
             f"{path}: {len(blob) - off - 8 * count} trailing bytes after the "
             f"parameter payload")
-    params = np.frombuffer(blob, dtype="<f8", count=count, offset=off).astype(np.float64)
-    return Weights(spec, params)
+    # a view of the payload; Weights makes the one copy
+    return Weights(spec, np.frombuffer(blob, dtype="<f8", count=count, offset=off))

@@ -325,6 +325,13 @@ class TestRunners:
         ens, _ = tiny_setup
         with pytest.raises(ValueError, match="benign"):
             A.run_attack(np.array([0.5, 1.5]), 0, ens, small_cfg(method="drap"))
+        # NaN fails the range check before any gradient call
+        before = M.GRAD_CALLS.value
+        for x in (np.array([0.5, np.nan]), np.array([[0.5, 0.5], [np.nan, 0.5]])):
+            with pytest.raises(ValueError, match="benign"):
+                A.run_attack(x, np.zeros(x.shape[:-1], dtype=int), ens,
+                             small_cfg(method="drap"))
+        assert M.GRAD_CALLS.value == before
 
     def test_dispatch_is_repeatable_and_names_method(self, quad_setup):
         ens, data = quad_setup
@@ -381,19 +388,19 @@ class TestRunners:
 
 
 class TestLabelCheck:
-    @pytest.mark.parametrize("record_trace", [False, True])
+    # the trace's first objective value meets the label before any gradient
+    # call; the gradient path's own check is in test_models
+    @pytest.mark.parametrize("targeted", [False, True])
     @pytest.mark.parametrize("method", A.METHODS)
     def test_out_of_range_label_is_a_value_error(self, quad_setup, method,
-                                                 record_trace):
+                                                 targeted):
         ens, data = quad_setup
         cfg = small_cfg(method=method, n_iter=6 if method == "rap" else None,
-                        record_trace=record_trace)
-        for targeted in (False, True):
-            before = M.GRAD_CALLS.value
-            with pytest.raises(ValueError, match="out of range"):
-                A.run_attack(data.X_test[0], data.num_classes, ens,
-                             replace(cfg, targeted=targeted))
-            assert M.GRAD_CALLS.value == before
+                        targeted=targeted)
+        before = M.GRAD_CALLS.value
+        with pytest.raises(ValueError, match="out of range"):
+            A.run_attack(data.X_test[0], data.num_classes, ens, cfg)
+        assert M.GRAD_CALLS.value == before
 
 
 class TestNumericGuards:
@@ -463,12 +470,15 @@ class TestTrace:
         assert counts[-1] == st.grad_calls
 
     def test_trace_disabled(self, tiny_setup):
+        # every run traces row 0; the other rows of a batch carry no trace
         ens, data = tiny_setup
-        cfg = small_cfg(method="drap", record_trace=False)
-        st = A.run_attack(data.X_test[0], int(data.y_test[0]), ens, cfg)
-        assert st.trace is None
-        with pytest.raises(ValueError):
-            A.trace_to_csv(st, cfg)
+        cfg = small_cfg(method="drap")
+        st = A.run_attack(data.X_test[:2], data.y_test[:2], ens, cfg)
+        assert len(st.example(0).trace) == ens.size
+        assert st.example(1).trace is None
+        with pytest.raises(ValueError,
+                           match=r"^example\(i\) with i > 0 carries no trace$"):
+            A.trace_to_csv(st.example(1), cfg)
 
     @pytest.mark.parametrize("method", A.METHODS)
     def test_loss_pre_is_objective_at_previous_iterate(self, quad_setup, method):
@@ -531,7 +541,7 @@ class TestTrace:
         x, y = data.X_test[5], int(data.y_test[5])
         forward, vjp_stack, loss = M._forward_stack, M.vjp_stack, M.loss
         counts = {"outside": 0, "loss": 0}
-        calls = []  # per vjp_stack call: [forwards, members, pulled back]
+        calls = []  # per vjp_stack call: [forwards, members, pulled back, x.shape]
 
         def counted_forward(*args):
             if calls and calls[-1][2] is None:
@@ -541,7 +551,7 @@ class TestTrace:
             return forward(*args)
 
         def counted_vjp_stack(stack, z):
-            call = [0, stack.size, None]
+            call = [0, stack.size, None, z.shape]
             calls.append(call)
             logits, pullback = vjp_stack(stack, z)
             call[2] = False
@@ -561,19 +571,16 @@ class TestTrace:
         monkeypatch.setattr(M, "vjp_stack", counted_vjp_stack)
         monkeypatch.setattr(M, "loss", counted_loss)
         n_iter = 6 if method == "rap" else None
-        st = A.run_attack(x, y, ens, small_cfg(method=method, n_iter=n_iter,
-                                               record_trace=False))
-        # every forward runs inside a vjp_stack whose pullback runs, and
-        # those pullbacks make up every gradient call
+        st = A.run_attack(x, y, ens, small_cfg(method=method, n_iter=n_iter))
+        # every forward runs inside a vjp_stack call; the only calls whose
+        # pullback never runs are the trace's two one-point evaluations per
+        # step, and the pulled-back calls make up every gradient call
         assert st.grad_calls > 0
         assert counts == {"outside": 0, "loss": 0}
-        assert all(f >= 1 and pulled for f, _, pulled in calls)
-        assert sum(m for _, m, _ in calls) == st.grad_calls
-        untraced = sum(f for f, _, _ in calls)
-        calls.clear()
-        A.run_attack(x, y, ens, small_cfg(method=method, n_iter=n_iter))
-        assert sum(f for f, _, _ in calls) > untraced
-        assert not all(pulled for _, _, pulled in calls)
+        assert all(f >= 1 for f, _, _, _ in calls)
+        traced = [shape for _, _, pulled, shape in calls if not pulled]
+        assert traced == [(1, x.size)] * (2 * len(st.trace))
+        assert sum(m for _, m, pulled, _ in calls if pulled) == st.grad_calls
 
 
 @pytest.mark.parametrize("method", A.METHODS)

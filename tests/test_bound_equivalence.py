@@ -30,7 +30,7 @@ def case_digest(setup, phi, point, seed):
     x_hat = x
     if point == "mifgsm":
         cfg = A.AttackConfig(gamma=GAMMA, beta_x=0.02, method="mifgsm",
-                             seed=seed, record_trace=False)
+                             seed=seed)
         x_hat = A.run_attack(x, y, ens, cfg).x_hat
     r = B.profile(x_hat, ens, y).surrogate_risk + 0.05
     c1, c2 = PHI_DEFAULTS[phi]

@@ -1080,6 +1080,16 @@ def test_assemble_bound_checks_the_shape_of_x_before_any_work(quad_setup, monkey
     with pytest.raises(ValueError, match=r"^x has shape \(5,\), x_hat has shape \(6,\)"):
         B.assemble_bound(x_hat, x_hat[:5], 0.1, ens, ens.pretrained, y,
                          B.BoundConfig(), 0.5)
+    # a non-finite point fails here too, for every phi, not as a NaN bound
+    # or a chi2 threshold blamed on the coefficients
+    bad = x_hat.copy()
+    for phi in B.PHIS:
+        for value in (np.nan, np.inf):
+            bad[1] = value
+            for pair in ((bad, x_hat), (x_hat, bad)):
+                with pytest.raises(ValueError, match="^x_hat or x holds non-finite values$"):
+                    B.assemble_bound(*pair, 0.1, ens, ens.pretrained, y,
+                                     B.BoundConfig(phi=phi), 0.5)
     assert counts == {"_forward_stack": 0}
 
 
@@ -1142,7 +1152,7 @@ def test_one_pass_scoring_equals_per_component_code_bitwise(request, setup,
         x_hat = x
         if point == "mifgsm":
             cfg = A.AttackConfig(gamma=gamma, beta_x=0.02, method="mifgsm",
-                                 seed=idx, record_trace=False)
+                                 seed=idx)
             x_hat = A.run_attack(x, y, ens, cfg).x_hat
         prof = B.profile(x_hat, ens, y)
         want, want_targets = frozen_profile(x_hat, ens, y, targets)

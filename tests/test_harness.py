@@ -153,6 +153,13 @@ def test_asr_trivial_cases(monkeypatch):
              "target labels must align with labels")):
         with pytest.raises(ValueError, match=f"^{message}"):
             H.evaluate_asr(x, labels, {"t": [model0]}, **kwargs)
+    # a non-finite row is refused before the forward pass: all-NaN rows
+    # would otherwise predict no label and count as successes
+    one_inf = x.copy()
+    one_inf[2, 1] = np.inf
+    for bad in (np.full_like(x, np.nan), one_inf):
+        with pytest.raises(ValueError, match="^x_hat holds non-finite values$"):
+            H.evaluate_asr(bad, zeros, {"t": [model0]})
 
 
 def test_asr_matches_manual_count(tiny_setup):
@@ -387,6 +394,13 @@ def test_five_components_reuse_the_first_desk_prototype_reseeded(tmp_path,
                              epochs=cfg.snapshots, lr=cfg.proto_lr)
     assert H._prototypes(cfg, data, base_seed=17) == desk + [
         replace(desk[0], seed=desk[0].seed + 7919)]
+    # component i is desk prototype i % 4 reseeded by 7919 per full set;
+    # 9 components take two further sets
+    for components in (1, 4, 8, 9):
+        assert H._prototypes(replace(cfg, components=components), data,
+                             base_seed=17) == [
+            replace(desk[i % 4], seed=desk[i % 4].seed + 7919 * (i // 4))
+            for i in range(components)]
     built, build = [], F.build_ensembles
     monkeypatch.setattr(F, "build_ensembles",
                         lambda *a, **k: built.append(build(*a, **k)) or built[-1])
@@ -398,8 +412,8 @@ def test_five_components_reuse_the_first_desk_prototype_reseeded(tmp_path,
     X, y = data.X_test[:cfg.n_examples], data.y_test[:cfg.n_examples].astype(int)
     for method in A.METHODS:
         adv = np.load(tmp_path / "five" / f"adv_{method}_seed0.npy")
-        state = A.run_attack(X, y, surrogate, replace(
-            H._method_config(cfg, method, 0, surrogate), record_trace=False))
+        state = A.run_attack(X, y, surrogate,
+                             H._method_config(cfg, method, 0, surrogate))
         assert adv.tobytes() == state.x_hat.tobytes(), method
         cell = written["asr_table"].rows[(method, "heldout")]
         want = H.evaluate_asr(adv, y, {"heldout": list(target_ens.all_members())},
@@ -412,9 +426,9 @@ def test_five_components_reuse_the_first_desk_prototype_reseeded(tmp_path,
 
 def frozen_per_example_attacks(cfg, out):
     """The per-example attack loop that ``run_experiment`` replaced with one
-    batched ``run_attack`` per method, kept as its oracle: a traced run on
-    example 0 and untraced runs on the rest, one call per example, written
-    as the adversarial batches, example 0's traces and ``bench.csv``."""
+    batched ``run_attack`` per method, kept as its oracle: one traced run
+    per example, written as the adversarial batches, example 0's traces and
+    ``bench.csv``."""
     (out / "traces").mkdir(parents=True)
     bench_lines = []
     for seed in cfg.seeds:
@@ -427,10 +441,7 @@ def frozen_per_example_attacks(cfg, out):
         labels = (y + 1) % data.num_classes if cfg.attack.targeted else y
         for method in cfg.methods:
             acfg = H._method_config(cfg, method, seed, surrogate)
-            first = replace(acfg, record_trace=True)
-            rest = replace(acfg, record_trace=False)
-            states = [A.run_attack(X[i], int(labels[i]), surrogate,
-                                   rest if i else first)
+            states = [A.run_attack(X[i], int(labels[i]), surrogate, acfg)
                       for i in range(cfg.n_examples)]
             np.save(out / f"adv_{method}_seed{seed}.npy",
                     np.stack([s.x_hat for s in states]))

@@ -170,8 +170,10 @@ class TestLosses:
         w = M.init_weights(M.ModelSpec("linear", 4, 3), rng)
         with pytest.raises(ValueError):
             M.loss(w, np.zeros(4), M.bounded_error(3))
+        before = M.GRAD_CALLS.value
         with pytest.raises(ValueError):
             M.input_gradient(w, np.zeros(4), M.neg_cross_entropy(5))
+        assert M.GRAD_CALLS.value == before  # refused before the count
         with pytest.raises(ValueError, match="labels must match the batch size"):
             M.batch_ce_value_and_weight_grad(w, np.zeros((2, 4)), np.array([0]))
 
